@@ -1,32 +1,18 @@
-"""Scoring kernels over a CSR postings layout.
+"""Scoring kernel over a CSR postings layout.
 
-Two implementations with identical semantics: a numba-compiled loop and a
-pure-numpy fallback. Set the environment variable ``GANDR_DISABLE_NUMBA``
-(to 1/true/yes/on) before import to skip numba entirely; the active path
-is reported by :func:`backend_name`.
-
-Both paths accumulate each document's score term by term in the order the
-query terms are given. Callers pass term ids in ascending order, which
-makes the two backends, and any equally ordered reference computation,
-agree bit for bit.
+The kernel accumulates each document's score term by term in the order
+the query terms are given. Callers pass term ids in ascending order, which
+makes any equally ordered reference computation agree bit for bit.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 
-def _env_disabled() -> bool:
-    return os.environ.get("GANDR_DISABLE_NUMBA", "").strip().lower() in {
-        "1", "true", "yes", "on",
-    }
-
-
-def score_postings_numpy(term_ids: np.ndarray, query_weights: np.ndarray,
-                         indptr: np.ndarray, doc_ids: np.ndarray,
-                         weights: np.ndarray, n_docs: int) -> np.ndarray:
+def score_postings(term_ids: np.ndarray, query_weights: np.ndarray,
+                   indptr: np.ndarray, doc_ids: np.ndarray,
+                   weights: np.ndarray, n_docs: int) -> np.ndarray:
     """Accumulate query-weighted postings into a dense score vector."""
     scores = np.zeros(n_docs, dtype=np.float64)
     for qi in range(term_ids.shape[0]):
@@ -37,36 +23,3 @@ def score_postings_numpy(term_ids: np.ndarray, query_weights: np.ndarray,
         # add is a plain read-modify-write per document
         scores[doc_ids[s:e]] += query_weights[qi] * weights[s:e]
     return scores
-
-
-_score_postings_numba = None
-
-if not _env_disabled():
-    try:
-        from numba import njit
-
-        @njit(cache=True)
-        def _numba_kernel(term_ids, query_weights, indptr, doc_ids, weights,
-                          n_docs):
-            scores = np.zeros(n_docs, dtype=np.float64)
-            for qi in range(term_ids.shape[0]):
-                t = term_ids[qi]
-                qw = query_weights[qi]
-                for k in range(indptr[t], indptr[t + 1]):
-                    scores[doc_ids[k]] += qw * weights[k]
-            return scores
-
-        def _score_postings_numba(term_ids, query_weights, indptr, doc_ids,
-                                  weights, n_docs):
-            return _numba_kernel(term_ids, query_weights, indptr, doc_ids,
-                                 weights, n_docs)
-    except ImportError:
-        _score_postings_numba = None
-
-NUMBA_ENABLED = _score_postings_numba is not None
-
-score_postings = _score_postings_numba if NUMBA_ENABLED else score_postings_numpy
-
-
-def backend_name() -> str:
-    return "numba" if NUMBA_ENABLED else "numpy"

@@ -63,6 +63,7 @@ from .pipeline import (
     Sample,
     emit_training_pairs,
     run_pipeline,
+    self_exclusion,
 )
 from .retrieval import ExemplarStore, retrieve_topk
 from .tfidf import TfidfConfig
@@ -351,7 +352,8 @@ def cmd_emit_train(args, config: dict) -> int:
                             config, "preliminary_endpoint")
             endpoint = _build_endpoint(spec, timeout)
             preliminaries = _generate_preliminaries(store, samples, endpoint,
-                                                    k, budget)
+                                                    k, budget,
+                                                    not args.keep_self)
         else:
             raise ConfigError("stage 2 needs preliminaries; pass "
                               "--preliminary-from RECORDS or a "
@@ -367,13 +369,14 @@ def cmd_emit_train(args, config: dict) -> int:
 
 
 def _generate_preliminaries(store: ExemplarStore, samples, endpoint,
-                            k: int, budget) -> dict[int, str]:
+                            k: int, budget,
+                            exclude_self: bool) -> dict[int, str]:
     from .augment import build_augmented_input
 
     prompts = []
     for sample in samples:
         hits = retrieve_topk(store, sample.utterance, k, alpha=0.0,
-                             exclude_ids={sample.sample_id})
+                             exclude_ids=self_exclusion(sample, exclude_self))
         exemplars = [store.get(h.exemplar_id) for h in hits]
         prompts.append(build_augmented_input(sample.utterance, exemplars,
                                              budget).text)

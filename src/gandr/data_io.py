@@ -267,9 +267,12 @@ def save_store(store: ExemplarStore, path: str | Path) -> None:
 def load_store(path: str | Path) -> ExemplarStore:
     """Rebuild a store from disk; indexes are refit from the rows."""
     with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
+        text = fh.read()
+    if not text:
         raise CorruptFile(f"{path}: empty store file")
+    # rows keep U+0085, U+2028 and the like unescaped, and str.splitlines
+    # would break a row at them
+    lines = text.split("\n")
     try:
         header = json.loads(lines[0])
     except json.JSONDecodeError as exc:

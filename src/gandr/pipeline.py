@@ -22,7 +22,7 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Collection, Mapping, Sequence
 
 import numpy as np
 
@@ -272,6 +272,13 @@ def run_pipeline(store: ExemplarStore, samples: Sequence[Sample],
     return records
 
 
+def self_exclusion(sample: Sample, exclude_self: bool) -> Collection[int]:
+    """Exemplar ids a training sample must not retrieve: with
+    ``exclude_self``, the exemplar whose id equals the sample id, so a
+    sample drawn from the store never retrieves itself."""
+    return {sample.sample_id} if exclude_self else ()
+
+
 def emit_training_pairs(store: ExemplarStore, samples: Sequence[Sample],
                         k: int, p: float, rng: np.random.Generator,
                         alpha: float = 0.0,
@@ -283,8 +290,8 @@ def emit_training_pairs(store: ExemplarStore, samples: Sequence[Sample],
     Stage 1 (``alpha=0``, no preliminaries) trains the preliminary model;
     stage 2 passes each sample's preliminary parse so retrieval mixes in
     output similarity, matching what the final model sees at inference.
-    ``exclude_self`` drops the exemplar whose id equals the sample id, so
-    a sample drawn from the store never retrieves itself.
+    ``exclude_self`` drops the sample's own store entry (see
+    ``self_exclusion``).
     """
     alpha = validate_alpha(alpha)
     pairs: list[TrainingPair] = []
@@ -298,10 +305,10 @@ def emit_training_pairs(store: ExemplarStore, samples: Sequence[Sample],
                     f"sample {sample.sample_id} has no preliminary parse "
                     f"but alpha={alpha} needs one")
             preliminary = preliminaries[sample.sample_id]
-        exclude = {sample.sample_id} if exclude_self else ()
         hits = retrieve_sampled(store, sample.utterance, k, p, rng,
                                 alpha=alpha, preliminary=preliminary,
-                                exclude_ids=exclude)
+                                exclude_ids=self_exclusion(sample,
+                                                           exclude_self))
         exemplars = [store.get(h.exemplar_id) for h in hits]
         augmented = build_augmented_input(sample.utterance, exemplars, budget)
         pairs.append(TrainingPair(

@@ -33,7 +33,7 @@ from .errors import (
     RecordNotFound,
     StoreTooSmall,
 )
-from .tfidf import SparseVector, TfidfConfig, TfidfVectorizer, tokenize_text
+from .tfidf import TfidfConfig, TfidfVectorizer, tokenize_text
 from .top_parse import parse_top, structure_tokens
 
 
@@ -68,50 +68,39 @@ def validate_alpha(alpha: float) -> float:
 
 
 class InvertedIndex:
-    """TF-IDF postings in CSR layout plus the per-document vectors.
+    """TF-IDF postings in CSR layout.
 
     ``post_indptr[t]:post_indptr[t+1]`` slices the (doc, weight) postings of
-    term ``t``; doc ids within a slice ascend. The postings and the stored
-    document vectors carry the same weights, just transposed.
+    term ``t``; doc ids within a slice ascend. The postings are the fitted
+    document vectors transposed; the vectors themselves are not kept.
     """
 
     def __init__(self, token_docs: Sequence[Sequence[str]],
                  config: TfidfConfig = TfidfConfig()):
         self.vectorizer = TfidfVectorizer(config)
-        self.doc_vectors: list[SparseVector] = self.vectorizer.fit_transform(token_docs)
-        self.n_docs = len(self.doc_vectors)
+        vectors = self.vectorizer.fit_transform(token_docs)
+        self.n_docs = len(vectors)
         n_terms = len(self.vectorizer.vocabulary_)
 
-        counts = np.zeros(n_terms, dtype=np.int64)
-        for vec in self.doc_vectors:
-            counts[vec.term_ids] += 1
-        indptr = np.zeros(n_terms + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        nnz = int(indptr[-1])
-        doc_ids = np.zeros(nnz, dtype=np.int64)
-        weights = np.zeros(nnz, dtype=np.float64)
-        cursor = indptr[:-1].copy()
-        for doc_id, vec in enumerate(self.doc_vectors):
-            for k in range(vec.nnz):
-                t = int(vec.term_ids[k])
-                pos = int(cursor[t])
-                doc_ids[pos] = doc_id
-                weights[pos] = vec.weights[k]
-                cursor[t] += 1
-        self.post_indptr = indptr
-        self.post_doc_ids = doc_ids
-        self.post_weights = weights
-
-    def query_vector(self, tokens: Iterable[str]) -> SparseVector:
-        return self.vectorizer.transform(tokens)
+        term_ids = np.concatenate([vec.term_ids for vec in vectors])
+        doc_ids = np.repeat(np.arange(self.n_docs, dtype=np.int64),
+                            [vec.nnz for vec in vectors])
+        # a stable sort keeps doc ids ascending within each term's slice
+        by_term = np.argsort(term_ids, kind="stable")
+        self.post_indptr = np.zeros(n_terms + 1, dtype=np.int64)
+        np.cumsum(np.bincount(term_ids, minlength=n_terms),
+                  out=self.post_indptr[1:])
+        self.post_doc_ids = doc_ids[by_term]
+        self.post_weights = np.concatenate(
+            [vec.weights for vec in vectors])[by_term]
 
     def scores(self, tokens: Iterable[str]) -> np.ndarray:
         """Similarity of the query against every document, dense float64.
 
         Each document's score accumulates term contributions in ascending
-        term-id order, identically under both kernel backends.
+        term-id order.
         """
-        q = self.query_vector(tokens)
+        q = self.vectorizer.transform(tokens)
         return _kernels.score_postings(q.term_ids, q.weights,
                                        self.post_indptr, self.post_doc_ids,
                                        self.post_weights, self.n_docs)
@@ -208,12 +197,12 @@ class ExemplarStore:
 
 
 def _candidate_order(ids: np.ndarray, relevance: np.ndarray,
-                     exclude: frozenset[int]) -> np.ndarray:
+                     exclude_ids: Collection[int]) -> np.ndarray:
     """Indices into ids/relevance, best first, ties by ascending id."""
     order = np.lexsort((ids, -relevance))
-    if exclude:
-        keep = np.array([ids[i] not in exclude for i in order], dtype=bool)
-        order = order[keep]
+    if len(exclude_ids):
+        excluded = np.fromiter(exclude_ids, dtype=np.int64)
+        order = order[~np.isin(ids[order], excluded)]
     return order
 
 
@@ -225,24 +214,35 @@ def _check_k(k: int, available: int) -> None:
             f"requested {k} exemplars but only {available} are available")
 
 
+def _ordered_candidates(store: ExemplarStore, query: str, k: int,
+                        alpha: float, preliminary: str | None,
+                        exclude_ids: Collection[int]):
+    """Score every exemplar, order the candidates and check k against them.
+
+    Returns the ``score_all`` arrays and the candidate order into them.
+    """
+    scored = store.score_all(query, alpha, preliminary)
+    order = _candidate_order(scored[0], scored[1], exclude_ids)
+    _check_k(k, order.shape[0])
+    return scored, order
+
+
+def _hit(scored, i, rank) -> ScoredExemplar:
+    ids, relevance, in_sims, out_sims = scored
+    return ScoredExemplar(exemplar_id=int(ids[i]),
+                          relevance=float(relevance[i]),
+                          input_sim=float(in_sims[i]),
+                          output_sim=float(out_sims[i]),
+                          rank=int(rank))
+
+
 def retrieve_topk(store: ExemplarStore, query: str, k: int,
                   alpha: float = 0.0, preliminary: str | None = None,
                   exclude_ids: Collection[int] = ()) -> list[ScoredExemplar]:
     """The k most relevant exemplars, best first."""
-    exclude = frozenset(exclude_ids)
-    ids, relevance, in_sims, out_sims = store.score_all(query, alpha, preliminary)
-    order = _candidate_order(ids, relevance, exclude)
-    _check_k(k, order.shape[0])
-    return [
-        ScoredExemplar(
-            exemplar_id=int(ids[i]),
-            relevance=float(relevance[i]),
-            input_sim=float(in_sims[i]),
-            output_sim=float(out_sims[i]),
-            rank=rank,
-        )
-        for rank, i in enumerate(order[:k])
-    ]
+    scored, order = _ordered_candidates(store, query, k, alpha, preliminary,
+                                        exclude_ids)
+    return [_hit(scored, i, rank) for rank, i in enumerate(order[:k])]
 
 
 def sample_geometric_ranks(n: int, k: int, p: float,
@@ -285,19 +285,7 @@ def retrieve_sampled(store: ExemplarStore, query: str, k: int, p: float,
     the reported ``rank`` of each hit is its position in that full
     ordering. Results are in draw order, not rank order.
     """
-    exclude = frozenset(exclude_ids)
-    ids, relevance, in_sims, out_sims = store.score_all(query, alpha, preliminary)
-    order = _candidate_order(ids, relevance, exclude)
-    _check_k(k, order.shape[0])
+    scored, order = _ordered_candidates(store, query, k, alpha, preliminary,
+                                        exclude_ids)
     picks = sample_geometric_ranks(order.shape[0], k, p, rng)
-    out: list[ScoredExemplar] = []
-    for rank in picks:
-        i = order[rank]
-        out.append(ScoredExemplar(
-            exemplar_id=int(ids[i]),
-            relevance=float(relevance[i]),
-            input_sim=float(in_sims[i]),
-            output_sim=float(out_sims[i]),
-            rank=int(rank),
-        ))
-    return out
+    return [_hit(scored, order[rank], rank) for rank in picks]

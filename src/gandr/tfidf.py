@@ -6,8 +6,9 @@ Both feed the same vectorizer.
 
 Weighting: tf is the raw in-document count (``1 + ln(tf)`` when
 ``sublinear_tf``), idf is ``ln((1 + N) / (1 + df)) + 1``, and vectors are
-L2-normalized unless ``normalize`` is off. The dot product of two
-normalized vectors is their cosine similarity.
+L2-normalized unless ``normalize`` is off. Retrieval scores are dot
+products of these vectors: cosine similarity when normalized, raw dot
+products of the unnormalized weights otherwise.
 """
 
 from __future__ import annotations
@@ -47,43 +48,11 @@ class SparseVector:
     def nnz(self) -> int:
         return int(self.term_ids.shape[0])
 
-    def dot(self, other: "SparseVector") -> float:
-        """Sparse dot product, accumulated in ascending term-id order."""
-        a_ids, a_w = self.term_ids, self.weights
-        b_ids, b_w = other.term_ids, other.weights
-        i = j = 0
-        acc = 0.0
-        while i < a_ids.shape[0] and j < b_ids.shape[0]:
-            ta, tb = a_ids[i], b_ids[j]
-            if ta == tb:
-                acc += float(a_w[i]) * float(b_w[j])
-                i += 1
-                j += 1
-            elif ta < tb:
-                i += 1
-            else:
-                j += 1
-        return acc
-
-    def norm(self) -> float:
-        acc = 0.0
-        for k in range(self.weights.shape[0]):
-            acc += float(self.weights[k]) * float(self.weights[k])
-        return math.sqrt(acc)
-
 
 _EMPTY_IDS = np.empty(0, dtype=np.int64)
 _EMPTY_WEIGHTS = np.empty(0, dtype=np.float64)
 
 EMPTY_VECTOR = SparseVector(_EMPTY_IDS, _EMPTY_WEIGHTS)
-
-
-def cosine(a: SparseVector, b: SparseVector) -> float:
-    """Cosine similarity; 0.0 whenever either vector has zero norm."""
-    na, nb = a.norm(), b.norm()
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return a.dot(b) / (na * nb)
 
 
 class TfidfVectorizer:
@@ -137,14 +106,3 @@ class TfidfVectorizer:
     def fit_transform(self, docs: Sequence[Iterable[str]]) -> list[SparseVector]:
         self.fit(docs)
         return [self.transform(tokens) for tokens in docs]
-
-    def similarity(self, a: SparseVector, b: SparseVector) -> float:
-        """Cosine similarity honoring the normalize setting.
-
-        Normalized vectors are unit length, so their dot IS the cosine and
-        is returned as computed (no renormalization that could perturb the
-        last bit). Unnormalized vectors are divided by their norms.
-        """
-        if self.config.normalize:
-            return a.dot(b)
-        return cosine(a, b)

@@ -3,8 +3,10 @@ import json
 import pytest
 
 from conftest import TRACE_EXEMPLARS, TRACE_GOLD, TRACE_PRELIMINARY, TRACE_QUERY
+from gandr import cli
 from gandr.cli import main
 from gandr.data_io import load_store, read_records
+from gandr.generator import StaticGenerator
 
 
 @pytest.fixture(autouse=True)
@@ -267,6 +269,31 @@ class TestEmitTrain:
                      "--out", str(out)])
         assert code == 0
         assert len(out.read_text().splitlines()) == 8
+
+    @pytest.mark.parametrize("keep_self", [False, True])
+    def test_stage2_preliminary_prompts_follow_keep_self(
+            self, tmp_path, store, monkeypatch, keep_self):
+        prompts = []
+
+        class Capture(StaticGenerator):
+            def generate(self, inputs):
+                prompts.extend(inputs)
+                return super().generate(inputs)
+
+        monkeypatch.setattr(cli, "_build_endpoint",
+                            lambda spec, timeout: Capture(TRACE_PRELIMINARY))
+        argv = ["emit-train", "--store", str(store), "--stage", "2",
+                "--k", "1", "--preliminary-endpoint", "static:unused",
+                "--out", str(tmp_path / "train.jsonl")]
+        assert main(argv + (["--keep-self"] if keep_self else [])) == 0
+        self_prompts = [f"{e.utterance} || {e.utterance} & {e.parse}"
+                        for e in TRACE_EXEMPLARS]
+        if keep_self:
+            # a sample's own store entry is its best input match
+            assert prompts == self_prompts
+        else:
+            assert len(prompts) == len(self_prompts)
+            assert not set(prompts) & set(self_prompts)
 
 
 class TestTrace:

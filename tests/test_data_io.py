@@ -1,7 +1,10 @@
 import json
 import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gandr.data_io import (
     FixedCount,
@@ -200,6 +203,9 @@ class TestStoreFiles:
         store = ExemplarStore(config=TfidfConfig(sublinear_tf=True))
         store.add(Exemplar(0, "weather in paris", GOOD_PARSE, "weather"))
         store.add(Exemplar(1, "cold out today", GOOD_PARSE))
+        # line and paragraph separators that json.dumps leaves unescaped
+        store.add(Exemplar(2, "cold\u2028out\x85today\u2029", GOOD_PARSE,
+                           "weather\u2028\x1c\x85"))
         return store
 
     def test_round_trip(self, tmp_path):
@@ -209,6 +215,18 @@ class TestStoreFiles:
         loaded = load_store(path)
         assert loaded.exemplars == store.exemplars
         assert loaded.config == store.config
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=st.lists(st.tuples(st.text(), st.none() | st.text()),
+                         min_size=1, max_size=4))
+    def test_round_trip_arbitrary_text(self, rows):
+        store = ExemplarStore()
+        store.add_many(Exemplar(i, utterance, GOOD_PARSE, domain)
+                       for i, (utterance, domain) in enumerate(rows))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "s.store")
+            save_store(store, path)
+            assert load_store(path).exemplars == store.exemplars
 
     def test_second_save_is_byte_identical(self, tmp_path):
         store = self.build()
@@ -220,7 +238,8 @@ class TestStoreFiles:
     def test_version_and_format_checked(self, tmp_path):
         path = tmp_path / "s.store"
         save_store(self.build(), path)
-        lines = path.read_text().splitlines()
+        # split as load_store does: rows may hold U+2028 and the like
+        lines = path.read_text().split("\n")[:-1]
         header = json.loads(lines[0])
 
         header_v99 = dict(header, version=99)
@@ -243,15 +262,16 @@ class TestStoreFiles:
 
         path = tmp_path / "s.store"
         save_store(self.build(), path)
-        lines = path.read_text().splitlines()
+        lines = path.read_text().split("\n")[:-1]
+        assert len(lines) == 4
         # count in header no longer matches the body
         truncated = write(tmp_path / "short.store",
                           "\n".join(lines[:-1]) + "\n")
-        with pytest.raises(CorruptFile):
+        with pytest.raises(CorruptFile, match="header promises 3 rows, found 2"):
             load_store(truncated)
         garbled = write(tmp_path / "row.store",
                         "\n".join(lines[:-1] + ["{broken"]) + "\n")
-        with pytest.raises(CorruptFile):
+        with pytest.raises(CorruptFile, match="line 4"):
             load_store(garbled)
 
 

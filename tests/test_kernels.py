@@ -1,12 +1,9 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
 from gandr import _kernels
-from gandr.retrieval import ExemplarStore
+from gandr.retrieval import Exemplar, InvertedIndex
+from gandr.tfidf import TfidfVectorizer, tokenize_text
 
 from conftest import make_random_corpus
 
@@ -30,31 +27,13 @@ def test_numpy_kernel_matches_manual_accumulation():
     indptr, doc_ids, weights = random_csr(rng, 12, 9)
     term_ids = np.array([0, 3, 7, 11], dtype=np.int64)
     query_weights = rng.random(4)
-    scores = _kernels.score_postings_numpy(term_ids, query_weights, indptr,
-                                           doc_ids, weights, 9)
+    scores = _kernels.score_postings(term_ids, query_weights, indptr,
+                                     doc_ids, weights, 9)
     expected = np.zeros(9)
     for qi, t in enumerate(term_ids):
         for k in range(indptr[t], indptr[t + 1]):
             expected[doc_ids[k]] += query_weights[qi] * weights[k]
     assert scores.tolist() == expected.tolist()
-
-
-@pytest.mark.skipif(not _kernels.NUMBA_ENABLED, reason="numba unavailable")
-def test_backends_agree_bitwise():
-    rng = np.random.default_rng(2)
-    for trial in range(20):
-        n_terms = int(rng.integers(1, 40))
-        n_docs = int(rng.integers(1, 60))
-        indptr, doc_ids, weights = random_csr(rng, n_terms, n_docs)
-        n_query = int(rng.integers(0, n_terms + 1))
-        term_ids = np.sort(rng.choice(n_terms, size=n_query, replace=False)) \
-            .astype(np.int64)
-        query_weights = rng.random(n_query)
-        fast = _kernels._score_postings_numba(term_ids, query_weights, indptr,
-                                              doc_ids, weights, n_docs)
-        slow = _kernels.score_postings_numpy(term_ids, query_weights, indptr,
-                                             doc_ids, weights, n_docs)
-        assert np.array_equal(fast, slow), f"trial {trial} diverged"
 
 
 def test_empty_query_scores_all_zero():
@@ -66,38 +45,43 @@ def test_empty_query_scores_all_zero():
     assert scores.tolist() == [0.0] * 7
 
 
-def test_env_flag_selects_numpy_backend():
-    env = dict(os.environ, GANDR_DISABLE_NUMBA="1")
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "from gandr import _kernels; print(_kernels.backend_name(), "
-         "_kernels.score_postings is _kernels.score_postings_numpy)"],
-        capture_output=True, text=True, env=env, check=True)
-    assert out.stdout.split() == ["numpy", "True"]
+def naive_postings(vectors, n_terms):
+    """Transpose per-document vectors term by term, docs in ascending order."""
+    indptr, doc_ids, weights = [0], [], []
+    for t in range(n_terms):
+        for doc, vec in enumerate(vectors):
+            hit = np.flatnonzero(vec.term_ids == t)
+            if hit.size:
+                doc_ids.append(doc)
+                weights.append(float(vec.weights[hit[0]]))
+        indptr.append(len(doc_ids))
+    return indptr, doc_ids, weights
 
 
-def test_retrieval_identical_across_backends():
-    """End to end: ranked ids from a store must not depend on the backend."""
-    rng = np.random.default_rng(4)
-    corpus = make_random_corpus(rng, 30)
-    store = ExemplarStore()
-    store.add_many(corpus)
-    store.ensure_built()
-    scores_here = store.input_index.scores(["word1", "word2", "word3"])
+@pytest.mark.parametrize("empty_at", [None, 0, 7, 14])
+def test_postings_equal_naive_transposition(empty_at):
+    """Array-built postings match a per-document transposition bit for bit,
+    also when an utterance tokenizes to nothing."""
+    rng = np.random.default_rng(5)
+    corpus = make_random_corpus(rng, 14)
+    if empty_at is not None:
+        corpus.insert(empty_at, Exemplar(99, "?!", "[IN:X ]"))
+    docs = [tokenize_text(e.utterance) for e in corpus]
+    index = InvertedIndex(docs)
+    vectors = TfidfVectorizer().fit_transform(docs)
+    indptr, doc_ids, weights = naive_postings(
+        vectors, len(index.vectorizer.vocabulary_))
+    assert index.n_docs == len(corpus)
+    assert index.post_indptr.tolist() == indptr
+    assert index.post_doc_ids.tolist() == doc_ids
+    assert index.post_weights.tolist() == weights
+    assert index.post_indptr.dtype == np.int64
+    assert index.post_doc_ids.dtype == np.int64
+    assert index.post_weights.dtype == np.float64
 
-    script = """
-import numpy as np
-from gandr.retrieval import ExemplarStore, Exemplar
-import json, sys
-rows = json.load(sys.stdin)
-store = ExemplarStore()
-store.add_many(Exemplar(**r) for r in rows)
-store.ensure_built()
-print(json.dumps(store.input_index.scores(["word1", "word2", "word3"]).tolist()))
-"""
-    import json
-    payload = json.dumps([vars(e) for e in corpus])
-    env = dict(os.environ, GANDR_DISABLE_NUMBA="1")
-    out = subprocess.run([sys.executable, "-c", script], input=payload,
-                         capture_output=True, text=True, env=env, check=True)
-    assert json.loads(out.stdout) == scores_here.tolist()
+
+def test_index_over_only_empty_documents():
+    index = InvertedIndex([[], []])
+    assert index.post_indptr.tolist() == [0]
+    assert index.scores(["anything"]).tolist() == [0.0, 0.0]
+

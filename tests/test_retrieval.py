@@ -137,6 +137,7 @@ class TestOracleEquivalence:
     @pytest.mark.parametrize("alpha", [0.0, 0.25, 0.5, 0.75, 1.0])
     def test_against_brute_force(self, alpha):
         rng = np.random.default_rng(42)
+        exclude_rng = np.random.default_rng(41)
         for _ in range(20):
             corpus = make_random_corpus(rng, int(rng.integers(2, 50)))
             store = build_store(corpus)
@@ -147,6 +148,23 @@ class TestOracleEquivalence:
                                  preliminary=preliminary)
             assert [h.exemplar_id for h in hits] == [r[0] for r in expected]
             assert [h.relevance for h in hits] == [r[1] for r in expected]
+
+            # a random proper subset of the store plus ids it does not hold
+            n_excluded = int(exclude_rng.integers(0, len(corpus)))
+            exclude = set(exclude_rng.choice(len(corpus), size=n_excluded,
+                                             replace=False).tolist())
+            exclude |= {-1, len(corpus), len(corpus) + 7}
+            kept = [r for r in expected if r[0] not in exclude]
+            for got in (
+                retrieve_topk(store, query, len(kept), alpha=alpha,
+                              preliminary=preliminary, exclude_ids=exclude),
+                retrieve_sampled(store, query, len(kept), 1.0, rng,
+                                 alpha=alpha, preliminary=preliminary,
+                                 exclude_ids=exclude),
+            ):
+                assert [h.exemplar_id for h in got] == [r[0] for r in kept]
+                assert [h.relevance for h in got] == [r[1] for r in kept]
+                assert [h.rank for h in got] == list(range(len(kept)))
 
     def test_alpha_zero_equals_input_only_ranking(self):
         rng = np.random.default_rng(43)

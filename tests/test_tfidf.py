@@ -4,13 +4,8 @@ import numpy as np
 import pytest
 
 from gandr.errors import EmptyCorpus
-from gandr.tfidf import (
-    SparseVector,
-    TfidfConfig,
-    TfidfVectorizer,
-    cosine,
-    tokenize_text,
-)
+from gandr.retrieval import InvertedIndex
+from gandr.tfidf import TfidfConfig, TfidfVectorizer, tokenize_text
 
 
 def test_tokenize_lowercases_and_drops_punctuation():
@@ -59,23 +54,22 @@ def test_three_doc_corpus_against_hand_computation():
 
 
 def test_cosine_matches_hand_computation():
-    vectorizer = TfidfVectorizer()
-    v = vectorizer.fit_transform(CORPUS)
     idf_b = math.log(4 / 3) + 1
     n1 = math.sqrt(1 + idf_b ** 2)
     n3 = math.sqrt(1 + (2 * idf_b) ** 2)
     expected = (1 / n1) * (1 / n3) + (idf_b / n1) * (2 * idf_b / n3)
-    assert vectorizer.similarity(v[0], v[2]) == pytest.approx(expected, rel=1e-15)
+    scores = InvertedIndex(CORPUS).scores(CORPUS[0])
+    assert scores[2] == pytest.approx(expected, rel=1e-15)
     # doc1 vs doc2 share only the zero-idf term 'a'
-    assert vectorizer.similarity(v[0], v[1]) == pytest.approx(
+    assert scores[1] == pytest.approx(
         (1 / n1) * (1 / math.sqrt(1 + (math.log(2) + 1) ** 2)), rel=1e-15)
 
 
 def test_normalized_vectors_have_unit_norm():
-    vectorizer = TfidfVectorizer()
-    for vec in vectorizer.fit_transform(CORPUS):
-        assert vec.norm() == pytest.approx(1.0, abs=1e-12)
-        assert vectorizer.similarity(vec, vec) == pytest.approx(1.0, abs=1e-12)
+    index = InvertedIndex(CORPUS)
+    for i, vec in enumerate(TfidfVectorizer().fit_transform(CORPUS)):
+        assert float(np.sum(vec.weights ** 2)) == pytest.approx(1.0, abs=1e-12)
+        assert index.scores(CORPUS[i])[i] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_sublinear_tf():
@@ -94,9 +88,9 @@ def test_unnormalized_keeps_raw_weights():
     vectors = vectorizer.fit_transform(CORPUS)
     idf_b = math.log(4 / 3) + 1
     assert vectors[2].weights.tolist() == [1.0, 2 * idf_b]
-    # similarity falls back to true cosine for unnormalized vectors
-    assert vectorizer.similarity(vectors[2], vectors[2]) == pytest.approx(
-        1.0, abs=1e-12)
+    # retrieval scores unnormalized vectors by their raw dot product
+    index = InvertedIndex(CORPUS, TfidfConfig(normalize=False))
+    assert index.scores(CORPUS[2])[2] == 1.0 + (2 * idf_b) * (2 * idf_b)
 
 
 def test_unknown_tokens_are_dropped():
@@ -108,13 +102,9 @@ def test_unknown_tokens_are_dropped():
 
 
 def test_zero_vector_cosine_is_zero():
-    vectorizer = TfidfVectorizer()
-    vectorizer.fit(CORPUS)
-    empty = vectorizer.transform([])
-    other = vectorizer.transform(["a", "b"])
-    assert cosine(empty, other) == 0.0
-    assert cosine(empty, empty) == 0.0
-    assert vectorizer.similarity(empty, other) == 0.0
+    index = InvertedIndex(CORPUS + [[]])
+    assert index.scores([]).tolist() == [0.0] * 4
+    assert index.scores(["a", "b"])[3] == 0.0
 
 
 def test_fit_empty_corpus_raises():
@@ -128,11 +118,3 @@ def test_vocabulary_independent_of_document_order():
     assert a.vocabulary_ == b.vocabulary_
     assert a.idf_.tolist() == b.idf_.tolist()
 
-
-def test_sparse_dot_merges_by_term_id():
-    a = SparseVector(np.array([0, 2, 5], dtype=np.int64),
-                     np.array([1.0, 2.0, 3.0]))
-    b = SparseVector(np.array([2, 3, 5], dtype=np.int64),
-                     np.array([10.0, 100.0, 0.5]))
-    assert a.dot(b) == 2.0 * 10.0 + 3.0 * 0.5
-    assert b.dot(a) == a.dot(b)
