@@ -62,8 +62,8 @@ from .pipeline import (
     PipelineMode,
     Sample,
     emit_training_pairs,
+    generate_preliminaries,
     run_pipeline,
-    self_exclusion,
 )
 from .retrieval import ExemplarStore, retrieve_topk
 from .tfidf import TfidfConfig
@@ -170,7 +170,6 @@ def _pipeline_config(args, config: dict) -> PipelineConfig:
         failure_policy=FailurePolicy(
             _resolve(args.failure_policy, None, config, "failure_policy",
                      "skip")),
-        jobs=_resolve(args.jobs, None, config, "jobs", 1, int),
     )
 
 
@@ -254,7 +253,6 @@ def cmd_run(args, config: dict) -> int:
         "k": pipeline_config.k,
         "budget": pipeline_config.budget,
         "failure_policy": pipeline_config.failure_policy.value,
-        "jobs": pipeline_config.jobs,
         **endpoint_echo,
     }
     atomic_write_text(str(args.out) + ".config.json",
@@ -351,9 +349,8 @@ def cmd_emit_train(args, config: dict) -> int:
             spec = _resolve(args.preliminary_endpoint, ENV_PRELIMINARY_URL,
                             config, "preliminary_endpoint")
             endpoint = _build_endpoint(spec, timeout)
-            preliminaries = _generate_preliminaries(store, samples, endpoint,
-                                                    k, budget,
-                                                    not args.keep_self)
+            preliminaries = generate_preliminaries(
+                store, samples, endpoint, k, budget, not args.keep_self)
         else:
             raise ConfigError("stage 2 needs preliminaries; pass "
                               "--preliminary-from RECORDS or a "
@@ -366,22 +363,6 @@ def cmd_emit_train(args, config: dict) -> int:
     print(f"emitted {len(pairs)} training pairs (stage {args.stage}, "
           f"alpha={alpha}, p={p}) -> {args.out}")
     return 0
-
-
-def _generate_preliminaries(store: ExemplarStore, samples, endpoint,
-                            k: int, budget,
-                            exclude_self: bool) -> dict[int, str]:
-    from .augment import build_augmented_input
-
-    prompts = []
-    for sample in samples:
-        hits = retrieve_topk(store, sample.utterance, k, alpha=0.0,
-                             exclude_ids=self_exclusion(sample, exclude_self))
-        exemplars = [store.get(h.exemplar_id) for h in hits]
-        prompts.append(build_augmented_input(sample.utterance, exemplars,
-                                             budget).text)
-    outputs = endpoint.generate(prompts)
-    return {s.sample_id: out for s, out in zip(samples, outputs)}
 
 
 def cmd_trace(args, config: dict) -> int:
@@ -442,8 +423,6 @@ def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
                         help="whitespace-token cap for augmented prompts")
     parser.add_argument("--failure-policy", choices=["skip", "abort"],
                         default=None)
-    parser.add_argument("--jobs", type=int, default=None,
-                        help="worker threads for retrieval")
 
 
 def _add_endpoint_flags(parser: argparse.ArgumentParser) -> None:

@@ -8,6 +8,10 @@ mixed in (weight ``alpha``), and prompts the final endpoint. Modes:
 * GANDR: both passes, configured alpha for the second.
 * OUTPUT_ONLY: both passes, second pass pinned to alpha 1.
 
+Both passes are one step: retrieve and prompt per sample, then generate
+in bulk. Stores of at least ``_PARALLEL_MIN_EXEMPLARS`` exemplars retrieve
+with one thread per usable CPU; results never depend on the thread count.
+
 Generation runs in batches. When a batch fails and the failure policy is
 SKIP_SAMPLE, the batch is replayed item by item so one bad sample cannot
 take down its batchmates; ABORT propagates the first error.
@@ -19,10 +23,11 @@ inputs produce byte-identical record files.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Collection, Mapping, Sequence
+from typing import Collection, Mapping, Sequence
 
 import numpy as np
 
@@ -69,7 +74,6 @@ class PipelineConfig:
     k: int = 4
     budget: int | None = None
     failure_policy: FailurePolicy = FailurePolicy.SKIP_SAMPLE
-    jobs: int = 1
 
     def __post_init__(self):
         validate_alpha(self.alpha)
@@ -77,8 +81,6 @@ class PipelineConfig:
             raise ConfigError(f"k must be a positive integer, got {self.k!r}")
         if self.budget is not None and self.budget < 1:
             raise ConfigError(f"budget must be positive, got {self.budget}")
-        if self.jobs < 1:
-            raise ConfigError(f"jobs must be positive, got {self.jobs}")
 
     @property
     def pass2_alpha(self) -> float:
@@ -191,11 +193,49 @@ def _bulk_generate(generator, prompts: Sequence[str],
     return outputs
 
 
-def _map_ordered(fn: Callable, items: Sequence, jobs: int) -> list:
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
+# Measured on a 2-CPU host: up to 12k exemplars a query is mostly Python
+# holding the interpreter lock and two threads ran 5-20% slower than one;
+# from 20k on, numpy work that releases the lock dominates and threads pay.
+_PARALLEL_MIN_EXEMPLARS = 20_000
+
+
+def _workers(store: ExemplarStore) -> int:
+    """Retrieval threads for this store: one per usable CPU, or one."""
+    if len(store) < _PARALLEL_MIN_EXEMPLARS:
+        return 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _run_pass(store: ExemplarStore, samples: Sequence[Sample], generator,
+              k: int, budget: int | None, policy: FailurePolicy,
+              alpha: float = 0.0,
+              preliminaries: Sequence[str] | None = None,
+              exclude_self: bool = False):
+    """Retrieve and prompt per sample, then generate for all prompts at
+    once; returns the (hits, augmented input) pairs and the outputs."""
+    store.ensure_built()    # before any retrieval thread starts
+
+    def retrieve_and_prompt(i: int):
+        sample = samples[i]
+        hits = retrieve_topk(
+            store, sample.utterance, k, alpha=alpha,
+            preliminary=None if preliminaries is None else preliminaries[i],
+            exclude_ids=self_exclusion(store, sample, exclude_self))
+        exemplars = [store.get(h.exemplar_id) for h in hits]
+        return tuple(hits), build_augmented_input(sample.utterance,
+                                                  exemplars, budget)
+
+    workers = _workers(store)
+    if workers > 1 and len(samples) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            steps = list(pool.map(retrieve_and_prompt, range(len(samples))))
+    else:
+        steps = [retrieve_and_prompt(i) for i in range(len(samples))]
+    return steps, _bulk_generate(generator, [aug.text for _, aug in steps],
+                                 policy)
 
 
 def run_pipeline(store: ExemplarStore, samples: Sequence[Sample],
@@ -204,79 +244,55 @@ def run_pipeline(store: ExemplarStore, samples: Sequence[Sample],
     """Run the full flow over samples; one record per sample, input order."""
     if not samples:
         return []
-    store.ensure_built()
     single_pass = config.mode is PipelineMode.INPUT_ONLY
-
-    def first_retrieve(sample: Sample):
-        hits = retrieve_topk(store, sample.utterance, config.k, alpha=0.0)
-        exemplars = [store.get(h.exemplar_id) for h in hits]
-        augmented = build_augmented_input(sample.utterance, exemplars,
-                                          config.budget)
-        return tuple(hits), augmented
-
-    pass1 = _map_ordered(first_retrieve, samples, config.jobs)
-    generator1 = final_generator if single_pass else preliminary_generator
-    outputs1 = _bulk_generate(generator1, [aug.text for _, aug in pass1],
-                              config.failure_policy)
-
-    if single_pass:
-        return [
-            PredictionRecord(
-                sample_id=s.sample_id, query=s.utterance, gold=s.gold,
-                pass1_retrievals=hits, pass1_augmented=aug,
-                preliminary=None, pass2_retrievals=None, pass2_augmented=None,
-                final=out,
-                status=STATUS_OK if out is not None else STATUS_PASS1_FAILED,
-                domain_tag=s.domain)
-            for s, (hits, aug), out in zip(samples, pass1, outputs1)
-        ]
-
-    alpha = config.pass2_alpha
-    live = [i for i, out in enumerate(outputs1) if out is not None]
-
-    def second_retrieve(index: int):
-        sample = samples[index]
-        hits = retrieve_topk(store, sample.utterance, config.k, alpha=alpha,
-                             preliminary=outputs1[index])
-        exemplars = [store.get(h.exemplar_id) for h in hits]
-        augmented = build_augmented_input(sample.utterance, exemplars,
-                                          config.budget)
-        return tuple(hits), augmented
-
-    pass2 = dict(zip(live, _map_ordered(second_retrieve, live, config.jobs)))
-    outputs2 = _bulk_generate(final_generator,
-                              [pass2[i][1].text for i in live],
-                              config.failure_policy)
-    finals = dict(zip(live, outputs2))
+    pass1, outputs1 = _run_pass(
+        store, samples, final_generator if single_pass else preliminary_generator,
+        config.k, config.budget, config.failure_policy)
+    pass2, finals = {}, {}
+    if not single_pass:
+        live = [i for i, out in enumerate(outputs1) if out is not None]
+        steps, outputs2 = _run_pass(
+            store, [samples[i] for i in live], final_generator, config.k,
+            config.budget, config.failure_policy, config.pass2_alpha,
+            [outputs1[i] for i in live])
+        pass2, finals = dict(zip(live, steps)), dict(zip(live, outputs2))
 
     records = []
     for i, (sample, (hits1, aug1)) in enumerate(zip(samples, pass1)):
-        preliminary = outputs1[i]
-        if preliminary is None:
-            records.append(PredictionRecord(
-                sample_id=sample.sample_id, query=sample.utterance,
-                gold=sample.gold, pass1_retrievals=hits1, pass1_augmented=aug1,
-                preliminary=None, pass2_retrievals=None, pass2_augmented=None,
-                final=None, status=STATUS_PASS1_FAILED,
-                domain_tag=sample.domain))
-            continue
-        hits2, aug2 = pass2[i]
-        final = finals[i]
+        hits2, aug2 = pass2.get(i, (None, None))
+        final = outputs1[i] if single_pass else finals.get(i)
+        status = (STATUS_OK if final is not None
+                  else STATUS_PASS1_FAILED if hits2 is None
+                  else STATUS_PASS2_FAILED)
         records.append(PredictionRecord(
             sample_id=sample.sample_id, query=sample.utterance,
             gold=sample.gold, pass1_retrievals=hits1, pass1_augmented=aug1,
-            preliminary=preliminary, pass2_retrievals=hits2,
-            pass2_augmented=aug2, final=final,
-            status=STATUS_OK if final is not None else STATUS_PASS2_FAILED,
-            domain_tag=sample.domain))
+            preliminary=None if single_pass else outputs1[i],
+            pass2_retrievals=hits2, pass2_augmented=aug2, final=final,
+            status=status, domain_tag=sample.domain))
     return records
 
 
-def self_exclusion(sample: Sample, exclude_self: bool) -> Collection[int]:
-    """Exemplar ids a training sample must not retrieve: with
-    ``exclude_self``, the exemplar whose id equals the sample id, so a
-    sample drawn from the store never retrieves itself."""
-    return {sample.sample_id} if exclude_self else ()
+def self_exclusion(store: ExemplarStore, sample: Sample,
+                   exclude_self: bool) -> Collection[int]:
+    """With ``exclude_self``, the id of the sample's own store entry: same
+    id, same utterance, gold as parse. An equal id alone is not enough, as
+    samples from another file are numbered by row."""
+    if exclude_self and sample.sample_id in store:
+        own = store.get(sample.sample_id)
+        if (own.utterance, own.parse) == (sample.utterance, sample.gold):
+            return (sample.sample_id,)
+    return ()
+
+
+def generate_preliminaries(store: ExemplarStore, samples: Sequence[Sample],
+                           generator, k: int, budget: int | None = None,
+                           exclude_self: bool = True) -> dict[int, str]:
+    """Preliminary parses by sample id for stage-2 training: the first
+    pass with ``self_exclusion``; any generation error propagates."""
+    _, outputs = _run_pass(store, samples, generator, k, budget,
+                           FailurePolicy.ABORT, exclude_self=exclude_self)
+    return {s.sample_id: out for s, out in zip(samples, outputs)}
 
 
 def emit_training_pairs(store: ExemplarStore, samples: Sequence[Sample],
@@ -307,7 +323,7 @@ def emit_training_pairs(store: ExemplarStore, samples: Sequence[Sample],
             preliminary = preliminaries[sample.sample_id]
         hits = retrieve_sampled(store, sample.utterance, k, p, rng,
                                 alpha=alpha, preliminary=preliminary,
-                                exclude_ids=self_exclusion(sample,
+                                exclude_ids=self_exclusion(store, sample,
                                                            exclude_self))
         exemplars = [store.get(h.exemplar_id) for h in hits]
         augmented = build_augmented_input(sample.utterance, exemplars, budget)

@@ -260,10 +260,8 @@ def sample_geometric_ranks(n: int, k: int, p: float,
         raise ConfigError(f"sampling decay p must be positive, got {p}")
     if k > n:
         raise StoreTooSmall(f"requested {k} draws from {n} candidates")
-    remaining = list(range(n))
     picks: list[int] = []
-    for _ in range(k):
-        m = len(remaining)
+    for m in range(n, n - k, -1):
         if p >= 1.0:
             r = 0
         else:
@@ -271,7 +269,11 @@ def sample_geometric_ranks(n: int, k: int, p: float,
             z = -math.expm1(m * math.log1p(-p))
             r = math.ceil(math.log1p(-u * z) / math.log1p(-p)) - 1
             r = min(max(r, 0), m - 1)
-        picks.append(remaining.pop(r))
+        # the r-th remaining rank skips every earlier pick at or below it
+        for q in sorted(picks):
+            if q <= r:
+                r += 1
+        picks.append(r)
     return picks
 
 

@@ -4,6 +4,7 @@ import pytest
 
 from conftest import TRACE_EXEMPLARS, TRACE_GOLD, TRACE_PRELIMINARY, TRACE_QUERY
 from gandr import cli
+from gandr.augment import split_augmented
 from gandr.cli import main
 from gandr.data_io import load_store, read_records
 from gandr.generator import StaticGenerator
@@ -105,6 +106,14 @@ class TestRun:
         assert sidecar["k"] == 2
         assert sidecar["final_endpoint"] == f"oracle:{dataset}"
         assert sidecar["preliminary_endpoint"] == f"oracle:{dataset}"
+        assert "jobs" not in sidecar
+
+    def test_jobs_flag_is_gone(self, tmp_path, store, dataset):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--store", str(store), "--data", str(dataset),
+                  "--final-endpoint", f"oracle:{dataset}", "--jobs", "2",
+                  "--out", str(tmp_path / "r.jsonl")])
+        assert exc.value.code == 2
 
     def test_record_then_replay_reproduces_bytes(self, tmp_path, store,
                                                  dataset):
@@ -269,6 +278,23 @@ class TestEmitTrain:
                      "--out", str(out)])
         assert code == 0
         assert len(out.read_text().splitlines()) == 8
+
+    def test_other_file_row_ids_keep_equal_id_exemplars(self, tmp_path):
+        rows = [(e.utterance, e.parse) for e in TRACE_EXEMPLARS]
+        store_data, other = tmp_path / "store.tsv", tmp_path / "other.tsv"
+        store_data.write_text("".join(f"{u}\t{p}\n" for u, p in rows[:3]))
+        other.write_text("{}\t{}\n".format(*rows[3]))
+        store = tmp_path / "three.store"
+        assert main(["index", "--data", str(store_data),
+                     "--out", str(store)]) == 0
+        out = tmp_path / "train.jsonl"
+        # sample 0 of other.tsv is not exemplar 0 of the store
+        assert main(["emit-train", "--store", str(store), "--data",
+                     str(other), "--stage", "1", "--k", "3",
+                     "--out", str(out)]) == 0
+        query, exemplars = split_augmented(json.loads(out.read_text())["input"])
+        assert query == rows[3][0]
+        assert sorted(exemplars) == sorted(rows[:3])
 
     @pytest.mark.parametrize("keep_self", [False, True])
     def test_stage2_preliminary_prompts_follow_keep_self(

@@ -1,5 +1,8 @@
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
+from gandr import pipeline
 from gandr.errors import (
     ConfigError,
     GenerationError,
@@ -49,6 +52,25 @@ class FailOnMarker(Generator):
         return ["[IN:OK fine ]" for _ in inputs]
 
 
+@pytest.fixture
+def pools(monkeypatch):
+    """Worker counts of the retrieval pools the pipeline starts."""
+    started = []
+
+    class RecordingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(pipeline, "ThreadPoolExecutor", RecordingPool)
+    return started
+
+
+def usable_cpus(monkeypatch, n):
+    monkeypatch.setattr(pipeline.os, "sched_getaffinity",
+                        lambda pid: set(range(n)), raising=False)
+
+
 def samples_for(store):
     return [Sample(100 + e.exemplar_id, e.utterance, gold=e.parse,
                    domain=e.domain) for e in store.exemplars]
@@ -94,13 +116,38 @@ class TestGandrMode:
         assert run_pipeline(tiny_store, [], StaticGenerator("x"),
                             StaticGenerator("y")) == []
 
-    def test_jobs_do_not_change_results(self, tiny_store):
+    def test_jobs_do_not_change_results(self, tiny_store, monkeypatch,
+                                        pools):
         samples = samples_for(tiny_store)
         args = (tiny_store, samples, StaticGenerator("[IN:P x ]"),
-                StaticGenerator("[IN:F x ]"))
-        serial = run_pipeline(*args, PipelineConfig(k=2, jobs=1))
-        threaded = run_pipeline(*args, PipelineConfig(k=2, jobs=4))
+                StaticGenerator("[IN:F x ]"), PipelineConfig(k=2))
+        serial = run_pipeline(*args)
+        monkeypatch.setattr(pipeline, "_PARALLEL_MIN_EXEMPLARS", 1)
+        usable_cpus(monkeypatch, 4)
+        threaded = run_pipeline(*args)
+        assert pools == [4, 4]
         assert serial == threaded
+
+    @pytest.mark.parametrize("threshold, cpus, started", [
+        (None, 4, []),          # the store is below the threshold
+        (1, 1, []),             # one usable CPU
+        (1, None, [3, 3]),      # no affinity call: one thread per CPU
+    ])
+    def test_pool_follows_store_size_and_cpus(self, tiny_store, monkeypatch,
+                                              pools, threshold, cpus,
+                                              started):
+        if threshold is not None:
+            monkeypatch.setattr(pipeline, "_PARALLEL_MIN_EXEMPLARS", threshold)
+        if cpus is None:
+            monkeypatch.delattr(pipeline.os, "sched_getaffinity",
+                                raising=False)
+            monkeypatch.setattr(pipeline.os, "cpu_count", lambda: 3)
+        else:
+            usable_cpus(monkeypatch, cpus)
+        run_pipeline(tiny_store, samples_for(tiny_store),
+                     StaticGenerator("[IN:P x ]"), StaticGenerator("[IN:F x ]"),
+                     PipelineConfig(k=2))
+        assert pools == started
 
 
 class TestInputOnlyMode:
@@ -191,10 +238,6 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             PipelineConfig(budget=0)
 
-    def test_bad_jobs(self):
-        with pytest.raises(ConfigError):
-            PipelineConfig(jobs=0)
-
 
 def test_record_dict_round_trip(tiny_store):
     samples = samples_for(tiny_store)
@@ -226,6 +269,14 @@ class TestEmitTraining:
         pairs = emit_training_pairs(tiny_store, samples, k=4, p=1.0, rng=rng,
                                     exclude_self=False)
         assert 0 in pairs[0].exemplar_ids
+
+    def test_equal_id_with_other_content_is_kept(self, tiny_store):
+        # a sample from another file, numbered by row, is not exemplar 0
+        samples = [Sample(0, "wake me up at seven",
+                          gold="[IN:CREATE_ALARM [SL:DATE_TIME seven ] ]")]
+        rng = np.random.default_rng(18)
+        pairs = emit_training_pairs(tiny_store, samples, k=4, p=1.0, rng=rng)
+        assert sorted(pairs[0].exemplar_ids) == [0, 1, 2, 3]
 
     def test_same_seed_reproduces(self, tiny_store):
         samples = [Sample(e.exemplar_id, e.utterance, gold=e.parse)

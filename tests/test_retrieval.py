@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gandr.errors import (
     ConfigError,
@@ -224,6 +228,30 @@ class TestGeometricSampling:
         a = sample_geometric_ranks(20, 5, 0.3, np.random.default_rng(99))
         b = sample_geometric_ranks(20, 5, 0.3, np.random.default_rng(99))
         assert a == b
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 60),
+           k_share=st.floats(0.0, 1.0),
+           p=st.one_of(st.floats(0.01, 0.99), st.sampled_from([1.0, 3.0])))
+    def test_matches_list_pop_reference(self, seed, n, k_share, p):
+        def list_pop(n, k, p, rng):
+            # draw the r-th rank still available and pop it from the list
+            remaining = list(range(n))
+            picks = []
+            for _ in range(k):
+                m = len(remaining)
+                r = 0
+                if p < 1.0:
+                    z = -math.expm1(m * math.log1p(-p))
+                    r = math.ceil(math.log1p(-rng.random() * z)
+                                  / math.log1p(-p)) - 1
+                    r = min(max(r, 0), m - 1)
+                picks.append(remaining.pop(r))
+            return picks
+
+        k = max(1, round(k_share * n))      # k_share 1.0 draws every rank
+        assert sample_geometric_ranks(n, k, p, np.random.default_rng(seed)) \
+            == list_pop(n, k, p, np.random.default_rng(seed))
 
 
 class TestRetrieveSampled:
