@@ -71,10 +71,16 @@ class EvalReport:
     per_domain: Mapping[str, DomainStats]
 
 
+def _check_recall_k(k: int | None) -> None:
+    if k is not None and k < 1:
+        raise ConfigError(f"recall k must be at least 1, got {k}")
+
+
 def evaluate(records: Sequence[PredictionRecord], store: ExemplarStore,
              k: int | None = None, multiset: bool = True,
              casefold: bool = False) -> EvalReport:
     """Aggregate exact match and template recall, overall and per domain."""
+    _check_recall_k(k)
     if not records:
         raise ConfigError("nothing to evaluate: no records")
     em_flags: list[bool] = []
@@ -145,6 +151,10 @@ def run_sweep(store: ExemplarStore, samples: Sequence[Sample],
     """
     if not values or not seeds:
         raise ConfigError("sweep needs at least one value and one seed")
+    _check_recall_k(recall_k)
+    if sample_fraction is not None and not 0.0 < sample_fraction <= 1.0:
+        raise ConfigError(
+            f"sample fraction must lie in (0, 1], got {sample_fraction}")
     rows: list[SweepRow] = []
     for value in values:
         if axis is SweepAxis.ALPHA:

@@ -9,8 +9,10 @@ mixed in (weight ``alpha``), and prompts the final endpoint. Modes:
 * OUTPUT_ONLY: both passes, second pass pinned to alpha 1.
 
 Both passes are one step: retrieve and prompt per sample, then generate
-in bulk. Stores of at least ``_PARALLEL_MIN_EXEMPLARS`` exemplars retrieve
-with one thread per usable CPU; results never depend on the thread count.
+in bulk. Retrieval runs on one thread. A query orders only the head of its
+candidates, so what is left of its cost is mostly Python holding the
+interpreter lock, and a second thread was measured slower than one at
+every store size from 20k to 100k exemplars.
 
 Generation runs in batches. When a batch fails and the failure policy is
 SKIP_SAMPLE, the batch is replayed item by item so one bad sample cannot
@@ -23,8 +25,6 @@ inputs produce byte-identical record files.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from typing import Collection, Mapping, Sequence
@@ -193,22 +193,6 @@ def _bulk_generate(generator, prompts: Sequence[str],
     return outputs
 
 
-# Measured on a 2-CPU host: up to 12k exemplars a query is mostly Python
-# holding the interpreter lock and two threads ran 5-20% slower than one;
-# from 20k on, numpy work that releases the lock dominates and threads pay.
-_PARALLEL_MIN_EXEMPLARS = 20_000
-
-
-def _workers(store: ExemplarStore) -> int:
-    """Retrieval threads for this store: one per usable CPU, or one."""
-    if len(store) < _PARALLEL_MIN_EXEMPLARS:
-        return 1
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
 def _run_pass(store: ExemplarStore, samples: Sequence[Sample], generator,
               k: int, budget: int | None, policy: FailurePolicy,
               alpha: float = 0.0,
@@ -216,24 +200,15 @@ def _run_pass(store: ExemplarStore, samples: Sequence[Sample], generator,
               exclude_self: bool = False):
     """Retrieve and prompt per sample, then generate for all prompts at
     once; returns the (hits, augmented input) pairs and the outputs."""
-    store.ensure_built()    # before any retrieval thread starts
-
-    def retrieve_and_prompt(i: int):
-        sample = samples[i]
+    steps = []
+    for i, sample in enumerate(samples):
         hits = retrieve_topk(
             store, sample.utterance, k, alpha=alpha,
             preliminary=None if preliminaries is None else preliminaries[i],
             exclude_ids=self_exclusion(store, sample, exclude_self))
         exemplars = [store.get(h.exemplar_id) for h in hits]
-        return tuple(hits), build_augmented_input(sample.utterance,
-                                                  exemplars, budget)
-
-    workers = _workers(store)
-    if workers > 1 and len(samples) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            steps = list(pool.map(retrieve_and_prompt, range(len(samples))))
-    else:
-        steps = [retrieve_and_prompt(i) for i in range(len(samples))]
+        steps.append((tuple(hits), build_augmented_input(sample.utterance,
+                                                         exemplars, budget)))
     return steps, _bulk_generate(generator, [aug.text for _, aug in steps],
                                  policy)
 

@@ -14,7 +14,9 @@ purely by parse structure.
 Candidates are ordered by descending relevance with ties broken by
 ascending exemplar id. ``retrieve_topk`` takes the head of that ordering;
 ``retrieve_sampled`` draws from it with geometrically decaying rank
-probabilities (used to diversify training data, not at inference).
+probabilities (used to diversify training data, not at inference). Only
+that head is materialised: the k best candidates, or as many as the
+deepest sampled rank needs, found by a partition instead of a full sort.
 """
 
 from __future__ import annotations
@@ -197,34 +199,37 @@ class ExemplarStore:
 
 
 def _candidate_order(ids: np.ndarray, relevance: np.ndarray,
-                     exclude_ids: Collection[int]) -> np.ndarray:
-    """Indices into ids/relevance, best first, ties by ascending id."""
-    order = np.lexsort((ids, -relevance))
+                     exclude_ids: Collection[int], depth: int) -> np.ndarray:
+    """Indices of the ``depth`` best candidates, best first, ties by
+    ascending id. ``ids`` must ascend, and ``depth`` must not exceed the
+    candidates left after exclusions.
+
+    Only candidates strictly better than the depth-th key are sorted; the
+    tie group at that key follows in index order, which is id order, so a
+    query that scores every exemplar alike costs O(n), not a sort.
+    """
+    keys = np.negative(relevance)
     if len(exclude_ids):
         excluded = np.fromiter(exclude_ids, dtype=np.int64)
-        order = order[~np.isin(ids[order], excluded)]
-    return order
+        keys[np.isin(ids, excluded)] = np.inf
+    boundary = np.partition(keys, depth - 1)[depth - 1]
+    better = np.flatnonzero(keys < boundary)
+    head = better[np.lexsort((ids[better], keys[better]))]
+    ties = np.flatnonzero(keys == boundary)[:depth - head.shape[0]]
+    return np.concatenate((head, ties))
 
 
-def _check_k(k: int, available: int) -> None:
+def _check_k(k: int, store: ExemplarStore,
+             exclude_ids: Collection[int]) -> int:
+    """Validate k against the exemplars left after exclusions; returns
+    how many are left."""
     if not isinstance(k, int) or isinstance(k, bool) or k < 1:
         raise ConfigError(f"k must be a positive integer, got {k!r}")
+    available = len(store) - sum(i in store for i in set(exclude_ids))
     if k > available:
         raise StoreTooSmall(
             f"requested {k} exemplars but only {available} are available")
-
-
-def _ordered_candidates(store: ExemplarStore, query: str, k: int,
-                        alpha: float, preliminary: str | None,
-                        exclude_ids: Collection[int]):
-    """Score every exemplar, order the candidates and check k against them.
-
-    Returns the ``score_all`` arrays and the candidate order into them.
-    """
-    scored = store.score_all(query, alpha, preliminary)
-    order = _candidate_order(scored[0], scored[1], exclude_ids)
-    _check_k(k, order.shape[0])
-    return scored, order
+    return available
 
 
 def _hit(scored, i, rank) -> ScoredExemplar:
@@ -240,9 +245,10 @@ def retrieve_topk(store: ExemplarStore, query: str, k: int,
                   alpha: float = 0.0, preliminary: str | None = None,
                   exclude_ids: Collection[int] = ()) -> list[ScoredExemplar]:
     """The k most relevant exemplars, best first."""
-    scored, order = _ordered_candidates(store, query, k, alpha, preliminary,
-                                        exclude_ids)
-    return [_hit(scored, i, rank) for rank, i in enumerate(order[:k])]
+    scored = store.score_all(query, alpha, preliminary)
+    _check_k(k, store, exclude_ids)
+    head = _candidate_order(scored[0], scored[1], exclude_ids, k)
+    return [_hit(scored, i, rank) for rank, i in enumerate(head)]
 
 
 def sample_geometric_ranks(n: int, k: int, p: float,
@@ -287,7 +293,7 @@ def retrieve_sampled(store: ExemplarStore, query: str, k: int, p: float,
     the reported ``rank`` of each hit is its position in that full
     ordering. Results are in draw order, not rank order.
     """
-    scored, order = _ordered_candidates(store, query, k, alpha, preliminary,
-                                        exclude_ids)
-    picks = sample_geometric_ranks(order.shape[0], k, p, rng)
-    return [_hit(scored, order[rank], rank) for rank in picks]
+    scored = store.score_all(query, alpha, preliminary)
+    picks = sample_geometric_ranks(_check_k(k, store, exclude_ids), k, p, rng)
+    head = _candidate_order(scored[0], scored[1], exclude_ids, max(picks) + 1)
+    return [_hit(scored, head[rank], rank) for rank in picks]

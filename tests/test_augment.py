@@ -115,14 +115,24 @@ _field = st.text(
 ).filter(lambda s: EXEMPLAR_SEP not in s and PAIR_SEP not in s
          and "[" not in s and "]" not in s and s.strip())
 
+# the parse puts spaces around its slot value, so a value such as "&" that
+# is safe on its own can still form a separator there
+_parse = _field.map(lambda val: f"[IN:P [SL:Q {val} ] ]").filter(
+    lambda parse: EXEMPLAR_SEP not in parse and PAIR_SEP not in parse)
+
+
+def test_separator_formed_by_the_parse_is_rejected():
+    with pytest.raises(SeparatorCollision):
+        build_augmented_input("q", [Exemplar(0, "u", "[IN:P [SL:Q & ] ]")])
+
 
 @settings(max_examples=200, deadline=None)
 @given(query=_field, utterances=st.lists(_field, max_size=3),
-       values=st.lists(_field, max_size=3))
-def test_round_trip_arbitrary_fields(query, utterances, values):
+       parses=st.lists(_parse, max_size=3))
+def test_round_trip_arbitrary_fields(query, utterances, parses):
     exemplars = [
-        Exemplar(i, utt, f"[IN:P [SL:Q {val} ] ]")
-        for i, (utt, val) in enumerate(zip(utterances, values))
+        Exemplar(i, utt, parse)
+        for i, (utt, parse) in enumerate(zip(utterances, parses))
     ]
     aug = build_augmented_input(query, exemplars)
     got_query, got_pairs = split_augmented(aug.text)

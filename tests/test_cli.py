@@ -3,7 +3,7 @@ import json
 import pytest
 
 from conftest import TRACE_EXEMPLARS, TRACE_GOLD, TRACE_PRELIMINARY, TRACE_QUERY
-from gandr import cli
+from gandr import cli, evaluation
 from gandr.augment import split_augmented
 from gandr.cli import main
 from gandr.data_io import load_store, read_records
@@ -203,6 +203,12 @@ class TestEval:
         assert main(["eval", "--store", str(store), "--records",
                      str(tmp_path / "absent.jsonl")]) == 2
 
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_k_below_one_exits_2(self, store, records, capsys, k):
+        assert main(["eval", "--store", str(store), "--records",
+                     str(records), "--k", k]) == 2
+        assert "recall k must be at least 1" in capsys.readouterr().err
+
 
 class TestSweep:
     def test_stdout_grid(self, store, dataset, capsys):
@@ -232,6 +238,26 @@ class TestSweep:
         assert main(["sweep", "--store", str(store), "--data", str(dataset),
                      "--final-endpoint", "static:x",
                      "--axis", "alpha", "--values", "0,zero"]) == 2
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--sample-fraction", "1.5", "sample fraction must lie in (0, 1]"),
+        ("--sample-fraction", "nan", "sample fraction must lie in (0, 1]"),
+        ("--sample-fraction", "0", "sample fraction must lie in (0, 1]"),
+        ("--recall-k", "0", "recall k must be at least 1"),
+        ("--recall-k", "-1", "recall k must be at least 1"),
+    ])
+    def test_bad_setting_exits_2_before_any_run(self, store, dataset, capsys,
+                                                 monkeypatch, flag, value,
+                                                 message):
+        def no_run(*args, **kwargs):
+            raise AssertionError("the pipeline ran")
+
+        monkeypatch.setattr(evaluation, "run_pipeline", no_run)
+        assert main(["sweep", "--store", str(store), "--data", str(dataset),
+                     "--final-endpoint", f"oracle:{dataset}",
+                     "--axis", "alpha", "--values", "0,0.75",
+                     flag, value]) == 2
+        assert message in capsys.readouterr().err
 
 
 class TestEmitTrain:

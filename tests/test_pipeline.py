@@ -1,8 +1,5 @@
-from concurrent.futures import ThreadPoolExecutor
-
 import pytest
 
-from gandr import pipeline
 from gandr.errors import (
     ConfigError,
     GenerationError,
@@ -52,25 +49,6 @@ class FailOnMarker(Generator):
         return ["[IN:OK fine ]" for _ in inputs]
 
 
-@pytest.fixture
-def pools(monkeypatch):
-    """Worker counts of the retrieval pools the pipeline starts."""
-    started = []
-
-    class RecordingPool(ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            started.append(max_workers)
-            super().__init__(max_workers)
-
-    monkeypatch.setattr(pipeline, "ThreadPoolExecutor", RecordingPool)
-    return started
-
-
-def usable_cpus(monkeypatch, n):
-    monkeypatch.setattr(pipeline.os, "sched_getaffinity",
-                        lambda pid: set(range(n)), raising=False)
-
-
 def samples_for(store):
     return [Sample(100 + e.exemplar_id, e.utterance, gold=e.parse,
                    domain=e.domain) for e in store.exemplars]
@@ -115,39 +93,6 @@ class TestGandrMode:
     def test_empty_samples(self, tiny_store):
         assert run_pipeline(tiny_store, [], StaticGenerator("x"),
                             StaticGenerator("y")) == []
-
-    def test_jobs_do_not_change_results(self, tiny_store, monkeypatch,
-                                        pools):
-        samples = samples_for(tiny_store)
-        args = (tiny_store, samples, StaticGenerator("[IN:P x ]"),
-                StaticGenerator("[IN:F x ]"), PipelineConfig(k=2))
-        serial = run_pipeline(*args)
-        monkeypatch.setattr(pipeline, "_PARALLEL_MIN_EXEMPLARS", 1)
-        usable_cpus(monkeypatch, 4)
-        threaded = run_pipeline(*args)
-        assert pools == [4, 4]
-        assert serial == threaded
-
-    @pytest.mark.parametrize("threshold, cpus, started", [
-        (None, 4, []),          # the store is below the threshold
-        (1, 1, []),             # one usable CPU
-        (1, None, [3, 3]),      # no affinity call: one thread per CPU
-    ])
-    def test_pool_follows_store_size_and_cpus(self, tiny_store, monkeypatch,
-                                              pools, threshold, cpus,
-                                              started):
-        if threshold is not None:
-            monkeypatch.setattr(pipeline, "_PARALLEL_MIN_EXEMPLARS", threshold)
-        if cpus is None:
-            monkeypatch.delattr(pipeline.os, "sched_getaffinity",
-                                raising=False)
-            monkeypatch.setattr(pipeline.os, "cpu_count", lambda: 3)
-        else:
-            usable_cpus(monkeypatch, cpus)
-        run_pipeline(tiny_store, samples_for(tiny_store),
-                     StaticGenerator("[IN:P x ]"), StaticGenerator("[IN:F x ]"),
-                     PipelineConfig(k=2))
-        assert pools == started
 
 
 class TestInputOnlyMode:

@@ -92,6 +92,21 @@ class TestValidation:
         with pytest.raises(StoreTooSmall):
             retrieve_topk(tiny_store, "play jazz", 4, exclude_ids={0})
 
+    @pytest.mark.parametrize("retrieve", [
+        lambda store, k, exclude: retrieve_topk(
+            store, "play jazz", k, exclude_ids=exclude),
+        lambda store, k, exclude: retrieve_sampled(
+            store, "play jazz", k, 0.5, np.random.default_rng(0),
+            exclude_ids=exclude),
+    ])
+    def test_too_small_message_counts_excluded_ids_present(self, tiny_store,
+                                                          retrieve):
+        # a repeated id counts once and an id the store lacks not at all
+        with pytest.raises(StoreTooSmall,
+                           match="^requested 3 exemplars but only 2 are "
+                                 "available$"):
+            retrieve(tiny_store, 3, [0, 2, 0, 99])
+
 
 class TestTopK:
     def test_ranks_are_consecutive_and_sorted(self, trace_store):
@@ -190,6 +205,69 @@ class TestOracleEquivalence:
         by_output = sorted(hits, key=lambda h: (-h.output_sim, h.exemplar_id))
         assert [h.exemplar_id for h in hits] == \
             [h.exemplar_id for h in by_output]
+
+
+# few distinct utterances and parses, so relevances tie in large groups
+_TIE_WORDS = ("red", "blue red", "green", "blue blue")
+_TIE_PARSES = ("[IN:A x ]", "[IN:B [SL:S x ] ]", "[IN:A [SL:T y ] ]")
+
+
+class TestHeadSelection:
+    """Partial selection against the full sort it replaces."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_full_sort(self, data):
+        n = data.draw(st.integers(1, 40))
+        store = build_store([
+            Exemplar(2 * i + 1, data.draw(st.sampled_from(_TIE_WORDS)),
+                     data.draw(st.sampled_from(_TIE_PARSES)))
+            for i in range(n)])
+        # "zzz" and IN:UNSEEN are out of vocabulary: every relevance is 0
+        query = data.draw(st.sampled_from(["red", "blue green", "zzz"]))
+        alpha = data.draw(st.sampled_from([0.0, 0.5, 1.0]))
+        preliminary = data.draw(st.sampled_from(
+            ["[IN:A [SL:S x ] ]", "[IN:UNSEEN z ]"]))
+        ids, relevance, in_sims, out_sims = store.score_all(query, alpha,
+                                                            preliminary)
+        order = np.lexsort((ids, -relevance))
+
+        k = data.draw(st.integers(1, n))
+        # exclusions inside, at and just past the k-th place, elsewhere,
+        # and ids the store does not hold
+        near = data.draw(st.sets(st.integers(-2, 2)))
+        anywhere = data.draw(st.sets(st.integers(0, n - 1), max_size=3))
+        positions = {k - 1 + d for d in near if 0 <= k - 1 + d < n} | anywhere
+        exclude = {int(ids[order[q]]) for q in positions}
+        exclude |= data.draw(st.sets(st.sampled_from([0, 2, 2 * n + 2, -3])))
+        expected = [i for i in order if ids[i] not in exclude]
+        if not expected:
+            return
+        k = min(k, len(expected))
+        if data.draw(st.booleans()):
+            k = len(expected)
+
+        def as_rows(hits):
+            return [(h.exemplar_id, h.relevance, h.input_sim, h.output_sim,
+                     h.rank) for h in hits]
+
+        def reference(rank):
+            i = expected[rank]
+            return (ids[i], relevance[i], in_sims[i], out_sims[i], rank)
+
+        got = retrieve_topk(store, query, k, alpha=alpha,
+                            preliminary=preliminary, exclude_ids=exclude)
+        assert as_rows(got) == [reference(r) for r in range(k)]
+
+        # a small p sends picks deep into the ordering
+        p = data.draw(st.sampled_from([0.02, 0.1, 0.5]))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        picks = sample_geometric_ranks(len(expected), k, p,
+                                       np.random.default_rng(seed))
+        got = retrieve_sampled(store, query, k, p, np.random.default_rng(seed),
+                               alpha=alpha, preliminary=preliminary,
+                               exclude_ids=exclude)
+        assert as_rows(got) == [reference(r) for r in picks]
 
 
 class TestGeometricSampling:
