@@ -6,8 +6,10 @@ The wire format is a single line::
 
 `` || `` separates the query and each exemplar; `` & `` separates an
 exemplar's utterance from its parse. Both separators are forbidden inside
-the payload fields, which :func:`check_separator_safe` enforces, so the
-format parses back unambiguously.
+the payload fields, and so is a field edge that completes one with the
+space the join puts beside it (``"play it ||"``, ``"& co"``), which
+:func:`check_separator_safe` enforces, so the format parses back
+unambiguously.
 """
 
 from __future__ import annotations
@@ -33,9 +35,11 @@ class AugmentedInput:
 
 
 def check_separator_safe(text: str, line: int | None = None) -> str:
-    """Reject text containing a separator literal; returns it unchanged."""
+    """Reject text that contains a separator literal or completes one at
+    either edge once joined; returns it unchanged."""
+    joined = f" {text} "
     for sep in (EXEMPLAR_SEP, PAIR_SEP):
-        if sep in text:
+        if sep in joined:
             raise SeparatorCollision(
                 f"field contains the separator {sep!r}: {text!r}", line)
     return text

@@ -41,7 +41,7 @@ from .data_io import (
     write_training_pairs,
     atomic_write_text,
 )
-from .errors import ConfigError, GandrError
+from .errors import ConfigError, EmptyCorpus, GandrError
 from .evaluation import (
     SweepAxis,
     evaluate,
@@ -205,10 +205,11 @@ def cmd_index(args, config: dict) -> int:
     _report_issues(loaded, args.data)
     exemplars = apply_split(loaded.exemplars, parse_split_spec(args.split),
                             seed=args.seed)
+    if not exemplars:
+        raise EmptyCorpus("store has no exemplars")
     store = ExemplarStore(TfidfConfig(sublinear_tf=args.sublinear_tf,
                                       normalize=not args.no_normalize))
     store.add_many(exemplars)
-    store.build()
     save_store(store, args.out)
     print(f"indexed {len(store)} exemplars "
           f"({len(loaded.issues)} rows skipped) -> {args.out}")

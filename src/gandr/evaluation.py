@@ -18,7 +18,7 @@ import numpy as np
 from .errors import ConfigError, MissingGold
 from .pipeline import PipelineConfig, PredictionRecord, Sample, run_pipeline
 from .retrieval import ExemplarStore
-from .top_parse import extract_template, parse_top
+from .top_parse import Template, extract_template, parse_top
 
 
 def normalize_for_match(text: str) -> str:
@@ -38,7 +38,11 @@ def exact_match(prediction: str | None, gold: str, casefold: bool = False) -> bo
 
 def record_template_hit(record: PredictionRecord, store: ExemplarStore,
                         k: int | None = None, multiset: bool = True) -> bool:
-    """Did any top-k exemplar feeding the final pass match gold's template?"""
+    """Did any top-k exemplar feeding the final pass match gold's template?
+
+    Gold is parsed here; exemplar templates come from the labels the store
+    kept when it validated each parse.
+    """
     if record.gold is None:
         raise MissingGold(f"sample {record.sample_id} has no gold parse")
     gold_template = extract_template(parse_top(record.gold))
@@ -48,8 +52,7 @@ def record_template_hit(record: PredictionRecord, store: ExemplarStore,
     if k is not None:
         hits = hits[:k]
     for hit in hits:
-        exemplar = store.get(hit.exemplar_id)
-        template = extract_template(parse_top(exemplar.parse))
+        template = Template.from_labels(store.labels(hit.exemplar_id))
         if gold_template.matches(template, multiset=multiset):
             return True
     return False

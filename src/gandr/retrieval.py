@@ -22,6 +22,7 @@ deepest sampled rank needs, found by a partition instead of a full sort.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Collection, Iterable, Sequence
 
@@ -80,21 +81,17 @@ class InvertedIndex:
     def __init__(self, token_docs: Sequence[Sequence[str]],
                  config: TfidfConfig = TfidfConfig()):
         self.vectorizer = TfidfVectorizer(config)
-        vectors = self.vectorizer.fit_transform(token_docs)
-        self.n_docs = len(vectors)
+        doc_ids, term_ids, weights = self.vectorizer.fit_transform(token_docs)
+        self.n_docs = len(token_docs)
         n_terms = len(self.vectorizer.vocabulary_)
 
-        term_ids = np.concatenate([vec.term_ids for vec in vectors])
-        doc_ids = np.repeat(np.arange(self.n_docs, dtype=np.int64),
-                            [vec.nnz for vec in vectors])
         # a stable sort keeps doc ids ascending within each term's slice
         by_term = np.argsort(term_ids, kind="stable")
         self.post_indptr = np.zeros(n_terms + 1, dtype=np.int64)
         np.cumsum(np.bincount(term_ids, minlength=n_terms),
                   out=self.post_indptr[1:])
         self.post_doc_ids = doc_ids[by_term]
-        self.post_weights = np.concatenate(
-            [vec.weights for vec in vectors])[by_term]
+        self.post_weights = weights[by_term]
 
     def scores(self, tokens: Iterable[str]) -> np.ndarray:
         """Similarity of the query against every document, dense float64.
@@ -112,14 +109,18 @@ class ExemplarStore:
     """Exemplars plus lazily built input/output indexes.
 
     Parses are validated on insertion, so every stored parse is well
-    formed. Mutation marks the indexes stale; they are rebuilt on first
-    use. Rebuilding is a pure function of the exemplar set, so a store
-    reloaded from disk scores identically.
+    formed. The validating parse's intent/slot labels are kept, as a tuple
+    of interned strings per exemplar, and feed the output index and
+    template matching, so no stored parse is parsed twice. Mutation marks
+    the indexes stale; they are rebuilt on first use. Rebuilding is a pure
+    function of the exemplar set, so a store reloaded from disk scores
+    identically.
     """
 
     def __init__(self, config: TfidfConfig = TfidfConfig()):
         self.config = config
         self._exemplars: dict[int, Exemplar] = {}
+        self._labels: dict[int, tuple[str, ...]] = {}
         self._dirty = True
         self._ids: np.ndarray = np.empty(0, dtype=np.int64)
         self._input_index: InvertedIndex | None = None
@@ -128,8 +129,9 @@ class ExemplarStore:
     def add(self, exemplar: Exemplar) -> None:
         if exemplar.exemplar_id in self._exemplars:
             raise DuplicateId(f"exemplar id {exemplar.exemplar_id} already present")
-        parse_top(exemplar.parse)
+        labels = structure_tokens(parse_top(exemplar.parse))
         self._exemplars[exemplar.exemplar_id] = exemplar
+        self._labels[exemplar.exemplar_id] = tuple(map(sys.intern, labels))
         self._dirty = True
 
     def add_many(self, exemplars: Iterable[Exemplar]) -> None:
@@ -148,6 +150,13 @@ class ExemplarStore:
         except KeyError:
             raise RecordNotFound(f"no exemplar with id {exemplar_id}") from None
 
+    def labels(self, exemplar_id: int) -> tuple[str, ...]:
+        """The intent/slot labels of an exemplar's parse, in document order."""
+        try:
+            return self._labels[exemplar_id]
+        except KeyError:
+            raise RecordNotFound(f"no exemplar with id {exemplar_id}") from None
+
     @property
     def exemplars(self) -> list[Exemplar]:
         """All exemplars in ascending id order."""
@@ -162,7 +171,7 @@ class ExemplarStore:
         self._input_index = InvertedIndex(
             [tokenize_text(e.utterance) for e in ordered], self.config)
         self._output_index = InvertedIndex(
-            [structure_tokens(e.parse) for e in ordered], self.config)
+            [self._labels[e.exemplar_id] for e in ordered], self.config)
         self._dirty = False
 
     def ensure_built(self) -> None:
@@ -211,7 +220,10 @@ def _candidate_order(ids: np.ndarray, relevance: np.ndarray,
     keys = np.negative(relevance)
     if len(exclude_ids):
         excluded = np.fromiter(exclude_ids, dtype=np.int64)
-        keys[np.isin(ids, excluded)] = np.inf
+        # ids ascend, so a binary search finds each excluded position; an
+        # id past the largest lands on the last one and fails the match
+        at = np.minimum(np.searchsorted(ids, excluded), ids.shape[0] - 1)
+        keys[at[ids[at] == excluded]] = np.inf
     boundary = np.partition(keys, depth - 1)[depth - 1]
     better = np.flatnonzero(keys < boundary)
     head = better[np.lexsort((ids[better], keys[better]))]

@@ -9,10 +9,21 @@ Weighting: tf is the raw in-document count (``1 + ln(tf)`` when
 L2-normalized unless ``normalize`` is off. Retrieval scores are dot
 products of these vectors: cosine similarity when normalized, raw dot
 products of the unnormalized weights otherwise.
+
+A corpus is fitted in one batched array pass (``fit_transform``); a
+query is vectorized on its own (``transform``). Both give the same bits
+for the same document, because the arithmetic order is pinned: idf and
+sublinear tf go through ``math.log`` one term or count at a time, each
+weight is ``tf * idf``, and a document's squared norm is summed weight by
+weight in ascending term order, starting from 0.0, before one square root
+and one division per weight. The batched fit keeps that order by adding
+the j-th squared weight of every document in step j; the pairwise
+summation of ``np.sum`` or ``np.add.reduceat`` would change the bits.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from collections import Counter
@@ -44,10 +55,6 @@ class SparseVector:
     term_ids: np.ndarray
     weights: np.ndarray
 
-    @property
-    def nnz(self) -> int:
-        return int(self.term_ids.shape[0])
-
 
 _EMPTY_IDS = np.empty(0, dtype=np.int64)
 _EMPTY_WEIGHTS = np.empty(0, dtype=np.float64)
@@ -69,18 +76,8 @@ class TfidfVectorizer:
         self.idf_: np.ndarray = _EMPTY_WEIGHTS
         self.n_docs_: int = 0
 
-    def fit(self, docs: Sequence[Iterable[str]]) -> "TfidfVectorizer":
-        if len(docs) == 0:
-            raise EmptyCorpus("cannot fit a vectorizer on zero documents")
-        df: Counter[str] = Counter()
-        for tokens in docs:
-            df.update(set(tokens))
-        self.n_docs_ = len(docs)
-        self.vocabulary_ = {t: i for i, t in enumerate(sorted(df))}
-        idf = np.zeros(len(self.vocabulary_), dtype=np.float64)
-        for term, tid in self.vocabulary_.items():
-            idf[tid] = math.log((1.0 + self.n_docs_) / (1.0 + df[term])) + 1.0
-        self.idf_ = idf
+    def fit(self, docs: Sequence[Sequence[str]]) -> "TfidfVectorizer":
+        self.fit_transform(docs)
         return self
 
     def transform(self, tokens: Iterable[str]) -> SparseVector:
@@ -103,6 +100,68 @@ class TfidfVectorizer:
                 weights = weights / norm
         return SparseVector(ids, weights)
 
-    def fit_transform(self, docs: Sequence[Iterable[str]]) -> list[SparseVector]:
-        self.fit(docs)
-        return [self.transform(tokens) for tokens in docs]
+    def fit_transform(self, docs: Sequence[Sequence[str]]
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Fit on ``docs`` and vectorize them all in one array pass.
+
+        Returns parallel ``(doc, term, weight)`` arrays (int64, int64,
+        float64) sorted by doc, then term: the nonzero entries of every
+        document vector, bit for bit what ``transform`` gives each
+        document after the fit. A document without tokens has no entries.
+        """
+        n_docs = len(docs)
+        if n_docs == 0:
+            raise EmptyCorpus("cannot fit a vectorizer on zero documents")
+        vocabulary = {t: i for i, t in enumerate(sorted(set().union(*docs)))}
+        self.vocabulary_ = vocabulary
+        self.n_docs_ = n_docs
+        n_terms = len(vocabulary)
+
+        # one int64 key per token, doc * n_terms + term, so a single sort
+        # counts every (doc, term) pair and leaves them in (doc, term) order
+        lengths = np.fromiter(map(len, docs), dtype=np.int64, count=n_docs)
+        tokens = itertools.chain.from_iterable(docs)
+        keys = np.fromiter(map(vocabulary.__getitem__, tokens),
+                           dtype=np.int64, count=int(lengths.sum()))
+        keys += np.repeat(np.arange(n_docs, dtype=np.int64) * n_terms, lengths)
+        keys, counts = np.unique(keys, return_counts=True)
+        doc, term = np.divmod(keys, n_terms)
+
+        df = np.bincount(term, minlength=n_terms)
+        self.idf_ = np.array(
+            [math.log((1.0 + n_docs) / (1.0 + d)) + 1.0 for d in df.tolist()],
+            dtype=np.float64)
+        if self.config.sublinear_tf:
+            values, which = np.unique(counts, return_inverse=True)
+            tf = np.array([1.0 + math.log(c) for c in values.tolist()],
+                          dtype=np.float64)[which]
+        else:
+            tf = counts.astype(np.float64)
+        weights = tf * self.idf_[term]
+        if self.config.normalize:
+            # tf >= 1 and idf >= 1, so no document with entries has norm 0
+            weights /= np.sqrt(_squared_norms(doc, weights, n_docs))[doc]
+        return doc, term, weights
+
+
+def _squared_norms(doc: np.ndarray, weights: np.ndarray,
+                   n_docs: int) -> np.ndarray:
+    """Each document's sum of squared weights, added in entry order.
+
+    Step j adds the j-th entry of every document that has one, so each
+    sum runs 0.0 + w0*w0 + w1*w1 + ... exactly as ``transform`` adds it.
+    Documents are visited longest first, so step j touches only a prefix
+    of that order and the whole pass costs one add per entry.
+    """
+    nnz = np.bincount(doc, minlength=n_docs)
+    starts = np.zeros(n_docs, dtype=np.int64)
+    np.cumsum(nnz[:-1], out=starts[1:])
+    longest_first = np.argsort(-nnz, kind="stable")
+    # longer[j]: how many documents have more than j entries
+    longer = n_docs - np.cumsum(np.bincount(nnz))
+    squares = weights * weights
+    acc = np.zeros(n_docs, dtype=np.float64)
+    for j in range(int(nnz.max())):
+        live = longest_first[:longer[j]]
+        acc[live] += squares[starts[live] + j]
+    return acc

@@ -74,10 +74,14 @@ def test_query_over_budget_raises():
         build_augmented_input("one two three", [], budget=2)
 
 
-@pytest.mark.parametrize("bad", ["a || b", "a & b", "x ||  &  y"])
+@pytest.mark.parametrize("bad", ["a || b", "a & b", "x ||  &  y",
+                                 "play it ||", "|| play it", "play it &",
+                                 "& play it", "||", "&"])
 def test_separator_collision_in_query(bad):
+    # "play it ||" once joined to 'play it || || u & [IN:P x ]', which
+    # splits back to the query 'play it'
     with pytest.raises(SeparatorCollision):
-        build_augmented_input(bad, [])
+        build_augmented_input(bad, [Exemplar(0, "u", "[IN:P x ]")])
 
 
 def test_separator_collision_in_exemplar_fields():
@@ -85,6 +89,13 @@ def test_separator_collision_in_exemplar_fields():
         build_augmented_input("q", [Exemplar(0, "a & b", "[IN:X y ]")])
     with pytest.raises(SeparatorCollision):
         check_separator_safe("left || right")
+    # the join puts a space beside each field, so an edge can complete one
+    with pytest.raises(SeparatorCollision):
+        build_augmented_input("q", [Exemplar(0, "u ||", "[IN:P x ]")])
+    with pytest.raises(SeparatorCollision):
+        build_augmented_input("q", [Exemplar(0, "|| u", "[IN:P x ]")])
+    with pytest.raises(SeparatorCollision):
+        build_augmented_input("q", [Exemplar(0, "u &", "[IN:P x ]")])
 
 
 def test_ambiguous_characters_without_spaces_are_fine():
@@ -112,7 +123,7 @@ def test_split_bare_query():
 _field = st.text(
     alphabet=st.characters(blacklist_categories=("Cs",)), min_size=1,
     max_size=30,
-).filter(lambda s: EXEMPLAR_SEP not in s and PAIR_SEP not in s
+).filter(lambda s: EXEMPLAR_SEP not in f" {s} " and PAIR_SEP not in f" {s} "
          and "[" not in s and "]" not in s and s.strip())
 
 # the parse puts spaces around its slot value, so a value such as "&" that

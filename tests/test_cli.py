@@ -54,6 +54,16 @@ class TestIndex:
         assert code == 2
         assert "file not found" in capsys.readouterr().err
 
+    def test_all_rows_rejected_exits_1_and_writes_nothing(self, tmp_path,
+                                                           capsys):
+        data = tmp_path / "bad.tsv"
+        data.write_text("no tabs here\nbad parse\t[IN:OOPS\n",
+                        encoding="utf-8")
+        out = tmp_path / "s.store"
+        assert main(["index", "--data", str(data), "--out", str(out)]) == 1
+        assert "error: store has no exemplars" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.tsv"]
+
     def test_bad_split_exits_2(self, tmp_path, dataset):
         assert main(["index", "--data", str(dataset), "--split", "half",
                      "--out", str(tmp_path / "s.store")]) == 2

@@ -81,10 +81,18 @@ class TestReadTsv:
         assert [i.line for i in result.issues] == [2, 4, 5]
 
     def test_separator_collision_rejected(self, tmp_path):
-        path = write(tmp_path / "d.tsv", f"a || b\t{GOOD_PARSE}\n")
+        # a field edge that completes a separator once joined is a collision
+        path = write(tmp_path / "d.tsv",
+                     f"a || b\t{GOOD_PARSE}\n"
+                     f"play it ||\t{GOOD_PARSE}\n"
+                     f"& co\t{GOOD_PARSE}\n"
+                     f"fine\t{GOOD_PARSE}\n")
         result = read_tsv(path)
-        assert result.exemplars == []
+        assert [e.utterance for e in result.exemplars] == ["fine"]
+        assert [i.line for i in result.issues] == [1, 2, 3]
         assert "||" in result.issues[0].message
+        assert "||" in result.issues[1].message
+        assert "&" in result.issues[2].message
 
     def test_strict_mode_raises(self, tmp_path):
         path = write(tmp_path / "d.tsv", "only one column\n")

@@ -1,5 +1,6 @@
 import pytest
 
+from gandr import evaluation
 from gandr.augment import AugmentedInput
 from gandr.errors import ConfigError, MissingGold
 from gandr.evaluation import (
@@ -20,6 +21,7 @@ from gandr.pipeline import (
     run_pipeline,
 )
 from gandr.retrieval import ScoredExemplar
+from gandr.top_parse import extract_template, parse_top
 
 
 class TestExactMatch:
@@ -143,6 +145,42 @@ class TestEvaluate:
         recalls = [evaluate(records, trace_store, k=k).template_recall
                    for k in (1, 2, 4)]
         assert recalls == sorted(recalls)
+
+    def test_exemplar_templates_come_from_kept_labels(self, trace_store,
+                                                      monkeypatch):
+        samples = [Sample(i, e.utterance, gold=e.parse)
+                   for i, e in enumerate(trace_store.exemplars)]
+        samples.append(Sample(8, "send the group a note",
+                              gold="[IN:SEND_MESSAGE [SL:GROUP a ] [SL:GROUP b ] ]"))
+        preliminary = StaticGenerator("[IN:SEND_MESSAGE [SL:GROUP x ] ]")
+        final = StaticGenerator("[IN:SEND_MESSAGE [SL:GROUP x ] ]")
+        records = run_pipeline(trace_store, samples, preliminary, final,
+                               PipelineConfig(alpha=0.5, k=4))
+
+        def reference_recall(k, multiset):
+            """Template recall with every exemplar parse parsed again."""
+            hits = 0
+            for record in records:
+                gold = extract_template(parse_top(record.gold))
+                hits += any(
+                    gold.matches(extract_template(parse_top(
+                        trace_store.get(h.exemplar_id).parse)), multiset)
+                    for h in record.pass2_retrievals[:k])
+            return hits / len(records)
+
+        calls = []
+
+        def counting_parse_top(text, *args):
+            calls.append(text)
+            return parse_top(text, *args)
+
+        monkeypatch.setattr(evaluation, "parse_top", counting_parse_top)
+        for k in (1, 2, 4):
+            for multiset in (True, False):
+                calls.clear()
+                report = evaluate(records, trace_store, k=k, multiset=multiset)
+                assert report.template_recall == reference_recall(k, multiset)
+                assert calls == [record.gold for record in records]
 
 
 class TestSweep:

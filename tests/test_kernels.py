@@ -1,9 +1,14 @@
+import math
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gandr import _kernels
 from gandr.retrieval import Exemplar, InvertedIndex
-from gandr.tfidf import TfidfVectorizer, tokenize_text
+from gandr.tfidf import TfidfConfig, TfidfVectorizer, tokenize_text
 
 from conftest import make_random_corpus
 
@@ -68,7 +73,8 @@ def test_postings_equal_naive_transposition(empty_at):
         corpus.insert(empty_at, Exemplar(99, "?!", "[IN:X ]"))
     docs = [tokenize_text(e.utterance) for e in corpus]
     index = InvertedIndex(docs)
-    vectors = TfidfVectorizer().fit_transform(docs)
+    vectorizer = TfidfVectorizer().fit(docs)
+    vectors = [vectorizer.transform(tokens) for tokens in docs]
     indptr, doc_ids, weights = naive_postings(
         vectors, len(index.vectorizer.vocabulary_))
     assert index.n_docs == len(corpus)
@@ -78,6 +84,54 @@ def test_postings_equal_naive_transposition(empty_at):
     assert index.post_indptr.dtype == np.int64
     assert index.post_doc_ids.dtype == np.int64
     assert index.post_weights.dtype == np.float64
+
+
+CONFIGS = [TfidfConfig(), TfidfConfig(sublinear_tf=True),
+           TfidfConfig(normalize=False)]
+
+# short unicode tokens from a small alphabet, so documents repeat tokens
+# and share them; empty documents and a lone document are drawn too
+_token = st.text(alphabet="ab\u00e9\u4e2d\U0001f600 ", max_size=2)
+_docs = st.lists(st.lists(_token, max_size=8), min_size=1, max_size=12)
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=["plain", "sublinear", "raw"])
+@settings(max_examples=150, deadline=None)
+@given(docs=_docs)
+@example(docs=[["a", "a", "b"]])
+@example(docs=[[]])
+@example(docs=[[], ["\u00e9", "\u00e9", "\u4e2d"], [], ["\U0001f600"], []])
+def test_batched_fit_equals_per_document_transform(config, docs):
+    """The batched fit's vocabulary, idf and postings equal, byte for byte,
+    a per-document fit: Counter document frequencies and ``transform`` of
+    each document, transposed term by term."""
+    df = Counter()
+    for tokens in docs:
+        df.update(set(tokens))
+    terms = sorted(df)
+    idf = np.array([math.log((1.0 + len(docs)) / (1.0 + df[t])) + 1.0
+                    for t in terms], dtype=np.float64)
+
+    index = InvertedIndex(docs, config)
+    vectorizer = index.vectorizer
+    assert vectorizer.vocabulary_ == {t: i for i, t in enumerate(terms)}
+    assert vectorizer.idf_.dtype == np.float64
+    assert vectorizer.idf_.tobytes() == idf.tobytes()
+
+    vectors = [vectorizer.transform(tokens) for tokens in docs]
+    indptr, doc_ids, weights = naive_postings(vectors, len(terms))
+    assert index.post_indptr.tobytes() == np.array(indptr, np.int64).tobytes()
+    assert index.post_doc_ids.tobytes() == \
+        np.array(doc_ids, np.int64).tobytes()
+    assert index.post_weights.tobytes() == \
+        np.array(weights, np.float64).tobytes()
+
+    doc, term, weight = TfidfVectorizer(config).fit_transform(docs)
+    assert doc.tolist() == [d for d, vec in enumerate(vectors)
+                            for _ in vec.term_ids]
+    assert term.tolist() == [t for vec in vectors for t in vec.term_ids.tolist()]
+    assert weight.tobytes() == np.concatenate(
+        [vec.weights for vec in vectors]).tobytes()
 
 
 def test_index_over_only_empty_documents():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gandr import retrieval
 from gandr.errors import (
     ConfigError,
     DuplicateId,
@@ -16,11 +17,13 @@ from gandr.errors import (
 from gandr.retrieval import (
     Exemplar,
     ExemplarStore,
+    InvertedIndex,
     retrieve_sampled,
     retrieve_topk,
     sample_geometric_ranks,
     validate_alpha,
 )
+from gandr.top_parse import structure_tokens
 
 from conftest import make_random_corpus, random_parse, random_utterance
 from oracles import brute_force_ranking, truncated_geometric_pmf
@@ -30,6 +33,13 @@ def build_store(exemplars):
     store = ExemplarStore()
     store.add_many(exemplars)
     return store
+
+
+def assert_same_index(index, expected):
+    assert index.vectorizer.vocabulary_ == expected.vectorizer.vocabulary_
+    for name in ("post_indptr", "post_doc_ids", "post_weights"):
+        assert getattr(index, name).tobytes() == \
+            getattr(expected, name).tobytes()
 
 
 class TestStore:
@@ -57,6 +67,40 @@ class TestStore:
             Exemplar(3, "three three", "[IN:C x ]"),
         ])
         assert [e.exemplar_id for e in store.exemplars] == [1, 3, 5]
+
+    def test_build_parses_nothing(self, monkeypatch):
+        exemplars = make_random_corpus(np.random.default_rng(2), 30)
+        exemplars.append(Exemplar(30, "nested lower case",
+                                  "[in:outer [sl:slot [in:inner x ] ] ]"))
+        store = build_store(exemplars)
+        # the output index as fitted from every parse parsed again
+        reparsed = InvertedIndex([structure_tokens(e.parse)
+                                  for e in store.exemplars])
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("build parsed an exemplar again")
+
+        monkeypatch.setattr(retrieval, "parse_top", forbidden)
+        monkeypatch.setattr(retrieval, "structure_tokens", forbidden)
+        store.build()
+        assert_same_index(store.output_index, reparsed)
+
+    def test_rejected_add_keeps_no_labels(self, tiny_store):
+        fresh = build_store(tiny_store.exemplars)
+        labels = tiny_store.labels(0)
+        with pytest.raises(DuplicateId):
+            tiny_store.add(Exemplar(0, "again", "[IN:OTHER [SL:X y ] ]"))
+        with pytest.raises(MalformedParse):
+            tiny_store.add(Exemplar(99, "text", "[IN:OPEN [SL:X no close"))
+        assert tiny_store.labels(0) == labels == ("IN:PLAY_MUSIC",
+                                                  "SL:MUSIC_GENRE")
+        with pytest.raises(RecordNotFound):
+            tiny_store.labels(99)
+        tiny_store.build()
+        fresh.build()
+        assert tiny_store._ids.tolist() == fresh._ids.tolist()
+        assert_same_index(tiny_store.input_index, fresh.input_index)
+        assert_same_index(tiny_store.output_index, fresh.output_index)
 
     def test_mutation_after_build_is_visible(self):
         store = build_store([Exemplar(0, "alpha beta", "[IN:A x ]")])

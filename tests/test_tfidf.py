@@ -18,6 +18,13 @@ def test_tokenize_lowercases_and_drops_punctuation():
 CORPUS = [["a", "b"], ["a", "c"], ["a", "b", "b"]]
 
 
+def fitted_vectors(vectorizer, docs):
+    """Fit, then vectorize each document alone: the reference the batched
+    ``fit_transform`` must equal bit for bit."""
+    vectorizer.fit(docs)
+    return [vectorizer.transform(tokens) for tokens in docs]
+
+
 def hand_vector(counts: dict[str, float], idf: dict[str, float],
                 order: list[str]) -> list[float]:
     weights = [counts[t] * idf[t] for t in order]
@@ -33,7 +40,7 @@ def test_three_doc_corpus_against_hand_computation():
     idf = {"a": math.log(4 / 4) + 1, "b": math.log(4 / 3) + 1,
            "c": math.log(4 / 2) + 1}
     vectorizer = TfidfVectorizer()
-    vectors = vectorizer.fit_transform(CORPUS)
+    vectors = fitted_vectors(vectorizer, CORPUS)
 
     assert vectorizer.vocabulary_ == {"a": 0, "b": 1, "c": 2}
     assert vectorizer.idf_.tolist() == [idf["a"], idf["b"], idf["c"]]
@@ -52,6 +59,11 @@ def test_three_doc_corpus_against_hand_computation():
     assert vectors[1].term_ids.tolist() == [0, 2]
     assert vectors[2].term_ids.tolist() == [0, 1]
 
+    doc, term, weights = TfidfVectorizer().fit_transform(CORPUS)
+    assert doc.tolist() == [0, 0, 1, 1, 2, 2]
+    assert term.tolist() == [0, 1, 0, 2, 0, 1]
+    assert weights.tolist() == expected[0] + expected[1] + expected[2]
+
 
 def test_cosine_matches_hand_computation():
     idf_b = math.log(4 / 3) + 1
@@ -67,14 +79,14 @@ def test_cosine_matches_hand_computation():
 
 def test_normalized_vectors_have_unit_norm():
     index = InvertedIndex(CORPUS)
-    for i, vec in enumerate(TfidfVectorizer().fit_transform(CORPUS)):
+    for i, vec in enumerate(fitted_vectors(TfidfVectorizer(), CORPUS)):
         assert float(np.sum(vec.weights ** 2)) == pytest.approx(1.0, abs=1e-12)
         assert index.scores(CORPUS[i])[i] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_sublinear_tf():
     vectorizer = TfidfVectorizer(TfidfConfig(sublinear_tf=True))
-    vectors = vectorizer.fit_transform(CORPUS)
+    vectors = fitted_vectors(vectorizer, CORPUS)
     idf_a = 1.0
     idf_b = math.log(4 / 3) + 1
     wa, wb = 1.0 * idf_a, (1 + math.log(2)) * idf_b
@@ -85,7 +97,7 @@ def test_sublinear_tf():
 
 def test_unnormalized_keeps_raw_weights():
     vectorizer = TfidfVectorizer(TfidfConfig(normalize=False))
-    vectors = vectorizer.fit_transform(CORPUS)
+    vectors = fitted_vectors(vectorizer, CORPUS)
     idf_b = math.log(4 / 3) + 1
     assert vectors[2].weights.tolist() == [1.0, 2 * idf_b]
     # retrieval scores unnormalized vectors by their raw dot product
@@ -96,7 +108,7 @@ def test_unnormalized_keeps_raw_weights():
 def test_unknown_tokens_are_dropped():
     vectorizer = TfidfVectorizer()
     vectorizer.fit(CORPUS)
-    assert vectorizer.transform(["zzz", "qqq"]).nnz == 0
+    assert vectorizer.transform(["zzz", "qqq"]).term_ids.size == 0
     mixed = vectorizer.transform(["a", "zzz"])
     assert mixed.term_ids.tolist() == [0]
 
