@@ -9,16 +9,20 @@ exemplar's utterance from its parse. Both separators are forbidden inside
 the payload fields, and so is a field edge that completes one with the
 space the join puts beside it (``"play it ||"``, ``"& co"``), which
 :func:`check_separator_safe` enforces, so the format parses back
-unambiguously.
+unambiguously. Exemplar fields are checked once, when the
+:class:`~gandr.retrieval.Exemplar` is constructed, so
+:func:`build_augmented_input` checks only the query.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import QueryExceedsBudget, SeparatorCollision
-from .retrieval import Exemplar
+
+if TYPE_CHECKING:
+    from .retrieval import Exemplar
 
 EXEMPLAR_SEP = " || "
 PAIR_SEP = " & "
@@ -34,15 +38,14 @@ class AugmentedInput:
     truncated: bool
 
 
-def check_separator_safe(text: str, line: int | None = None) -> str:
+def check_separator_safe(text: str) -> None:
     """Reject text that contains a separator literal or completes one at
-    either edge once joined; returns it unchanged."""
+    either edge once joined."""
     joined = f" {text} "
     for sep in (EXEMPLAR_SEP, PAIR_SEP):
         if sep in joined:
             raise SeparatorCollision(
-                f"field contains the separator {sep!r}: {text!r}", line)
-    return text
+                f"field contains the separator {sep!r}: {text!r}")
 
 
 def _token_count(text: str) -> int:
@@ -68,8 +71,6 @@ def build_augmented_input(query: str, exemplars: Sequence[Exemplar],
     ids: list[int] = []
     truncated = False
     for exemplar in exemplars:
-        check_separator_safe(exemplar.utterance)
-        check_separator_safe(exemplar.parse)
         # "||" and "&" are whitespace-delimited, so each costs one token
         cost = 2 + _token_count(exemplar.utterance) + _token_count(exemplar.parse)
         if budget is not None and used + cost > budget:

@@ -93,10 +93,14 @@ def _load_config_file(path: str | None) -> dict:
 
 def _resolve(flag, env_name: str | None, config: dict, key: str,
              default=None, cast=None):
-    """flag > environment > config file > default."""
+    """flag > environment > config file > default.
+
+    ``cast`` converts whichever value wins, bar the default; a value it
+    rejects is a ConfigError.
+    """
     if flag is not None:
-        return flag
-    if env_name and os.environ.get(env_name):
+        raw = flag
+    elif env_name and os.environ.get(env_name):
         raw = os.environ[env_name]
     elif key in config:
         raw = config[key]
@@ -158,7 +162,8 @@ def _endpoint_pair(args, config: dict) -> tuple[Generator, Generator, dict]:
 
 
 def _pipeline_config(args, config: dict) -> PipelineConfig:
-    mode = PipelineMode(_resolve(args.mode, None, config, "mode", "gandr"))
+    mode = _resolve(args.mode, None, config, "mode", PipelineMode.GANDR,
+                    PipelineMode)
     if mode is PipelineMode.INPUT_ONLY and args.alpha is not None:
         raise ConfigError("--alpha has no effect in input-only mode; "
                           "drop the flag")
@@ -167,9 +172,9 @@ def _pipeline_config(args, config: dict) -> PipelineConfig:
         alpha=_resolve(args.alpha, None, config, "alpha", DEFAULT_ALPHA, float),
         k=_resolve(args.k, None, config, "k", DEFAULT_K, int),
         budget=_resolve(args.budget, None, config, "budget", None, int),
-        failure_policy=FailurePolicy(
-            _resolve(args.failure_policy, None, config, "failure_policy",
-                     "skip")),
+        failure_policy=_resolve(args.failure_policy, None, config,
+                                "failure_policy", FailurePolicy.SKIP_SAMPLE,
+                                FailurePolicy),
     )
 
 
@@ -199,6 +204,15 @@ def _comma_ints(text: str) -> list[int]:
         raise ConfigError(f"bad integer list {text!r}") from exc
 
 
+def _print_hits(store: ExemplarStore, hits, indent: str = "") -> None:
+    print(f"{indent}rank\tid\trelevance\tinput_sim\toutput_sim\tutterance\tparse")
+    for hit in hits:
+        exemplar = store.get(hit.exemplar_id)
+        print(f"{indent}{hit.rank}\t{hit.exemplar_id}\t{hit.relevance:.6f}\t"
+              f"{hit.input_sim:.6f}\t{hit.output_sim:.6f}\t"
+              f"{exemplar.utterance}\t{exemplar.parse}")
+
+
 def cmd_index(args, config: dict) -> int:
     loaded = load_dataset(args.data, fmt=args.format,
                           has_header=args.has_header, strict=args.strict)
@@ -226,12 +240,7 @@ def cmd_retrieve(args, config: dict) -> int:
         for hit in hits:
             print(json.dumps(vars(hit), ensure_ascii=False))
         return 0
-    print("rank\tid\trelevance\tinput_sim\toutput_sim\tutterance\tparse")
-    for hit in hits:
-        exemplar = store.get(hit.exemplar_id)
-        print(f"{hit.rank}\t{hit.exemplar_id}\t{hit.relevance:.6f}\t"
-              f"{hit.input_sim:.6f}\t{hit.output_sim:.6f}\t"
-              f"{exemplar.utterance}\t{exemplar.parse}")
+    _print_hits(store, hits)
     return 0
 
 
@@ -343,19 +352,18 @@ def cmd_emit_train(args, config: dict) -> int:
             for record in read_records(args.preliminary_from):
                 if record.preliminary is not None:
                     preliminaries[record.sample_id] = record.preliminary
-        elif args.preliminary_endpoint or os.environ.get(ENV_PRELIMINARY_URL) \
-                or "preliminary_endpoint" in config:
-            timeout = _resolve(args.timeout, ENV_TIMEOUT, config, "timeout",
-                               DEFAULT_TIMEOUT, float)
+        else:
             spec = _resolve(args.preliminary_endpoint, ENV_PRELIMINARY_URL,
                             config, "preliminary_endpoint")
+            if spec is None:
+                raise ConfigError("stage 2 needs preliminaries; pass "
+                                  "--preliminary-from RECORDS or a "
+                                  "preliminary endpoint")
+            timeout = _resolve(args.timeout, ENV_TIMEOUT, config, "timeout",
+                               DEFAULT_TIMEOUT, float)
             endpoint = _build_endpoint(spec, timeout)
             preliminaries = generate_preliminaries(
                 store, samples, endpoint, k, budget, not args.keep_self)
-        else:
-            raise ConfigError("stage 2 needs preliminaries; pass "
-                              "--preliminary-from RECORDS or a "
-                              "preliminary endpoint")
 
     pairs = emit_training_pairs(store, samples, k, p, rng, alpha=alpha,
                                 preliminaries=preliminaries, budget=budget,
@@ -377,22 +385,14 @@ def cmd_trace(args, config: dict) -> int:
         print(json.dumps(record.to_dict(), ensure_ascii=False))
         return 0
 
-    def show_hits(title: str, hits, alpha: float):
-        print(f"{title} (alpha={alpha}):")
-        print("  rank\tid\trelevance\tinput_sim\toutput_sim\tutterance\tparse")
-        for hit in hits:
-            exemplar = store.get(hit.exemplar_id)
-            print(f"  {hit.rank}\t{hit.exemplar_id}\t{hit.relevance:.6f}\t"
-                  f"{hit.input_sim:.6f}\t{hit.output_sim:.6f}\t"
-                  f"{exemplar.utterance}\t{exemplar.parse}")
-
     print(f"query: {record.query}")
-    show_hits("pass 1", record.pass1_retrievals, 0.0)
+    print("pass 1 (alpha=0.0):")
+    _print_hits(store, record.pass1_retrievals, "  ")
     print(f"prompt 1: {record.pass1_augmented.text}")
     print(f"preliminary: {record.preliminary}")
     if record.pass2_retrievals is not None:
-        show_hits("pass 2", record.pass2_retrievals,
-                  pipeline_config.pass2_alpha)
+        print(f"pass 2 (alpha={pipeline_config.pass2_alpha}):")
+        _print_hits(store, record.pass2_retrievals, "  ")
         print(f"prompt 2: {record.pass2_augmented.text}")
     print(f"final: {record.final}")
     if record.gold is not None:

@@ -23,20 +23,17 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .augment import check_separator_safe
 from .errors import (
     ConfigError,
     CorruptFile,
     CountExceedsCorpus,
     MalformedParse,
     MalformedRow,
-    SeparatorCollision,
     VersionMismatch,
 )
 from .pipeline import PredictionRecord, Sample, TrainingPair
 from .retrieval import Exemplar, ExemplarStore
 from .tfidf import TfidfConfig
-from .top_parse import parse_top
 
 STORE_FORMAT = "gandr-store"
 STORE_VERSION = 1
@@ -62,7 +59,8 @@ def atomic_write_text(path: str | Path, text: str) -> None:
     fd, tmp = tempfile.mkstemp(dir=path.parent or ".", prefix=path.name + ".",
                                suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+        with os.fdopen(fd, "w", encoding="utf-8",
+                       errors="backslashreplace") as fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -71,17 +69,15 @@ def atomic_write_text(path: str | Path, text: str) -> None:
         raise
 
 
-def _validate_fields(utterance: str, parse: str, line: int) -> None:
-    if not utterance.strip():
-        raise MalformedRow("empty utterance", line)
-    if not parse.strip():
-        raise MalformedRow("empty parse", line)
-    check_separator_safe(utterance, line)
-    check_separator_safe(parse, line)
+def _exemplar(exemplar_id: int, utterance, parse, domain: str | None,
+              line: int) -> Exemplar:
+    """The row as an exemplar; the type's error gains the line number."""
     try:
-        parse_top(parse)
+        return Exemplar(exemplar_id, utterance, parse, domain or None)
     except MalformedParse as exc:
         raise MalformedRow(f"bad parse: {exc}", line) from exc
+    except MalformedRow as exc:
+        raise type(exc)(str(exc), line) from exc
 
 
 def _load(path: str | Path, parse_line, skip_first: bool,
@@ -98,15 +94,13 @@ def _load(path: str | Path, parse_line, skip_first: bool,
                 parsed = parse_line(lineno, raw)
                 if parsed is None:
                     continue
-                utterance, parse, domain = parsed
-                _validate_fields(utterance, parse, lineno)
+                exemplar = _exemplar(next_id, *parsed, lineno)
             except MalformedRow as exc:
                 if strict:
                     raise
                 issues.append(LoadIssue(line=lineno, message=str(exc)))
                 continue
-            exemplars.append(Exemplar(exemplar_id=next_id, utterance=utterance,
-                                      parse=parse, domain=domain or None))
+            exemplars.append(exemplar)
             next_id += 1
     return LoadResult(exemplars=exemplars, issues=issues)
 
@@ -146,7 +140,7 @@ def read_jsonl(path: str | Path, strict: bool = False) -> LoadResult:
             raise MalformedRow(
                 "object needs 'utterance' and 'parse' keys", lineno)
         domain = obj.get("domain")
-        return str(obj["utterance"]), str(obj["parse"]), \
+        return obj["utterance"], obj["parse"], \
             (str(domain) if domain is not None else None)
 
     return _load(path, parse_line, skip_first=False, strict=strict)
@@ -297,9 +291,9 @@ def load_store(path: str | Path) -> ExemplarStore:
                 exemplar_id=int(row["exemplar_id"]),
                 utterance=row["utterance"], parse=row["parse"],
                 domain=row.get("domain"))
+            store.add(exemplar)
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise CorruptFile(f"{path}: line {lineno}: {exc}") from exc
-        store.add(exemplar)
         count += 1
     if count != header.get("count"):
         raise CorruptFile(

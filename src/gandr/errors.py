@@ -73,10 +73,6 @@ class OracleMiss(GenerationError):
     """An oracle-lookup endpoint saw a query it has no gold parse for."""
 
 
-class DataIoError(GandrError):
-    """A dataset or artifact file could not be read or written."""
-
-
 class MalformedRow(GandrError, ValueError):
     """A dataset row could not be turned into an exemplar."""
 

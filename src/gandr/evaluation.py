@@ -13,8 +13,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Mapping, Sequence
 
-import numpy as np
-
+from .data_io import Fraction, apply_split
 from .errors import ConfigError, MissingGold
 from .pipeline import PipelineConfig, PredictionRecord, Sample, run_pipeline
 from .retrieval import ExemplarStore
@@ -40,8 +39,8 @@ def record_template_hit(record: PredictionRecord, store: ExemplarStore,
                         k: int | None = None, multiset: bool = True) -> bool:
     """Did any top-k exemplar feeding the final pass match gold's template?
 
-    Gold is parsed here; exemplar templates come from the labels the store
-    kept when it validated each parse.
+    Gold is parsed here; exemplar templates come from the labels each
+    exemplar kept when its construction validated the parse.
     """
     if record.gold is None:
         raise MissingGold(f"sample {record.sample_id} has no gold parse")
@@ -52,7 +51,7 @@ def record_template_hit(record: PredictionRecord, store: ExemplarStore,
     if k is not None:
         hits = hits[:k]
     for hit in hits:
-        template = Template.from_labels(store.labels(hit.exemplar_id))
+        template = Template.from_labels(store.get(hit.exemplar_id).labels)
         if gold_template.matches(template, multiset=multiset):
             return True
     return False
@@ -129,17 +128,6 @@ class SweepRow:
     template_recall: float
 
 
-def _subsample(samples: Sequence[Sample], fraction: float,
-               seed: int) -> list[Sample]:
-    n = int(np.floor(fraction * len(samples)))
-    if n < 1:
-        raise ConfigError(
-            f"sample fraction {fraction} of {len(samples)} samples is empty")
-    rng = np.random.default_rng(seed)
-    chosen = sorted(rng.choice(len(samples), size=n, replace=False).tolist())
-    return [samples[i] for i in chosen]
-
-
 def run_sweep(store: ExemplarStore, samples: Sequence[Sample],
               preliminary_generator, final_generator,
               base_config: PipelineConfig, axis: SweepAxis,
@@ -167,7 +155,7 @@ def run_sweep(store: ExemplarStore, samples: Sequence[Sample],
         for seed in seeds:
             chosen = samples
             if sample_fraction is not None:
-                chosen = _subsample(samples, sample_fraction, seed)
+                chosen = apply_split(samples, Fraction(sample_fraction), seed)
             records = run_pipeline(store, chosen, preliminary_generator,
                                    final_generator, config)
             report = evaluate(records, store, k=recall_k)

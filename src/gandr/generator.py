@@ -43,9 +43,6 @@ class Generator(ABC):
     def generate(self, inputs: Sequence[str]) -> list[str]:
         """One output per input, same order."""
 
-    def generate_one(self, text: str) -> str:
-        return self.generate([text])[0]
-
 
 class StaticGenerator(Generator):
     """Returns the same canned output for every input."""
@@ -136,7 +133,8 @@ class RecordingGenerator(Generator):
 
     def generate(self, inputs: Sequence[str]) -> list[str]:
         outputs = self.inner.generate(inputs)
-        with open(self.path, "a", encoding="utf-8") as fh:
+        with open(self.path, "a", encoding="utf-8",
+                  errors="backslashreplace") as fh:
             for text, output in zip(inputs, outputs):
                 fh.write(json.dumps({"input": text, "output": output},
                                     ensure_ascii=False) + "\n")

@@ -23,16 +23,18 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Collection, Iterable, Sequence
 
 import numpy as np
 
 from . import _kernels
+from .augment import check_separator_safe
 from .errors import (
     ConfigError,
     DuplicateId,
     EmptyCorpus,
+    MalformedRow,
     RecordNotFound,
     StoreTooSmall,
 )
@@ -42,12 +44,36 @@ from .top_parse import parse_top, structure_tokens
 
 @dataclass(frozen=True)
 class Exemplar:
-    """One training pair: an utterance and its bracketed parse."""
+    """One training pair: an utterance and its bracketed parse.
+
+    Construction is the one gate for what may become an exemplar, whether
+    the row comes from a dataset, a store file or library code: both
+    fields must be strings, the utterance must not be blank, neither
+    field may collide with a prompt separator, and the parse must be well
+    formed. Otherwise it raises MalformedRow (SeparatorCollision for a
+    separator) or MalformedParse. The parse's intent/slot labels, in
+    document order and interned, are kept as ``labels``; they feed the
+    output index and template matching, so no exemplar is parsed twice.
+    """
 
     exemplar_id: int
     utterance: str
     parse: str
     domain: str | None = None
+    labels: tuple[str, ...] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        for name in ("utterance", "parse"):
+            value = getattr(self, name)
+            if not isinstance(value, str):
+                raise MalformedRow(
+                    f"{name} must be a string, got {type(value).__name__}")
+        if not self.utterance.strip():
+            raise MalformedRow("empty utterance")
+        check_separator_safe(self.utterance)
+        check_separator_safe(self.parse)
+        labels = structure_tokens(parse_top(self.parse))
+        object.__setattr__(self, "labels", tuple(map(sys.intern, labels)))
 
 
 @dataclass(frozen=True)
@@ -108,19 +134,16 @@ class InvertedIndex:
 class ExemplarStore:
     """Exemplars plus lazily built input/output indexes.
 
-    Parses are validated on insertion, so every stored parse is well
-    formed. The validating parse's intent/slot labels are kept, as a tuple
-    of interned strings per exemplar, and feed the output index and
-    template matching, so no stored parse is parsed twice. Mutation marks
-    the indexes stale; they are rebuilt on first use. Rebuilding is a pure
-    function of the exemplar set, so a store reloaded from disk scores
-    identically.
+    Every :class:`Exemplar` was checked when it was constructed, so the
+    store only refuses a duplicate id, and its output index is fitted from
+    the labels each exemplar kept. Mutation marks the indexes stale; they
+    are rebuilt on first use. Rebuilding is a pure function of the
+    exemplar set, so a store reloaded from disk scores identically.
     """
 
     def __init__(self, config: TfidfConfig = TfidfConfig()):
         self.config = config
         self._exemplars: dict[int, Exemplar] = {}
-        self._labels: dict[int, tuple[str, ...]] = {}
         self._dirty = True
         self._ids: np.ndarray = np.empty(0, dtype=np.int64)
         self._input_index: InvertedIndex | None = None
@@ -129,9 +152,7 @@ class ExemplarStore:
     def add(self, exemplar: Exemplar) -> None:
         if exemplar.exemplar_id in self._exemplars:
             raise DuplicateId(f"exemplar id {exemplar.exemplar_id} already present")
-        labels = structure_tokens(parse_top(exemplar.parse))
         self._exemplars[exemplar.exemplar_id] = exemplar
-        self._labels[exemplar.exemplar_id] = tuple(map(sys.intern, labels))
         self._dirty = True
 
     def add_many(self, exemplars: Iterable[Exemplar]) -> None:
@@ -150,13 +171,6 @@ class ExemplarStore:
         except KeyError:
             raise RecordNotFound(f"no exemplar with id {exemplar_id}") from None
 
-    def labels(self, exemplar_id: int) -> tuple[str, ...]:
-        """The intent/slot labels of an exemplar's parse, in document order."""
-        try:
-            return self._labels[exemplar_id]
-        except KeyError:
-            raise RecordNotFound(f"no exemplar with id {exemplar_id}") from None
-
     @property
     def exemplars(self) -> list[Exemplar]:
         """All exemplars in ascending id order."""
@@ -171,7 +185,7 @@ class ExemplarStore:
         self._input_index = InvertedIndex(
             [tokenize_text(e.utterance) for e in ordered], self.config)
         self._output_index = InvertedIndex(
-            [self._labels[e.exemplar_id] for e in ordered], self.config)
+            [e.labels for e in ordered], self.config)
         self._dirty = False
 
     def ensure_built(self) -> None:

@@ -74,7 +74,6 @@ class TfidfVectorizer:
         self.config = config
         self.vocabulary_: dict[str, int] = {}
         self.idf_: np.ndarray = _EMPTY_WEIGHTS
-        self.n_docs_: int = 0
 
     def fit(self, docs: Sequence[Sequence[str]]) -> "TfidfVectorizer":
         self.fit_transform(docs)
@@ -114,7 +113,6 @@ class TfidfVectorizer:
             raise EmptyCorpus("cannot fit a vectorizer on zero documents")
         vocabulary = {t: i for i, t in enumerate(sorted(set().union(*docs)))}
         self.vocabulary_ = vocabulary
-        self.n_docs_ = n_docs
         n_terms = len(vocabulary)
 
         # one int64 key per token, doc * n_terms + term, so a single sort

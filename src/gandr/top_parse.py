@@ -10,9 +10,8 @@ token is utterance text attached to the enclosing node, e.g.::
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 
 from .errors import MalformedParse
 
@@ -20,6 +19,10 @@ INTENT_PREFIX = "IN:"
 SLOT_PREFIX = "SL:"
 
 _TOKEN_RE = re.compile(r"\[|\]|[^\[\]\s]+")
+# anything shaped like a label, for predictions that do not parse
+_FALLBACK_RE = re.compile(
+    rf"(?:{re.escape(INTENT_PREFIX)}|{re.escape(SLOT_PREFIX)})\w+",
+    re.IGNORECASE)
 
 
 class NodeKind(Enum):
@@ -49,13 +52,9 @@ class ParseNode:
 
 @dataclass(frozen=True)
 class ParseTree:
-    """A parsed intent/slot tree plus the string it came from.
-
-    Equality is structural; ``source`` is kept for diagnostics only.
-    """
+    """A parsed intent/slot tree; equality is structural."""
 
     root: ParseNode
-    source: str = field(compare=False, default="")
 
 
 @dataclass(frozen=True, order=True)
@@ -85,21 +84,20 @@ class Template:
         return self.as_set() == other.as_set()
 
 
-def _classify(label: str, intent_prefix: str, slot_prefix: str) -> NodeKind:
-    if label.startswith(intent_prefix):
-        if len(label) == len(intent_prefix):
+def _classify(label: str) -> NodeKind:
+    if label.startswith(INTENT_PREFIX):
+        if len(label) == len(INTENT_PREFIX):
             raise MalformedParse(f"empty intent name: {label!r}")
         return NodeKind.INTENT
-    if label.startswith(slot_prefix):
-        if len(label) == len(slot_prefix):
+    if label.startswith(SLOT_PREFIX):
+        if len(label) == len(SLOT_PREFIX):
             raise MalformedParse(f"empty slot name: {label!r}")
         return NodeKind.SLOT
     raise MalformedParse(f"label {label!r} matches neither prefix "
-                         f"{intent_prefix!r} nor {slot_prefix!r}")
+                         f"{INTENT_PREFIX!r} nor {SLOT_PREFIX!r}")
 
 
-def parse_top(text: str, intent_prefix: str = INTENT_PREFIX,
-              slot_prefix: str = SLOT_PREFIX) -> ParseTree:
+def parse_top(text: str) -> ParseTree:
     """Parse a bracketed intent/slot string into a ParseTree.
 
     Labels are upper-cased to canonical form. Raises MalformedParse for
@@ -110,7 +108,7 @@ def parse_top(text: str, intent_prefix: str = INTENT_PREFIX,
     if not isinstance(text, str) or not text.strip():
         raise MalformedParse("empty input")
 
-    tokens = _TOKEN_RE.findall(text)
+    tokens = iter(_TOKEN_RE.findall(text))
     root: ParseNode | None = None
     stack: list[tuple[str, NodeKind, list]] = []
     words: list[str] = []
@@ -120,15 +118,14 @@ def parse_top(text: str, intent_prefix: str = INTENT_PREFIX,
             stack[-1][2].append(TextSpan(" ".join(words)))
             words.clear()
 
-    i = 0
-    while i < len(tokens):
-        tok = tokens[i]
+    for tok in tokens:
         if tok == "[":
-            i += 1
-            if i >= len(tokens) or tokens[i] in ("[", "]"):
+            # the end of input counts as a missing label too
+            label = next(tokens, "]")
+            if label in ("[", "]"):
                 raise MalformedParse("missing label after '['")
-            label = tokens[i].upper()
-            kind = _classify(label, intent_prefix.upper(), slot_prefix.upper())
+            label = label.upper()
+            kind = _classify(label)
             if not stack:
                 if root is not None:
                     raise MalformedParse("more than one top-level node")
@@ -151,13 +148,12 @@ def parse_top(text: str, intent_prefix: str = INTENT_PREFIX,
             if not stack:
                 raise MalformedParse(f"text outside brackets: {tok!r}")
             words.append(tok)
-        i += 1
 
     if stack:
         raise MalformedParse("unbalanced '['")
     if root is None:
         raise MalformedParse("no parse found")
-    return ParseTree(root=root, source=text)
+    return ParseTree(root=root)
 
 
 def serialize(tree: ParseTree) -> str:
@@ -190,15 +186,7 @@ def extract_template(tree: ParseTree) -> Template:
     return Template.from_labels(_labels_in_order(tree.root, []))
 
 
-@lru_cache(maxsize=8)
-def _fallback_pattern(intent_prefix: str, slot_prefix: str) -> re.Pattern:
-    alt = "|".join(re.escape(p) for p in (intent_prefix, slot_prefix))
-    return re.compile(rf"(?:{alt})\w+", re.IGNORECASE)
-
-
-def structure_tokens(parse_or_text: ParseTree | str,
-                     intent_prefix: str = INTENT_PREFIX,
-                     slot_prefix: str = SLOT_PREFIX) -> list[str]:
+def structure_tokens(parse_or_text: ParseTree | str) -> list[str]:
     """Intent/slot labels of a parse as a token list, in document order.
 
     Accepts a ParseTree or a raw string. Unparseable strings (malformed
@@ -209,8 +197,7 @@ def structure_tokens(parse_or_text: ParseTree | str,
     if isinstance(parse_or_text, ParseTree):
         return _labels_in_order(parse_or_text.root, [])
     try:
-        tree = parse_top(parse_or_text, intent_prefix, slot_prefix)
+        tree = parse_top(parse_or_text)
     except MalformedParse:
-        pattern = _fallback_pattern(intent_prefix, slot_prefix)
-        return [m.group(0).upper() for m in pattern.finditer(parse_or_text)]
+        return [m.group(0).upper() for m in _FALLBACK_RE.finditer(parse_or_text)]
     return _labels_in_order(tree.root, [])

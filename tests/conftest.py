@@ -6,6 +6,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from gandr import Exemplar, ExemplarStore
 
@@ -96,6 +97,18 @@ def random_parse(rng: np.random.Generator) -> str:
         parts.extend(["[" + slot, value, "]"])
     parts.append("]")
     return " ".join(parts)
+
+
+def _no_surrogate_pair(text: str) -> bool:
+    return not any("\ud800" <= a <= "\udbff" and "\udc00" <= b <= "\udfff"
+                   for a, b in zip(text, text[1:]))
+
+
+# Any unicode text, lone surrogates included. A high surrogate directly
+# followed by a low one is left out: written as JSON escapes, the two read
+# back as the one character they encode.
+any_text = st.text(st.characters(exclude_categories=())).filter(
+    _no_surrogate_pair)
 
 
 def make_random_corpus(rng: np.random.Generator, n_docs: int,

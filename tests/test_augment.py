@@ -85,17 +85,18 @@ def test_separator_collision_in_query(bad):
 
 
 def test_separator_collision_in_exemplar_fields():
+    # exemplar fields are checked once, when the exemplar is constructed
     with pytest.raises(SeparatorCollision):
-        build_augmented_input("q", [Exemplar(0, "a & b", "[IN:X y ]")])
+        Exemplar(0, "a & b", "[IN:X y ]")
     with pytest.raises(SeparatorCollision):
         check_separator_safe("left || right")
     # the join puts a space beside each field, so an edge can complete one
     with pytest.raises(SeparatorCollision):
-        build_augmented_input("q", [Exemplar(0, "u ||", "[IN:P x ]")])
+        Exemplar(0, "u ||", "[IN:P x ]")
     with pytest.raises(SeparatorCollision):
-        build_augmented_input("q", [Exemplar(0, "|| u", "[IN:P x ]")])
+        Exemplar(0, "|| u", "[IN:P x ]")
     with pytest.raises(SeparatorCollision):
-        build_augmented_input("q", [Exemplar(0, "u &", "[IN:P x ]")])
+        Exemplar(0, "u &", "[IN:P x ]")
 
 
 def test_ambiguous_characters_without_spaces_are_fine():
@@ -134,7 +135,7 @@ _parse = _field.map(lambda val: f"[IN:P [SL:Q {val} ] ]").filter(
 
 def test_separator_formed_by_the_parse_is_rejected():
     with pytest.raises(SeparatorCollision):
-        build_augmented_input("q", [Exemplar(0, "u", "[IN:P [SL:Q & ] ]")])
+        Exemplar(0, "u", "[IN:P [SL:Q & ] ]")
 
 
 @settings(max_examples=200, deadline=None)

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from conftest import TRACE_EXEMPLARS, TRACE_GOLD, TRACE_PRELIMINARY, TRACE_QUERY
-from gandr import cli, evaluation
+from gandr import cli, data_io, evaluation, retrieval, top_parse
 from gandr.augment import split_augmented
 from gandr.cli import main
 from gandr.data_io import load_store, read_records
@@ -63,6 +63,36 @@ class TestIndex:
         assert main(["index", "--data", str(data), "--out", str(out)]) == 1
         assert "error: store has no exemplars" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.tsv"]
+
+    def test_parses_each_row_once(self, tmp_path, dataset, monkeypatch):
+        calls = []
+        for module in (data_io, retrieval, top_parse):
+            if hasattr(module, "parse_top"):
+                def counting(text, parse=module.parse_top):
+                    calls.append(text)
+                    return parse(text)
+                monkeypatch.setattr(module, "parse_top", counting)
+        assert main(["index", "--data", str(dataset),
+                     "--out", str(tmp_path / "s.store")]) == 0
+        assert sorted(calls) == sorted(e.parse for e in TRACE_EXEMPLARS)
+
+    def test_lone_surrogate_row_is_stored_and_run(self, tmp_path, capsys):
+        # the escape reads back as a lone surrogate, which utf-8 cannot
+        # encode; writers escape it again instead of failing
+        data = tmp_path / "d.jsonl"
+        data.write_text('{"utterance": "weather \\ud800 in paris", '
+                        '"parse": "[IN:GET_WEATHER ]"}\n', encoding="utf-8")
+        store, records = tmp_path / "s.store", tmp_path / "r.jsonl"
+        assert main(["index", "--data", str(data), "--out", str(store)]) == 0
+        [exemplar] = load_store(store).exemplars
+        assert exemplar.utterance == "weather \ud800 in paris"
+        assert main(["run", "--store", str(store), "--data", str(data),
+                     "--k", "1", "--final-endpoint", f"oracle:{data}",
+                     "--record-final", str(tmp_path / "f.jsonl"),
+                     "--out", str(records)]) == 0
+        [record] = read_records(records)
+        assert record.query == exemplar.utterance
+        assert record.final == exemplar.parse
 
     def test_bad_split_exits_2(self, tmp_path, dataset):
         assert main(["index", "--data", str(dataset), "--split", "half",
@@ -295,6 +325,16 @@ class TestEmitTrain:
         assert code == 2
         assert "preliminaries" in capsys.readouterr().err
 
+    def test_stage2_null_preliminary_endpoint_exits_2(self, tmp_path, store,
+                                                      capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"preliminary_endpoint": None}))
+        code = main(["--config", str(config), "emit-train", "--store",
+                     str(store), "--stage", "2",
+                     "--out", str(tmp_path / "t.jsonl")])
+        assert code == 2
+        assert "preliminaries" in capsys.readouterr().err
+
     def test_stage2_from_records(self, tmp_path, store, dataset):
         records = tmp_path / "records.jsonl"
         main(["run", "--store", str(store), "--data", str(dataset),
@@ -415,6 +455,18 @@ class TestConfigResolution:
         assert code == 0
         sidecar = json.loads((tmp_path / "r.jsonl.config.json").read_text())
         assert sidecar["final_endpoint"] == f"oracle:{dataset}"
+
+    @pytest.mark.parametrize("key, value", [("mode", "bogus"),
+                                            ("failure_policy", "sometimes")])
+    def test_bad_enum_in_config_exits_2(self, tmp_path, store, dataset,
+                                        capsys, key, value):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: value,
+                                      "final_endpoint": "static:x"}))
+        code = main(["--config", str(config), "run", "--store", str(store),
+                     "--data", str(dataset), "--out", str(tmp_path / "r.jsonl")])
+        assert code == 2
+        assert f"bad value for {key}: {value!r}" in capsys.readouterr().err
 
     def test_bad_config_file_exits_2(self, tmp_path, store, dataset, capsys):
         config = tmp_path / "config.json"

@@ -3,9 +3,11 @@ import os
 import tempfile
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import any_text
+from gandr.augment import AugmentedInput
 from gandr.data_io import (
     FixedCount,
     Fraction,
@@ -31,8 +33,9 @@ from gandr.errors import (
     MalformedRow,
     VersionMismatch,
 )
-from gandr.pipeline import TrainingPair
-from gandr.retrieval import Exemplar, ExemplarStore
+from gandr.generator import ReplayGenerator
+from gandr.pipeline import PredictionRecord, TrainingPair
+from gandr.retrieval import Exemplar, ExemplarStore, ScoredExemplar
 from gandr.tfidf import TfidfConfig
 
 GOOD_PARSE = "[IN:GET_WEATHER [SL:LOCATION paris ] ]"
@@ -122,6 +125,25 @@ class TestReadJsonl:
         result = read_jsonl(path)
         assert [e.utterance for e in result.exemplars] == ["ok"]
         assert [i.line for i in result.issues] == [1, 2]
+
+    def test_non_string_fields_are_issues(self, tmp_path):
+        # a null or a number is a bad row, not the text "None" or "5"
+        rows = [{"utterance": None, "parse": GOOD_PARSE},
+                {"utterance": 5, "parse": GOOD_PARSE},
+                {"utterance": "ok", "parse": None},
+                {"utterance": "ok", "parse": ["[IN:X ]"]},
+                {"utterance": "ok", "parse": GOOD_PARSE}]
+        path = write(tmp_path / "d.jsonl",
+                     "".join(json.dumps(r) + "\n" for r in rows))
+        result = read_jsonl(path)
+        assert [e.utterance for e in result.exemplars] == ["ok"]
+        assert [i.line for i in result.issues] == [1, 2, 3, 4]
+        assert "utterance must be a string, got NoneType" in \
+            result.issues[0].message
+        assert "parse must be a string, got list" in result.issues[3].message
+        with pytest.raises(MalformedRow,
+                           match="line 1: utterance must be a string"):
+            read_jsonl(path, strict=True)
 
 
 class TestLoadDataset:
@@ -225,16 +247,38 @@ class TestStoreFiles:
         assert loaded.config == store.config
 
     @settings(max_examples=100, deadline=None)
-    @given(rows=st.lists(st.tuples(st.text(), st.none() | st.text()),
+    @given(rows=st.lists(st.tuples(any_text, st.none() | any_text),
                          min_size=1, max_size=4))
+    @example(rows=[("weather \ud800 in paris", "\udfff"),
+                   ("cold\u2028out\x85today", None), ("play it ||", None),
+                   (" ", None)])
     def test_round_trip_arbitrary_text(self, rows):
         store = ExemplarStore()
-        store.add_many(Exemplar(i, utterance, GOOD_PARSE, domain)
-                       for i, (utterance, domain) in enumerate(rows))
+        for i, (utterance, domain) in enumerate(rows):
+            padded = f" {utterance} "
+            if not utterance.strip() or " || " in padded or " & " in padded:
+                with pytest.raises(MalformedRow):
+                    Exemplar(i, utterance, GOOD_PARSE, domain)
+            else:
+                store.add(Exemplar(i, utterance, GOOD_PARSE, domain))
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "s.store")
             save_store(store, path)
             assert load_store(path).exemplars == store.exemplars
+
+    @pytest.mark.parametrize("row", [
+        {"utterance": 5, "parse": GOOD_PARSE},
+        # a store written before field edges were checked can hold this
+        {"utterance": "play it ||", "parse": GOOD_PARSE},
+        {"utterance": " ", "parse": GOOD_PARSE},
+        {"utterance": "hi", "parse": "[IN:OPEN no close"},
+    ])
+    def test_rows_a_dataset_rejects_are_corrupt(self, tmp_path, row):
+        header = {"format": "gandr-store", "version": 1, "count": 1}
+        path = write(tmp_path / "s.store", json.dumps(header) + "\n"
+                     + json.dumps(dict(row, exemplar_id=0)) + "\n")
+        with pytest.raises(CorruptFile, match="line 2"):
+            load_store(path)
 
     def test_second_save_is_byte_identical(self, tmp_path):
         store = self.build()
@@ -281,6 +325,10 @@ class TestStoreFiles:
                         "\n".join(lines[:-1] + ["{broken"]) + "\n")
         with pytest.raises(CorruptFile, match="line 4"):
             load_store(garbled)
+        repeated = write(tmp_path / "dup.store",
+                         "\n".join(lines[:-1] + [lines[1]]) + "\n")
+        with pytest.raises(CorruptFile, match="line 4: exemplar id 0"):
+            load_store(repeated)
 
 
 class TestRecordsFiles:
@@ -296,6 +344,28 @@ class TestRecordsFiles:
         write_records(records, path)
         assert read_records(path) == records
 
+    @settings(max_examples=100, deadline=None)
+    @given(rows=st.lists(st.lists(any_text, min_size=6, max_size=6),
+                         max_size=3))
+    @example(rows=[["weather \ud800 in paris", "\udbff", "\u2028", "\x85",
+                    "a\u2029b", "\udc00 \ud800"]])
+    def test_round_trip_arbitrary_text(self, rows):
+        hit = ScoredExemplar(exemplar_id=3, relevance=0.5, input_sim=0.25,
+                             output_sim=1.0, rank=0)
+        records = [
+            PredictionRecord(
+                sample_id=i, query=query, gold=gold, pass1_retrievals=(hit,),
+                pass1_augmented=AugmentedInput(prompt, query, (3,), False),
+                preliminary=preliminary, pass2_retrievals=(hit,),
+                pass2_augmented=AugmentedInput(prompt, query, (3,), True),
+                final=final, status="ok", domain_tag=domain)
+            for i, (query, gold, prompt, preliminary, final, domain)
+            in enumerate(rows)]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "r.jsonl")
+            write_records(records, path)
+            assert read_records(path) == records
+
     def test_corrupt_records(self, tmp_path):
         with pytest.raises(CorruptFile):
             read_records(write(tmp_path / "r.jsonl", "{nope\n"))
@@ -308,9 +378,22 @@ def test_write_training_pairs_is_replay_compatible(tmp_path):
     row = json.loads(path.read_text().splitlines()[0])
     assert row == {"input": "q || a & b", "output": GOOD_PARSE}
 
-    from gandr.generator import ReplayGenerator
     replay = ReplayGenerator.from_path(path)
-    assert replay.generate_one("q || a & b") == GOOD_PARSE
+    assert replay.generate(["q || a & b"])[0] == GOOD_PARSE
+
+
+@settings(max_examples=100, deadline=None)
+@given(pairs=st.dictionaries(any_text, any_text, max_size=4))
+@example(pairs={"weather \ud800 in paris": "\udfff", "\u2028": "\x85"})
+def test_training_pairs_read_back_as_replay_log(pairs):
+    training = [TrainingPair(i, text, target, ())
+                for i, (text, target) in enumerate(pairs.items())]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "train.jsonl")
+        write_training_pairs(training, path)
+        replay = ReplayGenerator.from_path(path)
+    assert len(replay) == len(pairs)
+    assert replay.generate(list(pairs)) == list(pairs.values())
 
 
 class TestAtomicWrite:

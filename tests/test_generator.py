@@ -1,10 +1,15 @@
 import json
+import tempfile
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from conftest import any_text
 from gandr.errors import (
     CorruptFile,
     GenerationTimeout,
@@ -27,7 +32,7 @@ from gandr.retrieval import Exemplar
 def test_static_answers_everything():
     gen = StaticGenerator("[IN:X y ]")
     assert gen.generate(["a", "b"]) == ["[IN:X y ]", "[IN:X y ]"]
-    assert gen.generate_one("anything") == "[IN:X y ]"
+    assert gen.generate(["anything"])[0] == "[IN:X y ]"
 
 
 class TestOracleLookup:
@@ -100,6 +105,19 @@ def test_recording_round_trips_into_replay(tmp_path):
     recorder.generate(["p3"])
     replay = ReplayGenerator.from_path(log)
     assert replay.generate(["p1", "p2", "p3"]) == ["out", "out", "out"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(traffic=st.dictionaries(any_text, any_text, max_size=4))
+@example(traffic={"weather \ud800 in paris": "[IN:X \udfff ]",
+                  "\u2028": "\x85"})
+def test_recording_round_trips_arbitrary_text(traffic):
+    with tempfile.TemporaryDirectory() as tmp:
+        log = Path(tmp) / "log.jsonl"
+        recorder = RecordingGenerator(ReplayGenerator(traffic), log)
+        assert recorder.generate(list(traffic)) == list(traffic.values())
+        replay = ReplayGenerator.from_path(log)
+    assert replay.generate(list(traffic)) == list(traffic.values())
 
 
 class StubHandler(BaseHTTPRequestHandler):

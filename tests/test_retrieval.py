@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -11,7 +12,9 @@ from gandr.errors import (
     DuplicateId,
     EmptyCorpus,
     MalformedParse,
+    MalformedRow,
     RecordNotFound,
+    SeparatorCollision,
     StoreTooSmall,
 )
 from gandr.retrieval import (
@@ -40,6 +43,27 @@ def assert_same_index(index, expected):
     for name in ("post_indptr", "post_doc_ids", "post_weights"):
         assert getattr(index, name).tobytes() == \
             getattr(expected, name).tobytes()
+
+
+class TestExemplar:
+    @pytest.mark.parametrize("utterance, parse, error", [
+        (None, "[IN:A x ]", MalformedRow),
+        ("hi", b"[IN:A x ]", MalformedRow),
+        (" \t", "[IN:A x ]", MalformedRow),
+        ("a & b", "[IN:A x ]", SeparatorCollision),
+        ("hi", "[IN:A [SL:B x ] ] ||", SeparatorCollision),
+        ("hi", "", MalformedParse),
+        ("hi", "[SL:A x ]", MalformedParse),
+    ])
+    def test_construction_checks_the_row(self, utterance, parse, error):
+        with pytest.raises(error):
+            Exemplar(0, utterance, parse)
+
+    def test_keeps_interned_labels_in_document_order(self):
+        exemplar = Exemplar(0, "hi", "[in:b [sl:z x ] [sl:a y ] ]")
+        assert exemplar.labels == ("IN:B", "SL:Z", "SL:A")
+        assert all(label is sys.intern(label) for label in exemplar.labels)
+        assert exemplar == Exemplar(0, "hi", "[in:b [sl:z x ] [sl:a y ] ]")
 
 
 class TestStore:
@@ -87,15 +111,15 @@ class TestStore:
 
     def test_rejected_add_keeps_no_labels(self, tiny_store):
         fresh = build_store(tiny_store.exemplars)
-        labels = tiny_store.labels(0)
+        labels = tiny_store.get(0).labels
         with pytest.raises(DuplicateId):
             tiny_store.add(Exemplar(0, "again", "[IN:OTHER [SL:X y ] ]"))
         with pytest.raises(MalformedParse):
             tiny_store.add(Exemplar(99, "text", "[IN:OPEN [SL:X no close"))
-        assert tiny_store.labels(0) == labels == ("IN:PLAY_MUSIC",
-                                                  "SL:MUSIC_GENRE")
+        assert tiny_store.get(0).labels == labels == ("IN:PLAY_MUSIC",
+                                                      "SL:MUSIC_GENRE")
         with pytest.raises(RecordNotFound):
-            tiny_store.labels(99)
+            tiny_store.get(99)
         tiny_store.build()
         fresh.build()
         assert tiny_store._ids.tolist() == fresh._ids.tolist()

@@ -123,14 +123,6 @@ def test_structure_tokens_salvages_malformed_predictions():
     assert structure_tokens("") == []
 
 
-def test_custom_prefixes():
-    tree = parse_top("[TOP:ROOT [ARG:X hello ] ]", intent_prefix="TOP:",
-                     slot_prefix="ARG:")
-    assert tree.root.kind is NodeKind.INTENT
-    assert structure_tokens("[TOP:ROOT [ARG:X hi", intent_prefix="TOP:",
-                            slot_prefix="ARG:") == ["TOP:ROOT", "ARG:X"]
-
-
 def _compose(node_spec, out):
     """Render a nested (label, children) spec to canonical tokens by hand."""
     label, children = node_spec
