@@ -28,6 +28,7 @@ import sys
 import numpy as np
 
 from . import __version__
+from .augment import check_separator_safe
 from .data_io import (
     LoadResult,
     apply_split,
@@ -41,7 +42,7 @@ from .data_io import (
     write_training_pairs,
     atomic_write_text,
 )
-from .errors import ConfigError, EmptyCorpus, GandrError
+from .errors import ConfigError, EmptyCorpus, GandrError, SeparatorCollision
 from .evaluation import (
     SweepAxis,
     evaluate,
@@ -204,6 +205,16 @@ def _comma_ints(text: str) -> list[int]:
         raise ConfigError(f"bad integer list {text!r}") from exc
 
 
+def _checked_query(query: str) -> str:
+    """A ``--query`` that can head a prompt; one that cannot is a usage
+    error."""
+    try:
+        check_separator_safe(query)
+    except SeparatorCollision as exc:
+        raise ConfigError(str(exc)) from exc
+    return query
+
+
 def _print_hits(store: ExemplarStore, hits, indent: str = "") -> None:
     print(f"{indent}rank\tid\trelevance\tinput_sim\toutput_sim\tutterance\tparse")
     for hit in hits:
@@ -231,10 +242,11 @@ def cmd_index(args, config: dict) -> int:
 
 
 def cmd_retrieve(args, config: dict) -> int:
+    query = _checked_query(args.query)
     store = load_store(args.store)
     alpha = _resolve(args.alpha, None, config, "alpha", 0.0, float)
     k = _resolve(args.k, None, config, "k", DEFAULT_K, int)
-    hits = retrieve_topk(store, args.query, k, alpha=alpha,
+    hits = retrieve_topk(store, query, k, alpha=alpha,
                          preliminary=args.preliminary)
     if args.json:
         for hit in hits:
@@ -375,10 +387,11 @@ def cmd_emit_train(args, config: dict) -> int:
 
 
 def cmd_trace(args, config: dict) -> int:
+    query = _checked_query(args.query)
     store = load_store(args.store)
     pipeline_config = _pipeline_config(args, config)
     preliminary, final, _ = _endpoint_pair(args, config)
-    sample = Sample(sample_id=0, utterance=args.query, gold=args.gold)
+    sample = Sample(sample_id=0, utterance=query, gold=args.gold)
     record = run_pipeline(store, [sample], preliminary, final,
                           pipeline_config)[0]
     if args.json:

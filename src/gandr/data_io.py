@@ -19,7 +19,7 @@ import os
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -69,6 +69,26 @@ def atomic_write_text(path: str | Path, text: str) -> None:
         raise
 
 
+def numbered_lines(path: str | Path) -> Iterator[tuple[int, bytes]]:
+    """The lines of a file, numbered from 1 and still encoded, split where
+    text mode splits them: at \\n, \\r\\n or \\r. Readers decode each line
+    on its own, so a byte that is not UTF-8 can be reported with its line.
+    """
+    lineno = 0
+    with open(path, "rb") as fh:
+        for chunk in fh:
+            for raw in chunk.splitlines(keepends=True):
+                lineno += 1
+                yield lineno, raw
+
+
+def _decoded_row(raw: bytes, lineno: int) -> str:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedRow(f"not UTF-8: {exc}", lineno) from exc
+
+
 def _exemplar(exemplar_id: int, utterance, parse, domain: str | None,
               line: int) -> Exemplar:
     """The row as an exemplar; the type's error gains the line number."""
@@ -86,22 +106,21 @@ def _load(path: str | Path, parse_line, skip_first: bool,
     exemplars: list[Exemplar] = []
     issues: list[LoadIssue] = []
     next_id = 0
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            if skip_first and lineno == 1:
+    for lineno, raw in numbered_lines(path):
+        if skip_first and lineno == 1:
+            continue
+        try:
+            parsed = parse_line(lineno, _decoded_row(raw, lineno))
+            if parsed is None:
                 continue
-            try:
-                parsed = parse_line(lineno, raw)
-                if parsed is None:
-                    continue
-                exemplar = _exemplar(next_id, *parsed, lineno)
-            except MalformedRow as exc:
-                if strict:
-                    raise
-                issues.append(LoadIssue(line=lineno, message=str(exc)))
-                continue
-            exemplars.append(exemplar)
-            next_id += 1
+            exemplar = _exemplar(next_id, *parsed, lineno)
+        except MalformedRow as exc:
+            if strict:
+                raise
+            issues.append(LoadIssue(line=lineno, message=str(exc)))
+            continue
+        exemplars.append(exemplar)
+        next_id += 1
     return LoadResult(exemplars=exemplars, issues=issues)
 
 
@@ -260,16 +279,15 @@ def save_store(store: ExemplarStore, path: str | Path) -> None:
 
 def load_store(path: str | Path) -> ExemplarStore:
     """Rebuild a store from disk; indexes are refit from the rows."""
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    if not text:
+    # rows keep U+0085, U+2028 and the like unescaped; the lines are split
+    # before decoding, so only ASCII line breaks end a row
+    lines = numbered_lines(path)
+    first = next(lines, None)
+    if first is None:
         raise CorruptFile(f"{path}: empty store file")
-    # rows keep U+0085, U+2028 and the like unescaped, and str.splitlines
-    # would break a row at them
-    lines = text.split("\n")
     try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
+        header = json.loads(first[1].decode("utf-8"))
+    except ValueError as exc:
         raise CorruptFile(f"{path}: bad header line: {exc}") from exc
     if not isinstance(header, dict) or header.get("format") != STORE_FORMAT:
         raise VersionMismatch(f"{path}: not a {STORE_FORMAT} file")
@@ -282,10 +300,11 @@ def load_store(path: str | Path) -> ExemplarStore:
         sublinear_tf=bool(config.get("sublinear_tf", False)),
         normalize=bool(config.get("normalize", True))))
     count = 0
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
+    for lineno, raw in lines:
         try:
+            line = raw.decode("utf-8")
+            if not line.strip():
+                continue
             row = json.loads(line)
             exemplar = Exemplar(
                 exemplar_id=int(row["exemplar_id"]),
@@ -308,15 +327,14 @@ def write_records(records: Sequence[PredictionRecord], path: str | Path) -> None
 
 def read_records(path: str | Path) -> list[PredictionRecord]:
     records: list[PredictionRecord] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
+    for lineno, raw in numbered_lines(path):
+        try:
+            line = raw.decode("utf-8").strip()
             if not line:
                 continue
-            try:
-                records.append(PredictionRecord.from_dict(json.loads(line)))
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise CorruptFile(f"{path}: line {lineno}: {exc}") from exc
+            records.append(PredictionRecord.from_dict(json.loads(line)))
+        except (ValueError, KeyError, TypeError) as exc:
+            raise CorruptFile(f"{path}: line {lineno}: {exc}") from exc
     return records
 
 

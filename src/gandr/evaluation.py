@@ -15,7 +15,12 @@ from typing import Mapping, Sequence
 
 from .data_io import Fraction, apply_split
 from .errors import ConfigError, MissingGold
-from .pipeline import PipelineConfig, PredictionRecord, Sample, run_pipeline
+from .pipeline import (
+    PipelineConfig,
+    PredictionRecord,
+    Sample,
+    run_pipeline_grid,
+)
 from .retrieval import ExemplarStore
 from .top_parse import Template, extract_template, parse_top
 
@@ -134,11 +139,19 @@ def run_sweep(store: ExemplarStore, samples: Sequence[Sample],
               values: Sequence[float | int], seeds: Sequence[int],
               recall_k: int | None = None,
               sample_fraction: float | None = None) -> list[SweepRow]:
-    """Re-run the pipeline per (value, seed) and score each run.
+    """Score the pipeline at each axis value for each seed; one row per
+    (value, seed), values outer.
 
-    The axis value overrides alpha or k in the base config. The seed
-    subsamples the evaluation set when ``sample_fraction`` is given;
-    otherwise runs are deterministic and the seed is a row label only.
+    The axis value overrides alpha or k in the base config; every value
+    is checked before any sample runs. The seed subsamples the evaluation
+    set when ``sample_fraction`` is given; otherwise the seed is a row
+    label only. The pipeline runs once, through ``run_pipeline_grid``,
+    over the union of the seeds' subsets, and each row scores its own
+    subset's records in subset order. So a sample's first pass runs once
+    per k value, whatever the alphas and seeds, and every alpha builds on
+    the same preliminary. Given endpoints that answer a prompt the same
+    way every time, the rows equal those of a separate ``run_pipeline``
+    per (value, seed).
     """
     if not values or not seeds:
         raise ConfigError("sweep needs at least one value and one seed")
@@ -146,19 +159,23 @@ def run_sweep(store: ExemplarStore, samples: Sequence[Sample],
     if sample_fraction is not None and not 0.0 < sample_fraction <= 1.0:
         raise ConfigError(
             f"sample fraction must lie in (0, 1], got {sample_fraction}")
+    if axis is SweepAxis.ALPHA:
+        configs = [replace(base_config, alpha=float(v)) for v in values]
+    else:
+        configs = [replace(base_config, k=int(v)) for v in values]
+    positions = range(len(samples))
+    subsets = [positions if sample_fraction is None
+               else apply_split(positions, Fraction(sample_fraction), seed)
+               for seed in seeds]
+    union = sorted(set().union(*subsets))
+    at = {i: n for n, i in enumerate(union)}
+    runs = run_pipeline_grid(store, [samples[i] for i in union],
+                             preliminary_generator, final_generator, configs)
     rows: list[SweepRow] = []
-    for value in values:
-        if axis is SweepAxis.ALPHA:
-            config = replace(base_config, alpha=float(value))
-        else:
-            config = replace(base_config, k=int(value))
-        for seed in seeds:
-            chosen = samples
-            if sample_fraction is not None:
-                chosen = apply_split(samples, Fraction(sample_fraction), seed)
-            records = run_pipeline(store, chosen, preliminary_generator,
-                                   final_generator, config)
-            report = evaluate(records, store, k=recall_k)
+    for value, records in zip(values, runs):
+        for seed, subset in zip(seeds, subsets):
+            report = evaluate([records[at[i]] for i in subset], store,
+                              k=recall_k)
             rows.append(SweepRow(value=value, seed=int(seed),
                                  exact_match=report.exact_match,
                                  template_recall=report.template_recall))

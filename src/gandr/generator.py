@@ -24,6 +24,7 @@ from typing import Iterable, Mapping, Sequence
 import requests
 
 from .augment import EXEMPLAR_SEP
+from .data_io import numbered_lines
 from .errors import (
     CorruptFile,
     GenerationTimeout,
@@ -93,23 +94,22 @@ class ReplayGenerator(Generator):
     @classmethod
     def from_path(cls, path: str | Path) -> "ReplayGenerator":
         mapping: dict[str, str] = {}
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
+        for lineno, raw in numbered_lines(path):
+            try:
+                line = raw.decode("utf-8").strip()
                 if not line:
                     continue
-                try:
-                    entry = json.loads(line)
-                    text, output = entry["input"], entry["output"]
-                except (json.JSONDecodeError, TypeError, KeyError) as exc:
-                    raise CorruptFile(
-                        f"{path}: line {lineno} is not a replay entry: {exc}"
-                    ) from exc
-                if text in mapping and mapping[text] != output:
-                    raise ReplayConflict(
-                        f"{path}: line {lineno} repeats an input with a "
-                        f"different output: {text!r}")
-                mapping[text] = output
+                entry = json.loads(line)
+                text, output = entry["input"], entry["output"]
+            except (ValueError, TypeError, KeyError) as exc:
+                raise CorruptFile(
+                    f"{path}: line {lineno} is not a replay entry: {exc}"
+                ) from exc
+            if text in mapping and mapping[text] != output:
+                raise ReplayConflict(
+                    f"{path}: line {lineno} repeats an input with a "
+                    f"different output: {text!r}")
+            mapping[text] = output
         return cls(mapping)
 
     def __len__(self) -> int:

@@ -9,7 +9,9 @@ mixed in (weight ``alpha``), and prompts the final endpoint. Modes:
 * OUTPUT_ONLY: both passes, second pass pinned to alpha 1.
 
 Both passes are one step: retrieve and prompt per sample, then generate
-in bulk. Retrieval runs on one thread. A query orders only the head of its
+in bulk. ``run_pipeline_grid`` runs several configs that differ only in
+alpha from one first pass, and their second passes score each sample
+once and mix the scores per alpha. Retrieval runs on one thread. A query orders only the head of its
 candidates, so what is left of its cost is mostly Python holding the
 interpreter lock, and a second thread was measured slower than one at
 every store size from 20k to 100k exemplars.
@@ -25,7 +27,7 @@ inputs produce byte-identical record files.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Collection, Mapping, Sequence
 
@@ -38,6 +40,7 @@ from .retrieval import (
     ScoredExemplar,
     retrieve_sampled,
     retrieve_topk,
+    retrieve_topk_alphas,
     validate_alpha,
 )
 
@@ -193,45 +196,59 @@ def _bulk_generate(generator, prompts: Sequence[str],
     return outputs
 
 
-def _run_pass(store: ExemplarStore, samples: Sequence[Sample], generator,
-              k: int, budget: int | None, policy: FailurePolicy,
-              alpha: float = 0.0,
-              preliminaries: Sequence[str] | None = None,
-              exclude_self: bool = False):
-    """Retrieve and prompt per sample, then generate for all prompts at
-    once; returns the (hits, augmented input) pairs and the outputs."""
-    steps = []
-    for i, sample in enumerate(samples):
-        hits = retrieve_topk(
-            store, sample.utterance, k, alpha=alpha,
-            preliminary=None if preliminaries is None else preliminaries[i],
-            exclude_ids=self_exclusion(store, sample, exclude_self))
-        exemplars = [store.get(h.exemplar_id) for h in hits]
-        steps.append((tuple(hits), build_augmented_input(sample.utterance,
-                                                         exemplars, budget)))
+def _prompt(store: ExemplarStore, sample: Sample, hits, budget: int | None):
+    """One sample's (hits, augmented input) step."""
+    exemplars = [store.get(h.exemplar_id) for h in hits]
+    return tuple(hits), build_augmented_input(sample.utterance, exemplars,
+                                              budget)
+
+
+def _generate(generator, steps, policy: FailurePolicy):
+    """The steps and their outputs, generated for all prompts at once."""
     return steps, _bulk_generate(generator, [aug.text for _, aug in steps],
                                  policy)
 
 
-def run_pipeline(store: ExemplarStore, samples: Sequence[Sample],
-                 preliminary_generator, final_generator,
-                 config: PipelineConfig = PipelineConfig()) -> list[PredictionRecord]:
-    """Run the full flow over samples; one record per sample, input order."""
-    if not samples:
-        return []
-    single_pass = config.mode is PipelineMode.INPUT_ONLY
-    pass1, outputs1 = _run_pass(
-        store, samples, final_generator if single_pass else preliminary_generator,
-        config.k, config.budget, config.failure_policy)
-    pass2, finals = {}, {}
-    if not single_pass:
-        live = [i for i, out in enumerate(outputs1) if out is not None]
-        steps, outputs2 = _run_pass(
-            store, [samples[i] for i in live], final_generator, config.k,
-            config.budget, config.failure_policy, config.pass2_alpha,
-            [outputs1[i] for i in live])
-        pass2, finals = dict(zip(live, steps)), dict(zip(live, outputs2))
+def _run_pass(store: ExemplarStore, samples: Sequence[Sample], generator,
+              k: int, budget: int | None, policy: FailurePolicy,
+              exclude_self: bool = False):
+    """The first pass: retrieve by input similarity and prompt per sample,
+    then generate; returns the (hits, augmented input) steps and the
+    outputs."""
+    steps = []
+    for sample in samples:
+        hits = retrieve_topk(
+            store, sample.utterance, k,
+            exclude_ids=self_exclusion(store, sample, exclude_self))
+        steps.append(_prompt(store, sample, hits, budget))
+    return _generate(generator, steps, policy)
 
+
+def _run_second_pass(store: ExemplarStore, samples: Sequence[Sample],
+                     preliminaries: Sequence[str], generator, k: int,
+                     budget: int | None, policy: FailurePolicy,
+                     alphas: Sequence[float]):
+    """The second pass at each alpha; returns (steps, outputs) per alpha.
+
+    A sample's similarities are scored once and mixed per alpha, so no
+    more than one sample's score arrays are alive at a time. Each alpha
+    then generates for all its prompts at once.
+    """
+    steps: list[list] = [[] for _ in alphas]
+    for sample, preliminary in zip(samples, preliminaries):
+        hits_by_alpha = retrieve_topk_alphas(store, sample.utterance, k,
+                                             alphas, preliminary)
+        for alpha_steps, hits in zip(steps, hits_by_alpha):
+            alpha_steps.append(_prompt(store, sample, hits, budget))
+    return [_generate(generator, alpha_steps, policy) for alpha_steps in steps]
+
+
+def _records(samples: Sequence[Sample], pass1, outputs1,
+             pass2: Mapping[int, tuple], finals: Mapping[int, str | None],
+             single_pass: bool) -> list[PredictionRecord]:
+    """One record per sample, input order; ``pass2`` and ``finals`` map
+    the position of each sample that reached the second pass to its step
+    and output there."""
     records = []
     for i, (sample, (hits1, aug1)) in enumerate(zip(samples, pass1)):
         hits2, aug2 = pass2.get(i, (None, None))
@@ -246,6 +263,65 @@ def run_pipeline(store: ExemplarStore, samples: Sequence[Sample],
             pass2_retrievals=hits2, pass2_augmented=aug2, final=final,
             status=status, domain_tag=sample.domain))
     return records
+
+
+def _run_alphas(store: ExemplarStore, samples: Sequence[Sample],
+                preliminary_generator, final_generator,
+                config: PipelineConfig,
+                alphas: Sequence[float]) -> list[list[PredictionRecord]]:
+    """The records of ``config`` at each second-pass alpha, in order,
+    from one first pass."""
+    single_pass = config.mode is PipelineMode.INPUT_ONLY
+    pass1, outputs1 = _run_pass(
+        store, samples, final_generator if single_pass else preliminary_generator,
+        config.k, config.budget, config.failure_policy)
+    if single_pass:
+        return [_records(samples, pass1, outputs1, {}, {}, True)] * len(alphas)
+    live = [i for i, out in enumerate(outputs1) if out is not None]
+    runs = _run_second_pass(
+        store, [samples[i] for i in live], [outputs1[i] for i in live],
+        final_generator, config.k, config.budget, config.failure_policy,
+        alphas)
+    return [_records(samples, pass1, outputs1, dict(zip(live, steps)),
+                     dict(zip(live, finals)), False)
+            for steps, finals in runs]
+
+
+def run_pipeline(store: ExemplarStore, samples: Sequence[Sample],
+                 preliminary_generator, final_generator,
+                 config: PipelineConfig = PipelineConfig()) -> list[PredictionRecord]:
+    """Run the full flow over samples; one record per sample, input order."""
+    return run_pipeline_grid(store, samples, preliminary_generator,
+                             final_generator, [config])[0]
+
+
+def run_pipeline_grid(store: ExemplarStore, samples: Sequence[Sample],
+                      preliminary_generator, final_generator,
+                      configs: Sequence[PipelineConfig]
+                      ) -> list[list[PredictionRecord]]:
+    """``run_pipeline`` under each config, in order, doing shared work once.
+
+    The first pass does not depend on alpha, so configs that differ only
+    in alpha share one, and each of its prompts reaches the endpoint
+    once. Their second passes score each live sample's similarities once
+    and mix them per distinct second-pass alpha; each such alpha
+    generates for all its prompts at once. Given endpoints that answer a
+    prompt the same way every time, each config gets the records
+    ``run_pipeline`` would give it alone.
+    """
+    alphas_by_pass1: dict[PipelineConfig, list[float]] = {}
+    for config in configs:
+        alphas = alphas_by_pass1.setdefault(replace(config, alpha=0.0), [])
+        if config.pass2_alpha not in alphas:
+            alphas.append(config.pass2_alpha)
+    runs = {}
+    for pass1_config, alphas in alphas_by_pass1.items():
+        records = _run_alphas(store, samples, preliminary_generator,
+                              final_generator, pass1_config, alphas)
+        runs.update(((pass1_config, alpha), run)
+                    for alpha, run in zip(alphas, records))
+    return [runs[replace(config, alpha=0.0), config.pass2_alpha]
+            for config in configs]
 
 
 def self_exclusion(store: ExemplarStore, sample: Sample,

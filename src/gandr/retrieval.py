@@ -17,6 +17,8 @@ ascending exemplar id. ``retrieve_topk`` takes the head of that ordering;
 probabilities (used to diversify training data, not at inference). Only
 that head is materialised: the k best candidates, or as many as the
 deepest sampled rank needs, found by a partition instead of a full sort.
+``retrieve_topk_alphas`` takes the head at several alphas from one
+scoring of the query, since only the mix depends on alpha.
 """
 
 from __future__ import annotations
@@ -204,21 +206,34 @@ class ExemplarStore:
         assert self._output_index is not None
         return self._output_index
 
+    def similarities(self, query: str,
+                     preliminary: str | None) -> tuple[np.ndarray, np.ndarray]:
+        """(input_sim, output_sim) of every exemplar, in ascending id
+        order; output_sim is zero everywhere without a preliminary."""
+        self.ensure_built()
+        in_sims = self.input_index.scores(tokenize_text(query))
+        if preliminary is None:
+            return in_sims, np.zeros(len(self._exemplars), dtype=np.float64)
+        return in_sims, self.output_index.scores(structure_tokens(preliminary))
+
     def score_all(self, query: str, alpha: float,
                   preliminary: str | None) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Score every exemplar; returns (ids, relevance, input_sim, output_sim)."""
-        alpha = validate_alpha(alpha)
-        self.ensure_built()
-        if alpha > 0.0 and preliminary is None:
-            raise ConfigError("alpha > 0 requires a preliminary parse")
-        n = len(self._exemplars)
-        in_sims = self.input_index.scores(tokenize_text(query))
-        if preliminary is not None:
-            out_sims = self.output_index.scores(structure_tokens(preliminary))
-        else:
-            out_sims = np.zeros(n, dtype=np.float64)
-        relevance = (1.0 - alpha) * in_sims + alpha * out_sims
-        return self._ids, relevance, in_sims, out_sims
+        alpha = _check_mix(alpha, preliminary)
+        in_sims, out_sims = self.similarities(query, preliminary)
+        return self._ids, _mix(in_sims, out_sims, alpha), in_sims, out_sims
+
+
+def _check_mix(alpha: float, preliminary: str | None) -> float:
+    alpha = validate_alpha(alpha)
+    if alpha > 0.0 and preliminary is None:
+        raise ConfigError("alpha > 0 requires a preliminary parse")
+    return alpha
+
+
+def _mix(in_sims: np.ndarray, out_sims: np.ndarray, alpha: float) -> np.ndarray:
+    """Relevance: ``(1 - alpha) * input_sim + alpha * output_sim``."""
+    return (1.0 - alpha) * in_sims + alpha * out_sims
 
 
 def _candidate_order(ids: np.ndarray, relevance: np.ndarray,
@@ -267,14 +282,37 @@ def _hit(scored, i, rank) -> ScoredExemplar:
                           rank=int(rank))
 
 
+def _topk(scored, k: int,
+          exclude_ids: Collection[int]) -> list[ScoredExemplar]:
+    head = _candidate_order(scored[0], scored[1], exclude_ids, k)
+    return [_hit(scored, i, rank) for rank, i in enumerate(head)]
+
+
 def retrieve_topk(store: ExemplarStore, query: str, k: int,
                   alpha: float = 0.0, preliminary: str | None = None,
                   exclude_ids: Collection[int] = ()) -> list[ScoredExemplar]:
     """The k most relevant exemplars, best first."""
     scored = store.score_all(query, alpha, preliminary)
     _check_k(k, store, exclude_ids)
-    head = _candidate_order(scored[0], scored[1], exclude_ids, k)
-    return [_hit(scored, i, rank) for rank, i in enumerate(head)]
+    return _topk(scored, k, exclude_ids)
+
+
+def retrieve_topk_alphas(store: ExemplarStore, query: str, k: int,
+                         alphas: Sequence[float],
+                         preliminary: str | None = None,
+                         exclude_ids: Collection[int] = ()
+                         ) -> list[list[ScoredExemplar]]:
+    """``retrieve_topk`` at each of ``alphas``, in order.
+
+    Only the mix depends on alpha, so the query's similarities are scored
+    once and mixed per alpha with the formula ``score_all`` uses: every
+    hit is bit for bit the one ``retrieve_topk`` returns.
+    """
+    alphas = [_check_mix(alpha, preliminary) for alpha in alphas]
+    in_sims, out_sims = store.similarities(query, preliminary)
+    _check_k(k, store, exclude_ids)
+    return [_topk((store._ids, _mix(in_sims, out_sims, alpha), in_sims, out_sims),
+                  k, exclude_ids) for alpha in alphas]
 
 
 def sample_geometric_ranks(n: int, k: int, p: float,

@@ -94,6 +94,21 @@ class TestIndex:
         assert record.query == exemplar.utterance
         assert record.final == exemplar.parse
 
+    def test_undecodable_row_is_skipped_with_its_line(self, tmp_path,
+                                                       dataset, capsys):
+        rows = dataset.read_bytes().split(b"\n")
+        data = tmp_path / "bytes.tsv"
+        data.write_bytes(b"\n".join([rows[0], b"bad \xff row\t[IN:X ]"]
+                                     + rows[1:]))
+        out = tmp_path / "s.store"
+        assert main(["index", "--data", str(data), "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert "skipped line 2: not UTF-8" in captured.err
+        assert "indexed 8 exemplars (1 rows skipped)" in captured.out
+        assert main(["index", "--data", str(data), "--strict",
+                     "--out", str(out)]) == 1
+        assert "error: line 2: not UTF-8" in capsys.readouterr().err
+
     def test_bad_split_exits_2(self, tmp_path, dataset):
         assert main(["index", "--data", str(dataset), "--split", "half",
                      "--out", str(tmp_path / "s.store")]) == 2
@@ -127,6 +142,13 @@ class TestRetrieve:
                      "--preliminary", TRACE_PRELIMINARY, "--json"]) == 0
         hit = json.loads(capsys.readouterr().out.splitlines()[0])
         assert hit["exemplar_id"] == 4  # the matching CREATE_CALL exemplar
+
+
+    def test_bad_query_exits_2(self, store, capsys):
+        assert main(["retrieve", "--store", str(store), "--query",
+                     "play it ||", "--k", "1"]) == 2
+        assert ("error: field contains the separator ' || ': 'play it ||'"
+                in capsys.readouterr().err)
 
 
 class TestRun:
@@ -292,12 +314,33 @@ class TestSweep:
         def no_run(*args, **kwargs):
             raise AssertionError("the pipeline ran")
 
-        monkeypatch.setattr(evaluation, "run_pipeline", no_run)
+        monkeypatch.setattr(evaluation, "run_pipeline_grid", no_run)
         assert main(["sweep", "--store", str(store), "--data", str(dataset),
                      "--final-endpoint", f"oracle:{dataset}",
                      "--axis", "alpha", "--values", "0,0.75",
                      flag, value]) == 2
         assert message in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("axis, values, message", [
+        ("alpha", "0,1.5", "alpha must lie in [0, 1], got 1.5"),
+        ("k", "2,0", "k must be a positive integer, got 0"),
+    ])
+    def test_bad_value_exits_2_before_any_generation(self, store, dataset,
+                                                      capsys, monkeypatch,
+                                                      axis, values, message):
+        calls = []
+
+        def counting(self, inputs):
+            calls.append(list(inputs))
+            return [self.output for _ in inputs]
+
+        monkeypatch.setattr(StaticGenerator, "generate", counting)
+        assert main(["sweep", "--store", str(store), "--data", str(dataset),
+                     "--final-endpoint", f"static:{TRACE_GOLD}",
+                     "--axis", axis, "--values", values]) == 2
+        assert message in capsys.readouterr().err
+        assert calls == []
 
 
 class TestEmitTrain:
@@ -418,6 +461,13 @@ class TestTrace:
         record = json.loads(capsys.readouterr().out)
         assert record["final"] == TRACE_GOLD
         assert record["status"] == "ok"
+
+
+    def test_bad_query_exits_2(self, store, capsys):
+        assert main(["trace", "--store", str(store), "--query", "play it ||",
+                     "--k", "1", "--final-endpoint", "static:[IN:X ]"]) == 2
+        assert ("error: field contains the separator ' || ': 'play it ||'"
+                in capsys.readouterr().err)
 
 
 class TestConfigResolution:

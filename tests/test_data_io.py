@@ -371,6 +371,70 @@ class TestRecordsFiles:
             read_records(write(tmp_path / "r.jsonl", "{nope\n"))
 
 
+class TestUndecodableBytes:
+    """A byte that is not UTF-8 is reported with its line, never as a
+    UnicodeDecodeError traceback."""
+
+    ROW = f"what is the weather\t{GOOD_PARSE}\n".encode()
+
+    def test_dataset_row_is_an_issue(self, tmp_path):
+        path = tmp_path / "d.tsv"
+        path.write_bytes(self.ROW + b"bad \xff row\t" + GOOD_PARSE.encode()
+                         + b"\n" + self.ROW)
+        result = load_dataset(path)
+        assert [e.exemplar_id for e in result.exemplars] == [0, 1]
+        assert [i.line for i in result.issues] == [2]
+        assert "UTF-8" in result.issues[0].message
+        with pytest.raises(MalformedRow, match="line 2: not UTF-8"):
+            load_dataset(path, strict=True)
+
+    def test_jsonl_row_is_an_issue(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        row = json.dumps({"utterance": "hi there", "parse": GOOD_PARSE})
+        path.write_bytes(b"\xc3\n" + row.encode() + b"\n")
+        result = load_dataset(path)
+        assert len(result.exemplars) == 1
+        assert [i.line for i in result.issues] == [1]
+
+    def test_lines_split_where_text_mode_splits(self, tmp_path):
+        path = tmp_path / "d.tsv"
+        path.write_bytes(self.ROW.replace(b"\n", b"\r\n")
+                         + self.ROW.replace(b"\n", b"\r")
+                         + b"\xff\n" + self.ROW)
+        with open(path, encoding="utf-8", errors="replace") as fh:
+            assert len(fh.readlines()) == 4
+        result = load_dataset(path)
+        assert len(result.exemplars) == 3
+        assert [i.line for i in result.issues] == [3]
+
+    def test_store_row_is_corrupt(self, tmp_path):
+        path = tmp_path / "s.store"
+        store = ExemplarStore()
+        store.add_many([Exemplar(0, "a b", GOOD_PARSE),
+                        Exemplar(1, "c d", GOOD_PARSE)])
+        save_store(store, path)
+        data = path.read_bytes()
+        path.write_bytes(data.replace(b"c d", b"c \xff"))
+        with pytest.raises(CorruptFile, match="line 3"):
+            load_store(path)
+        path.write_bytes(b"\xff" + data)
+        with pytest.raises(CorruptFile, match="bad header line"):
+            load_store(path)
+
+    def test_records_file_is_corrupt(self, tmp_path):
+        path = tmp_path / "r.jsonl"
+        path.write_bytes(b"\n\xfe\n")
+        with pytest.raises(CorruptFile, match="line 2"):
+            read_records(path)
+
+    def test_replay_log_is_corrupt(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        path.write_bytes(b'{"input": "a", "output": "1"}\n'
+                         b'{"input": "\xff", "output": "2"}\n')
+        with pytest.raises(CorruptFile, match="line 2"):
+            ReplayGenerator.from_path(path)
+
+
 def test_write_training_pairs_is_replay_compatible(tmp_path):
     pairs = [TrainingPair(0, "q || a & b", GOOD_PARSE, (1, 2))]
     path = tmp_path / "train.jsonl"

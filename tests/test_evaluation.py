@@ -1,8 +1,14 @@
+import zlib
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
-from gandr import evaluation
+from conftest import make_random_corpus, random_parse, random_utterance
+from gandr import evaluation, retrieval
 from gandr.augment import AugmentedInput
-from gandr.errors import ConfigError, MissingGold
+from gandr.data_io import Fraction, apply_split
+from gandr.errors import ConfigError, GenerationError, MissingGold
 from gandr.evaluation import (
     SweepAxis,
     SweepRow,
@@ -13,14 +19,21 @@ from gandr.evaluation import (
     record_template_hit,
     run_sweep,
 )
-from gandr.generator import OracleLookupGenerator, StaticGenerator
+from gandr.generator import (
+    Generator,
+    OracleLookupGenerator,
+    ReplayGenerator,
+    StaticGenerator,
+)
 from gandr.pipeline import (
+    FailurePolicy,
     PipelineConfig,
+    PipelineMode,
     PredictionRecord,
     Sample,
     run_pipeline,
 )
-from gandr.retrieval import ScoredExemplar
+from gandr.retrieval import ExemplarStore, ScoredExemplar
 from gandr.top_parse import extract_template, parse_top
 
 
@@ -216,6 +229,151 @@ class TestSweep:
             self.run(trace_store, SweepAxis.ALPHA, [], [0])
         with pytest.raises(ConfigError):
             self.run(trace_store, SweepAxis.ALPHA, [0.5], [])
+
+
+def reference_sweep(store, samples, preliminary, final, base_config, axis,
+                    values, seeds, recall_k=None, sample_fraction=None):
+    """The sweep as one ``run_pipeline`` per (value, seed)."""
+    rows = []
+    for value in values:
+        if axis is SweepAxis.ALPHA:
+            config = replace(base_config, alpha=float(value))
+        else:
+            config = replace(base_config, k=int(value))
+        for seed in seeds:
+            chosen = samples
+            if sample_fraction is not None:
+                chosen = apply_split(samples, Fraction(sample_fraction), seed)
+            records = run_pipeline(store, chosen, preliminary, final, config)
+            report = evaluate(records, store, k=recall_k)
+            rows.append(SweepRow(value=value, seed=int(seed),
+                                 exact_match=report.exact_match,
+                                 template_recall=report.template_recall))
+    return rows
+
+
+class PromptHash(Generator):
+    """Answers each prompt with a parse picked by a hash of the whole
+    prompt, so the answer follows the exemplars the prompt carries."""
+
+    def __init__(self, parses, gold_by_query=None):
+        self.parses = list(parses)
+        self.gold = gold_by_query or {}
+        self.batches = []
+
+    def answer(self, prompt):
+        h = zlib.crc32(prompt.encode("utf-8", "surrogatepass"))
+        query = prompt.split(" || ", 1)[0]
+        if query in self.gold and h % 3:
+            return self.gold[query]
+        return self.parses[h % len(self.parses)]
+
+    def generate(self, inputs):
+        self.batches.append(list(inputs))
+        return [self.answer(prompt) for prompt in inputs]
+
+
+class TestSweepEqualsPerRunLoop:
+    """``run_sweep`` runs each (k, sample) first pass once; its rows must
+    be those of one ``run_pipeline`` per (value, seed)."""
+
+    AXES = {SweepAxis.ALPHA: [0.0, 0.3, 0.75, 1.0], SweepAxis.K: [1, 3, 5]}
+    SEEDS = [0, 1, 2]
+
+    @pytest.fixture
+    def world(self):
+        rng = np.random.default_rng(11)
+        store = ExemplarStore()
+        store.add_many(make_random_corpus(rng, 30))
+        samples = [Sample(100 + i, random_utterance(rng), gold=random_parse(rng),
+                          domain="d" if i % 2 else None) for i in range(12)]
+        parses = sorted({e.parse for e in store.exemplars})
+        gold = {s.utterance: s.gold for s in samples}
+        return store, samples, parses, gold
+
+    def replay_missing(self, store, samples, parses, axis, values):
+        """A replay log of every first-pass prompt but those of three
+        samples."""
+        capture = PromptHash(parses)
+        ks = values if axis is SweepAxis.K else [4]
+        for k in ks:
+            run_pipeline(store, samples, capture, capture,
+                         PipelineConfig(mode=PipelineMode.INPUT_ONLY, k=k,
+                                        budget=60))
+        missing = {samples[i].utterance for i in (1, 4, 9)}
+        return ReplayGenerator({
+            prompt: capture.answer(prompt)
+            for batch in capture.batches for prompt in batch
+            if prompt.split(" || ", 1)[0] not in missing})
+
+    @pytest.mark.parametrize("mode", list(PipelineMode))
+    @pytest.mark.parametrize("axis", list(SweepAxis))
+    @pytest.mark.parametrize("sample_fraction", [None, 0.5])
+    @pytest.mark.parametrize("replay", [False, True])
+    def test_rows_and_tsv_equal_the_loop(self, world, mode, axis,
+                                         sample_fraction, replay):
+        store, samples, parses, gold = world
+        values = self.AXES[axis]
+        preliminary = (self.replay_missing(store, samples, parses, axis, values)
+                       if replay else PromptHash(parses, gold))
+        final = PromptHash(parses, gold)
+        config = PipelineConfig(mode=mode, k=4, budget=60,
+                                failure_policy=FailurePolicy.SKIP_SAMPLE)
+        args = (store, samples, preliminary, final, config, axis, values,
+                self.SEEDS)
+        kwargs = {"recall_k": 2, "sample_fraction": sample_fraction}
+        want = reference_sweep(*args, **kwargs)
+        got = run_sweep(*args, **kwargs)
+        assert got == want
+        assert format_sweep_tsv(got, "note") == format_sweep_tsv(want, "note")
+        if replay and mode is not PipelineMode.INPUT_ONLY:
+            assert min(r.exact_match for r in got) < 1.0
+
+    @pytest.mark.parametrize("axis", list(SweepAxis))
+    def test_each_first_pass_prompt_reaches_the_endpoint_once(
+            self, world, monkeypatch, axis):
+        store, samples, parses, gold = world
+        values = self.AXES[axis]
+        preliminary = PromptHash(parses, gold)
+        scored = []
+
+        def counting(self, query, preliminary):
+            scored.append(query)
+            return similarities(self, query, preliminary)
+
+        similarities = retrieval.ExemplarStore.similarities
+        monkeypatch.setattr(retrieval.ExemplarStore, "similarities", counting)
+        run_sweep(store, samples, preliminary, PromptHash(parses, gold),
+                  PipelineConfig(k=4), axis, values, self.SEEDS,
+                  sample_fraction=0.5)
+        union = set()
+        for seed in self.SEEDS:
+            union |= set(apply_split(range(len(samples)), Fraction(0.5), seed))
+        passes = len(values) if axis is SweepAxis.K else 1
+        prompts = [p for batch in preliminary.batches for p in batch]
+        assert len(prompts) == len(set(prompts)) == passes * len(union)
+        assert len(preliminary.batches) == passes
+        # the first pass scores each sample once, the second pass once more
+        assert len(scored) == 2 * passes * len(union)
+
+    @pytest.mark.parametrize("failing", ["preliminary", "final"])
+    def test_abort_propagates_a_generation_error(self, world, failing):
+        store, samples, parses, gold = world
+
+        class FailOnce(PromptHash):
+            def generate(self, inputs):
+                if any(samples[3].utterance in p for p in inputs):
+                    raise GenerationError("endpoint down")
+                return super().generate(inputs)
+
+        endpoints = {"preliminary": PromptHash(parses, gold),
+                     "final": PromptHash(parses, gold)}
+        endpoints[failing] = FailOnce(parses, gold)
+        with pytest.raises(GenerationError, match="endpoint down"):
+            run_sweep(store, samples, endpoints["preliminary"],
+                      endpoints["final"],
+                      PipelineConfig(failure_policy=FailurePolicy.ABORT),
+                      SweepAxis.ALPHA, [0.0, 0.5], self.SEEDS)
 
 
 def test_format_sweep_tsv():

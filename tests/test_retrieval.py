@@ -23,6 +23,7 @@ from gandr.retrieval import (
     InvertedIndex,
     retrieve_sampled,
     retrieve_topk,
+    retrieve_topk_alphas,
     sample_geometric_ranks,
     validate_alpha,
 )
@@ -146,6 +147,8 @@ class TestValidation:
     def test_positive_alpha_requires_preliminary(self, tiny_store):
         with pytest.raises(ConfigError):
             retrieve_topk(tiny_store, "play jazz", 2, alpha=0.5)
+        with pytest.raises(ConfigError):
+            retrieve_topk_alphas(tiny_store, "play jazz", 2, [0.0, 0.5])
 
     @pytest.mark.parametrize("k", [0, -1, 2.0])
     def test_bad_k(self, tiny_store, k):
@@ -252,6 +255,28 @@ class TestOracleEquivalence:
                 assert [h.exemplar_id for h in got] == [r[0] for r in kept]
                 assert [h.relevance for h in got] == [r[1] for r in kept]
                 assert [h.rank for h in got] == list(range(len(kept)))
+
+    def test_alpha_list_equals_one_query_per_alpha(self):
+        alphas = [0.0, 0.25, 0.5, 0.75, 1.0]
+        rng = np.random.default_rng(44)
+        for _ in range(20):
+            corpus = make_random_corpus(rng, int(rng.integers(2, 50)))
+            store = build_store(corpus)
+            query, preliminary = random_utterance(rng), random_parse(rng)
+            k = int(rng.integers(1, len(corpus)))
+            exclude = {int(rng.integers(0, len(corpus)))}
+            got = retrieve_topk_alphas(store, query, k, alphas, preliminary,
+                                       exclude)
+            # equal dataclasses hold equal floats: the bits match
+            assert got == [retrieve_topk(store, query, k, alpha=alpha,
+                                         preliminary=preliminary,
+                                         exclude_ids=exclude)
+                           for alpha in alphas]
+            for alpha, hits in zip(alphas, got):
+                expected = [r for r in brute_force_ranking(
+                    corpus, query, alpha, preliminary) if r[0] not in exclude]
+                assert [(h.exemplar_id, h.relevance) for h in hits] == \
+                    [tuple(r[:2]) for r in expected[:k]]
 
     def test_alpha_zero_equals_input_only_ranking(self):
         rng = np.random.default_rng(43)
