@@ -46,6 +46,7 @@ from .errors import ConfigError, EmptyCorpus, GandrError, SeparatorCollision
 from .evaluation import (
     SweepAxis,
     evaluate,
+    exact_match,
     format_sweep_tsv,
     run_sweep,
 )
@@ -409,7 +410,6 @@ def cmd_trace(args, config: dict) -> int:
         print(f"prompt 2: {record.pass2_augmented.text}")
     print(f"final: {record.final}")
     if record.gold is not None:
-        from .evaluation import exact_match
         verdict = "yes" if exact_match(record.final, record.gold) else "no"
         print(f"gold: {record.gold}")
         print(f"exact match: {verdict}")

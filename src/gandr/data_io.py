@@ -307,7 +307,7 @@ def load_store(path: str | Path) -> ExemplarStore:
                 continue
             row = json.loads(line)
             exemplar = Exemplar(
-                exemplar_id=int(row["exemplar_id"]),
+                exemplar_id=row["exemplar_id"],
                 utterance=row["utterance"], parse=row["parse"],
                 domain=row.get("domain"))
             store.add(exemplar)

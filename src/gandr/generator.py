@@ -101,6 +101,8 @@ class ReplayGenerator(Generator):
                     continue
                 entry = json.loads(line)
                 text, output = entry["input"], entry["output"]
+                if not (isinstance(text, str) and isinstance(output, str)):
+                    raise TypeError("input and output must be strings")
             except (ValueError, TypeError, KeyError) as exc:
                 raise CorruptFile(
                     f"{path}: line {lineno} is not a replay entry: {exc}"

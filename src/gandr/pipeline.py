@@ -9,12 +9,13 @@ mixed in (weight ``alpha``), and prompts the final endpoint. Modes:
 * OUTPUT_ONLY: both passes, second pass pinned to alpha 1.
 
 Both passes are one step: retrieve and prompt per sample, then generate
-in bulk. ``run_pipeline_grid`` runs several configs that differ only in
-alpha from one first pass, and their second passes score each sample
-once and mix the scores per alpha. Retrieval runs on one thread. A query orders only the head of its
-candidates, so what is left of its cost is mostly Python holding the
-interpreter lock, and a second thread was measured slower than one at
-every store size from 20k to 100k exemplars.
+in bulk. The first pass is that step at alpha 0 with no preliminary
+parse. ``run_pipeline_grid`` runs several configs that differ only in
+alpha from one first pass; their second pass scores each sample once and
+mixes the scores per alpha. Retrieval runs on one thread. A query orders
+only the head of its candidates, so what is left of its cost is mostly
+Python holding the interpreter lock, and a second thread was measured
+slower than one at every store size from 20k to 100k exemplars.
 
 Generation runs in batches. When a batch fails and the failure policy is
 SKIP_SAMPLE, the batch is replayed item by item so one bad sample cannot
@@ -39,7 +40,6 @@ from .retrieval import (
     ExemplarStore,
     ScoredExemplar,
     retrieve_sampled,
-    retrieve_topk,
     retrieve_topk_alphas,
     validate_alpha,
 )
@@ -196,39 +196,20 @@ def _bulk_generate(generator, prompts: Sequence[str],
     return outputs
 
 
-def _prompt(store: ExemplarStore, sample: Sample, hits, budget: int | None):
-    """One sample's (hits, augmented input) step."""
+def _prompt(store: ExemplarStore, query: str, hits, budget: int | None):
+    """One query's (hits, augmented input) step."""
     exemplars = [store.get(h.exemplar_id) for h in hits]
-    return tuple(hits), build_augmented_input(sample.utterance, exemplars,
-                                              budget)
+    return tuple(hits), build_augmented_input(query, exemplars, budget)
 
 
-def _generate(generator, steps, policy: FailurePolicy):
-    """The steps and their outputs, generated for all prompts at once."""
-    return steps, _bulk_generate(generator, [aug.text for _, aug in steps],
-                                 policy)
-
-
-def _run_pass(store: ExemplarStore, samples: Sequence[Sample], generator,
-              k: int, budget: int | None, policy: FailurePolicy,
-              exclude_self: bool = False):
-    """The first pass: retrieve by input similarity and prompt per sample,
+def _run_pass(store: ExemplarStore, samples: Sequence[Sample],
+              preliminaries: Sequence[str | None], generator, k: int,
+              budget: int | None, policy: FailurePolicy,
+              alphas: Sequence[float], exclude_self: bool = False):
+    """One pass at each of ``alphas``: retrieve and prompt per sample,
     then generate; returns the (hits, augmented input) steps and the
-    outputs."""
-    steps = []
-    for sample in samples:
-        hits = retrieve_topk(
-            store, sample.utterance, k,
-            exclude_ids=self_exclusion(store, sample, exclude_self))
-        steps.append(_prompt(store, sample, hits, budget))
-    return _generate(generator, steps, policy)
-
-
-def _run_second_pass(store: ExemplarStore, samples: Sequence[Sample],
-                     preliminaries: Sequence[str], generator, k: int,
-                     budget: int | None, policy: FailurePolicy,
-                     alphas: Sequence[float]):
-    """The second pass at each alpha; returns (steps, outputs) per alpha.
+    outputs per alpha. The first pass is the case of no preliminaries
+    and alpha 0.
 
     A sample's similarities are scored once and mixed per alpha, so no
     more than one sample's score arrays are alive at a time. Each alpha
@@ -236,32 +217,36 @@ def _run_second_pass(store: ExemplarStore, samples: Sequence[Sample],
     """
     steps: list[list] = [[] for _ in alphas]
     for sample, preliminary in zip(samples, preliminaries):
-        hits_by_alpha = retrieve_topk_alphas(store, sample.utterance, k,
-                                             alphas, preliminary)
+        hits_by_alpha = retrieve_topk_alphas(
+            store, sample.utterance, k, alphas, preliminary,
+            self_exclusion(store, sample, exclude_self))
         for alpha_steps, hits in zip(steps, hits_by_alpha):
-            alpha_steps.append(_prompt(store, sample, hits, budget))
-    return [_generate(generator, alpha_steps, policy) for alpha_steps in steps]
+            alpha_steps.append(_prompt(store, sample.utterance, hits, budget))
+    return [(alpha_steps,
+             _bulk_generate(generator, [aug.text for _, aug in alpha_steps],
+                            policy))
+            for alpha_steps in steps]
 
 
-def _records(samples: Sequence[Sample], pass1, outputs1,
-             pass2: Mapping[int, tuple], finals: Mapping[int, str | None],
-             single_pass: bool) -> list[PredictionRecord]:
-    """One record per sample, input order; ``pass2`` and ``finals`` map
-    the position of each sample that reached the second pass to its step
-    and output there."""
+def _records(samples: Sequence[Sample], pass1,
+             preliminaries: Sequence[str | None], pass2: Mapping[int, tuple],
+             finals: Mapping[int, str | None]) -> list[PredictionRecord]:
+    """One record per sample, input order. ``finals`` maps the position
+    of each sample that reached its last pass to its output there, and
+    ``pass2`` maps each that reached a second pass to its step there."""
     records = []
     for i, (sample, (hits1, aug1)) in enumerate(zip(samples, pass1)):
         hits2, aug2 = pass2.get(i, (None, None))
-        final = outputs1[i] if single_pass else finals.get(i)
+        final = finals.get(i)
         status = (STATUS_OK if final is not None
                   else STATUS_PASS1_FAILED if hits2 is None
                   else STATUS_PASS2_FAILED)
         records.append(PredictionRecord(
             sample_id=sample.sample_id, query=sample.utterance,
             gold=sample.gold, pass1_retrievals=hits1, pass1_augmented=aug1,
-            preliminary=None if single_pass else outputs1[i],
-            pass2_retrievals=hits2, pass2_augmented=aug2, final=final,
-            status=status, domain_tag=sample.domain))
+            preliminary=preliminaries[i], pass2_retrievals=hits2,
+            pass2_augmented=aug2, final=final, status=status,
+            domain_tag=sample.domain))
     return records
 
 
@@ -272,18 +257,21 @@ def _run_alphas(store: ExemplarStore, samples: Sequence[Sample],
     """The records of ``config`` at each second-pass alpha, in order,
     from one first pass."""
     single_pass = config.mode is PipelineMode.INPUT_ONLY
-    pass1, outputs1 = _run_pass(
-        store, samples, final_generator if single_pass else preliminary_generator,
-        config.k, config.budget, config.failure_policy)
+    settings = config.k, config.budget, config.failure_policy
+    no_preliminaries = [None] * len(samples)
+    [(pass1, outputs1)] = _run_pass(
+        store, samples, no_preliminaries,
+        final_generator if single_pass else preliminary_generator,
+        *settings, [0.0])
     if single_pass:
-        return [_records(samples, pass1, outputs1, {}, {}, True)] * len(alphas)
+        return [_records(samples, pass1, no_preliminaries, {},
+                         dict(enumerate(outputs1)))] * len(alphas)
     live = [i for i, out in enumerate(outputs1) if out is not None]
-    runs = _run_second_pass(
-        store, [samples[i] for i in live], [outputs1[i] for i in live],
-        final_generator, config.k, config.budget, config.failure_policy,
-        alphas)
+    runs = _run_pass(store, [samples[i] for i in live],
+                     [outputs1[i] for i in live], final_generator, *settings,
+                     alphas)
     return [_records(samples, pass1, outputs1, dict(zip(live, steps)),
-                     dict(zip(live, finals)), False)
+                     dict(zip(live, finals)))
             for steps, finals in runs]
 
 
@@ -341,8 +329,9 @@ def generate_preliminaries(store: ExemplarStore, samples: Sequence[Sample],
                            exclude_self: bool = True) -> dict[int, str]:
     """Preliminary parses by sample id for stage-2 training: the first
     pass with ``self_exclusion``; any generation error propagates."""
-    _, outputs = _run_pass(store, samples, generator, k, budget,
-                           FailurePolicy.ABORT, exclude_self=exclude_self)
+    [(_, outputs)] = _run_pass(store, samples, [None] * len(samples),
+                               generator, k, budget, FailurePolicy.ABORT,
+                               [0.0], exclude_self)
     return {s.sample_id: out for s, out in zip(samples, outputs)}
 
 
@@ -376,8 +365,7 @@ def emit_training_pairs(store: ExemplarStore, samples: Sequence[Sample],
                                 alpha=alpha, preliminary=preliminary,
                                 exclude_ids=self_exclusion(store, sample,
                                                            exclude_self))
-        exemplars = [store.get(h.exemplar_id) for h in hits]
-        augmented = build_augmented_input(sample.utterance, exemplars, budget)
+        _, augmented = _prompt(store, sample.utterance, hits, budget)
         pairs.append(TrainingPair(
             sample_id=sample.sample_id, text=augmented.text,
             target=sample.gold, exemplar_ids=augmented.exemplar_ids))

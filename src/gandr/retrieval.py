@@ -12,13 +12,14 @@ parses. ``alpha`` is the mixing weight: 0 ranks purely by input text, 1
 purely by parse structure.
 
 Candidates are ordered by descending relevance with ties broken by
-ascending exemplar id. ``retrieve_topk`` takes the head of that ordering;
-``retrieve_sampled`` draws from it with geometrically decaying rank
-probabilities (used to diversify training data, not at inference). Only
-that head is materialised: the k best candidates, or as many as the
-deepest sampled rank needs, found by a partition instead of a full sort.
-``retrieve_topk_alphas`` takes the head at several alphas from one
-scoring of the query, since only the mix depends on alpha.
+ascending exemplar id. ``retrieve_topk_alphas`` takes the head of that
+ordering at each of several alphas from one scoring of the query, since
+only the mix depends on alpha; ``retrieve_topk`` is its one-alpha case,
+and both pipeline passes select through it. ``retrieve_sampled`` draws
+from the ordering with geometrically decaying rank probabilities (used
+to diversify training data, not at inference). Only the head is
+materialised: the k best candidates, or as many as the deepest sampled
+rank needs, found by a partition instead of a full sort.
 """
 
 from __future__ import annotations
@@ -49,13 +50,14 @@ class Exemplar:
     """One training pair: an utterance and its bracketed parse.
 
     Construction is the one gate for what may become an exemplar, whether
-    the row comes from a dataset, a store file or library code: both
-    fields must be strings, the utterance must not be blank, neither
-    field may collide with a prompt separator, and the parse must be well
-    formed. Otherwise it raises MalformedRow (SeparatorCollision for a
-    separator) or MalformedParse. The parse's intent/slot labels, in
-    document order and interned, are kept as ``labels``; they feed the
-    output index and template matching, so no exemplar is parsed twice.
+    the row comes from a dataset, a store file or library code: the id
+    must be an int, not a bool, that fits 64 bits, both text fields must
+    be strings, the utterance must not be blank, neither text field may
+    collide with a prompt separator, and the parse must be well formed.
+    Otherwise it raises MalformedRow (SeparatorCollision for a separator)
+    or MalformedParse. The parse's intent/slot labels, in document order
+    and interned, are kept as ``labels``; they feed the output index and
+    template matching, so no exemplar is parsed twice.
     """
 
     exemplar_id: int
@@ -65,6 +67,12 @@ class Exemplar:
     labels: tuple[str, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        # the store keeps ids in an int64 array
+        if not isinstance(self.exemplar_id, int) \
+                or isinstance(self.exemplar_id, bool) \
+                or not -2**63 <= self.exemplar_id < 2**63:
+            raise MalformedRow(f"exemplar id must be a 64-bit integer, "
+                               f"got {self.exemplar_id!r}")
         for name in ("utterance", "parse"):
             value = getattr(self, name)
             if not isinstance(value, str):
@@ -282,19 +290,13 @@ def _hit(scored, i, rank) -> ScoredExemplar:
                           rank=int(rank))
 
 
-def _topk(scored, k: int,
-          exclude_ids: Collection[int]) -> list[ScoredExemplar]:
-    head = _candidate_order(scored[0], scored[1], exclude_ids, k)
-    return [_hit(scored, i, rank) for rank, i in enumerate(head)]
-
-
 def retrieve_topk(store: ExemplarStore, query: str, k: int,
                   alpha: float = 0.0, preliminary: str | None = None,
                   exclude_ids: Collection[int] = ()) -> list[ScoredExemplar]:
-    """The k most relevant exemplars, best first."""
-    scored = store.score_all(query, alpha, preliminary)
-    _check_k(k, store, exclude_ids)
-    return _topk(scored, k, exclude_ids)
+    """The k most relevant exemplars, best first: the one-alpha case of
+    ``retrieve_topk_alphas``."""
+    return retrieve_topk_alphas(store, query, k, [alpha], preliminary,
+                                exclude_ids)[0]
 
 
 def retrieve_topk_alphas(store: ExemplarStore, query: str, k: int,
@@ -302,17 +304,22 @@ def retrieve_topk_alphas(store: ExemplarStore, query: str, k: int,
                          preliminary: str | None = None,
                          exclude_ids: Collection[int] = ()
                          ) -> list[list[ScoredExemplar]]:
-    """``retrieve_topk`` at each of ``alphas``, in order.
+    """The k most relevant exemplars at each of ``alphas``, in order, each
+    list best first.
 
     Only the mix depends on alpha, so the query's similarities are scored
-    once and mixed per alpha with the formula ``score_all`` uses: every
-    hit is bit for bit the one ``retrieve_topk`` returns.
+    once and mixed per alpha with the formula ``score_all`` uses, so each
+    alpha's relevances are bit for bit ``score_all``'s at that alpha.
     """
     alphas = [_check_mix(alpha, preliminary) for alpha in alphas]
     in_sims, out_sims = store.similarities(query, preliminary)
     _check_k(k, store, exclude_ids)
-    return [_topk((store._ids, _mix(in_sims, out_sims, alpha), in_sims, out_sims),
-                  k, exclude_ids) for alpha in alphas]
+    hits = []
+    for alpha in alphas:
+        scored = store._ids, _mix(in_sims, out_sims, alpha), in_sims, out_sims
+        head = _candidate_order(scored[0], scored[1], exclude_ids, k)
+        hits.append([_hit(scored, i, rank) for rank, i in enumerate(head)])
+    return hits
 
 
 def sample_geometric_ranks(n: int, k: int, p: float,

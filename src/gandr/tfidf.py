@@ -75,10 +75,6 @@ class TfidfVectorizer:
         self.vocabulary_: dict[str, int] = {}
         self.idf_: np.ndarray = _EMPTY_WEIGHTS
 
-    def fit(self, docs: Sequence[Sequence[str]]) -> "TfidfVectorizer":
-        self.fit_transform(docs)
-        return self
-
     def transform(self, tokens: Iterable[str]) -> SparseVector:
         counts = Counter(tokens)
         pairs = sorted((self.vocabulary_[t], c) for t, c in counts.items()

@@ -70,10 +70,6 @@ class Template:
     def from_labels(cls, labels) -> "Template":
         return cls(tuple(sorted(labels)))
 
-    @property
-    def canonical(self) -> str:
-        return " ".join(self.labels)
-
     def as_set(self) -> frozenset[str]:
         return frozenset(self.labels)
 

@@ -195,6 +195,30 @@ class TestRun:
         assert code == 0
         assert first.read_bytes() == second.read_bytes()
 
+    @pytest.mark.parametrize("output", [5, None], ids=["int", "null"])
+    def test_non_string_replay_output_exits_1(self, tmp_path, store, dataset,
+                                              capsys, output):
+        log = tmp_path / "p.jsonl"
+        assert main(["run", "--store", str(store), "--data", str(dataset),
+                     "--final-endpoint", f"oracle:{dataset}",
+                     "--record-preliminary", str(log),
+                     "--out", str(tmp_path / "r1.jsonl")]) == 0
+        entries = [json.loads(line) for line in
+                   log.read_text(encoding="utf-8").splitlines()]
+        entries[-1]["output"] = output
+        log.write_text("".join(json.dumps(e) + "\n" for e in entries),
+                       encoding="utf-8")
+        capsys.readouterr()
+        code = main(["run", "--store", str(store), "--data", str(dataset),
+                     "--preliminary-endpoint", f"replay:{log}",
+                     "--final-endpoint", f"oracle:{dataset}",
+                     "--out", str(tmp_path / "r2.jsonl")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"line {len(entries)} is not a replay entry" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "r2.jsonl").exists()
+
     def test_no_final_endpoint_exits_2(self, tmp_path, store, dataset,
                                        capsys):
         code = main(["run", "--store", str(store), "--data", str(dataset),

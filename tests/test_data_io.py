@@ -280,6 +280,16 @@ class TestStoreFiles:
         with pytest.raises(CorruptFile, match="line 2"):
             load_store(path)
 
+    @pytest.mark.parametrize("exemplar_id", [1.9, 1.0, "1", True, None, 2**64])
+    def test_id_that_is_not_an_int_is_corrupt(self, tmp_path, exemplar_id):
+        header = {"format": "gandr-store", "version": 1, "count": 1}
+        row = {"exemplar_id": exemplar_id, "utterance": "hi",
+               "parse": GOOD_PARSE}
+        path = write(tmp_path / "s.store",
+                     json.dumps(header) + "\n" + json.dumps(row) + "\n")
+        with pytest.raises(CorruptFile, match="line 2: exemplar id"):
+            load_store(path)
+
     def test_second_save_is_byte_identical(self, tmp_path):
         store = self.build()
         a, b = tmp_path / "a.store", tmp_path / "b.store"

@@ -91,6 +91,20 @@ class TestReplay:
         with pytest.raises(CorruptFile):
             ReplayGenerator.from_path(log)
 
+    @pytest.mark.parametrize("entry", [
+        {"input": "a", "output": 5},
+        {"input": "a", "output": None},
+        {"input": "a", "output": ["1"]},
+        {"input": 5, "output": "1"},
+        {"input": None, "output": "1"},
+        {"input": ["a"], "output": "1"},
+    ])
+    def test_non_string_fields_are_corrupt(self, tmp_path, entry):
+        log = tmp_path / "log.jsonl"
+        self.write_log(log, [{"input": "b", "output": "2"}, entry])
+        with pytest.raises(CorruptFile, match="line 2 .*must be strings"):
+            ReplayGenerator.from_path(log)
+
     def test_blank_lines_skipped(self, tmp_path):
         log = tmp_path / "log.jsonl"
         log.write_text('\n{"input": "a", "output": "1"}\n\n',

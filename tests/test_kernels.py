@@ -73,7 +73,8 @@ def test_postings_equal_naive_transposition(empty_at):
         corpus.insert(empty_at, Exemplar(99, "?!", "[IN:X ]"))
     docs = [tokenize_text(e.utterance) for e in corpus]
     index = InvertedIndex(docs)
-    vectorizer = TfidfVectorizer().fit(docs)
+    vectorizer = TfidfVectorizer()
+    vectorizer.fit_transform(docs)
     vectors = [vectorizer.transform(tokens) for tokens in docs]
     indptr, doc_ids, weights = naive_postings(
         vectors, len(index.vectorizer.vocabulary_))

@@ -60,6 +60,12 @@ class TestExemplar:
         with pytest.raises(error):
             Exemplar(0, utterance, parse)
 
+    @pytest.mark.parametrize("exemplar_id", ["a", "1", 1.0, 1.9, True, None,
+                                             2**63, -2**63 - 1])
+    def test_id_must_be_an_int(self, exemplar_id):
+        with pytest.raises(MalformedRow, match="exemplar id"):
+            Exemplar(exemplar_id, "x y", "[IN:A ]")
+
     def test_keeps_interned_labels_in_document_order(self):
         exemplar = Exemplar(0, "hi", "[in:b [sl:z x ] [sl:a y ] ]")
         assert exemplar.labels == ("IN:B", "SL:Z", "SL:A")
@@ -264,19 +270,18 @@ class TestOracleEquivalence:
             store = build_store(corpus)
             query, preliminary = random_utterance(rng), random_parse(rng)
             k = int(rng.integers(1, len(corpus)))
-            exclude = {int(rng.integers(0, len(corpus)))}
+            # one id the store holds plus ids it does not
+            exclude = {int(rng.integers(0, len(corpus))), -1, len(corpus),
+                       len(corpus) + 7}
             got = retrieve_topk_alphas(store, query, k, alphas, preliminary,
                                        exclude)
-            # equal dataclasses hold equal floats: the bits match
-            assert got == [retrieve_topk(store, query, k, alpha=alpha,
-                                         preliminary=preliminary,
-                                         exclude_ids=exclude)
-                           for alpha in alphas]
+            assert len(got) == len(alphas)
             for alpha, hits in zip(alphas, got):
                 expected = [r for r in brute_force_ranking(
                     corpus, query, alpha, preliminary) if r[0] not in exclude]
-                assert [(h.exemplar_id, h.relevance) for h in hits] == \
-                    [tuple(r[:2]) for r in expected[:k]]
+                assert [(h.exemplar_id, h.relevance, h.input_sim,
+                         h.output_sim, h.rank) for h in hits] == \
+                    [(*r, rank) for rank, r in enumerate(expected[:k])]
 
     def test_alpha_zero_equals_input_only_ranking(self):
         rng = np.random.default_rng(43)

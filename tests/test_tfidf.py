@@ -21,7 +21,7 @@ CORPUS = [["a", "b"], ["a", "c"], ["a", "b", "b"]]
 def fitted_vectors(vectorizer, docs):
     """Fit, then vectorize each document alone: the reference the batched
     ``fit_transform`` must equal bit for bit."""
-    vectorizer.fit(docs)
+    vectorizer.fit_transform(docs)
     return [vectorizer.transform(tokens) for tokens in docs]
 
 
@@ -107,7 +107,7 @@ def test_unnormalized_keeps_raw_weights():
 
 def test_unknown_tokens_are_dropped():
     vectorizer = TfidfVectorizer()
-    vectorizer.fit(CORPUS)
+    vectorizer.fit_transform(CORPUS)
     assert vectorizer.transform(["zzz", "qqq"]).term_ids.size == 0
     mixed = vectorizer.transform(["a", "zzz"])
     assert mixed.term_ids.tolist() == [0]
@@ -121,12 +121,13 @@ def test_zero_vector_cosine_is_zero():
 
 def test_fit_empty_corpus_raises():
     with pytest.raises(EmptyCorpus):
-        TfidfVectorizer().fit([])
+        TfidfVectorizer().fit_transform([])
 
 
 def test_vocabulary_independent_of_document_order():
-    a = TfidfVectorizer().fit(CORPUS)
-    b = TfidfVectorizer().fit(list(reversed(CORPUS)))
+    a, b = TfidfVectorizer(), TfidfVectorizer()
+    a.fit_transform(CORPUS)
+    b.fit_transform(list(reversed(CORPUS)))
     assert a.vocabulary_ == b.vocabulary_
     assert a.idf_.tolist() == b.idf_.tolist()
 

@@ -85,7 +85,6 @@ def test_template_is_label_multiset():
     tree = parse_top("[IN:SEND_MESSAGE [SL:GROUP anime ] [SL:GROUP manga ] ]")
     template = extract_template(tree)
     assert template.labels == ("IN:SEND_MESSAGE", "SL:GROUP", "SL:GROUP")
-    assert template.canonical == "IN:SEND_MESSAGE SL:GROUP SL:GROUP"
 
 
 def test_template_multiset_vs_set_matching():
