@@ -33,7 +33,7 @@ from .retrieval import (
     retrieve_sampled,
     retrieve_topk,
 )
-from .tfidf import TfidfConfig, TfidfVectorizer, tokenize_text
+from .tfidf import TfidfVectorizer, tokenize_text
 from .top_parse import (
     ParseTree,
     Template,
@@ -65,7 +65,6 @@ __all__ = [
     "ScoredExemplar",
     "StaticGenerator",
     "Template",
-    "TfidfConfig",
     "TfidfVectorizer",
     "build_augmented_input",
     "emit_training_pairs",

@@ -68,7 +68,6 @@ from .pipeline import (
     run_pipeline,
 )
 from .retrieval import ExemplarStore, retrieve_topk
-from .tfidf import TfidfConfig
 
 ENV_PRELIMINARY_URL = "GANDR_PRELIMINARY_URL"
 ENV_FINAL_URL = "GANDR_FINAL_URL"
@@ -233,8 +232,7 @@ def cmd_index(args, config: dict) -> int:
                             seed=args.seed)
     if not exemplars:
         raise EmptyCorpus("store has no exemplars")
-    store = ExemplarStore(TfidfConfig(sublinear_tf=args.sublinear_tf,
-                                      normalize=not args.no_normalize))
+    store = ExemplarStore()
     store.add_many(exemplars)
     save_store(store, args.out)
     print(f"indexed {len(store)} exemplars "
@@ -472,8 +470,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", default="full",
                    help="full, count:N, or fraction:F")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--sublinear-tf", action="store_true")
-    p.add_argument("--no-normalize", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_index)
 

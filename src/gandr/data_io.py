@@ -33,10 +33,11 @@ from .errors import (
 )
 from .pipeline import PredictionRecord, Sample, TrainingPair
 from .retrieval import Exemplar, ExemplarStore
-from .tfidf import TfidfConfig
 
 STORE_FORMAT = "gandr-store"
 STORE_VERSION = 1
+# the one TF-IDF weighting (see gandr.tfidf), as every store header names it
+STORE_CONFIG = {"sublinear_tf": False, "normalize": True}
 
 
 @dataclass(frozen=True)
@@ -266,8 +267,7 @@ def save_store(store: ExemplarStore, path: str | Path) -> None:
         "format": STORE_FORMAT,
         "version": STORE_VERSION,
         "count": len(store),
-        "config": {"sublinear_tf": store.config.sublinear_tf,
-                   "normalize": store.config.normalize},
+        "config": STORE_CONFIG,
     })
     rows = [
         _dump({"exemplar_id": e.exemplar_id, "utterance": e.utterance,
@@ -295,10 +295,17 @@ def load_store(path: str | Path) -> ExemplarStore:
         raise VersionMismatch(
             f"{path}: version {header.get('version')!r}, "
             f"expected {STORE_VERSION}")
-    config = header.get("config", {})
-    store = ExemplarStore(TfidfConfig(
-        sublinear_tf=bool(config.get("sublinear_tf", False)),
-        normalize=bool(config.get("normalize", True))))
+    config = header.get("config", STORE_CONFIG)
+    if not isinstance(config, dict):
+        raise VersionMismatch(
+            f"{path}: TF-IDF config must be an object, got {_dump(config)}")
+    for key, value in STORE_CONFIG.items():
+        # JSON true and false load as the bool singletons; 1 or "no" do not
+        if config.get(key, value) is not value:
+            raise VersionMismatch(
+                f"{path}: TF-IDF setting {key} is {_dump(config[key])}, "
+                f"but gandr scores only with {key} {_dump(value)}")
+    store = ExemplarStore()
     count = 0
     for lineno, raw in lines:
         try:
@@ -314,9 +321,11 @@ def load_store(path: str | Path) -> ExemplarStore:
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise CorruptFile(f"{path}: line {lineno}: {exc}") from exc
         count += 1
-    if count != header.get("count"):
+    promised = header.get("count")
+    # json gives int only for integers, and a bool is not a count
+    if type(promised) is not int or promised != count:
         raise CorruptFile(
-            f"{path}: header promises {header.get('count')} rows, found {count}")
+            f"{path}: header promises {_dump(promised)} rows, found {count}")
     return store
 
 

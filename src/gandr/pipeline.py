@@ -47,6 +47,7 @@ from .retrieval import (
 STATUS_OK = "ok"
 STATUS_PASS1_FAILED = "pass1_failed"
 STATUS_PASS2_FAILED = "pass2_failed"
+STATUSES = (STATUS_OK, STATUS_PASS1_FAILED, STATUS_PASS2_FAILED)
 
 
 class PipelineMode(Enum):
@@ -140,6 +141,17 @@ class PredictionRecord:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "PredictionRecord":
+        """Inverse of ``to_dict``. A text field of the wrong type raises
+        TypeError, and a status not in ``STATUSES`` ValueError."""
+
+        def text(key, nullable=True):
+            value = data.get(key) if nullable else data[key]
+            if isinstance(value, str) or nullable and value is None:
+                return value
+            raise TypeError(f"{key} must be a string"
+                            f"{' or null' if nullable else ''}, "
+                            f"got {type(value).__name__}")
+
         def hits(raw):
             if raw is None:
                 return None
@@ -152,18 +164,20 @@ class PredictionRecord:
                                   exemplar_ids=tuple(raw["exemplar_ids"]),
                                   truncated=raw["truncated"])
 
+        if data["status"] not in STATUSES:
+            raise ValueError(f"unknown status {data['status']!r}")
         return cls(
             sample_id=data["sample_id"],
-            query=data["query"],
-            gold=data.get("gold"),
+            query=text("query", nullable=False),
+            gold=text("gold"),
             pass1_retrievals=hits(data["pass1_retrievals"]) or (),
             pass1_augmented=aug(data["pass1_augmented"]),
-            preliminary=data.get("preliminary"),
+            preliminary=text("preliminary"),
             pass2_retrievals=hits(data.get("pass2_retrievals")),
             pass2_augmented=aug(data.get("pass2_augmented")),
-            final=data.get("final"),
+            final=text("final"),
             status=data["status"],
-            domain_tag=data.get("domain_tag"),
+            domain_tag=text("domain_tag"),
         )
 
 

@@ -41,7 +41,7 @@ from .errors import (
     RecordNotFound,
     StoreTooSmall,
 )
-from .tfidf import TfidfConfig, TfidfVectorizer, tokenize_text
+from .tfidf import TfidfVectorizer, tokenize_text
 from .top_parse import parse_top, structure_tokens
 
 
@@ -52,12 +52,13 @@ class Exemplar:
     Construction is the one gate for what may become an exemplar, whether
     the row comes from a dataset, a store file or library code: the id
     must be an int, not a bool, that fits 64 bits, both text fields must
-    be strings, the utterance must not be blank, neither text field may
-    collide with a prompt separator, and the parse must be well formed.
-    Otherwise it raises MalformedRow (SeparatorCollision for a separator)
-    or MalformedParse. The parse's intent/slot labels, in document order
-    and interned, are kept as ``labels``; they feed the output index and
-    template matching, so no exemplar is parsed twice.
+    be strings, the domain a string or None, the utterance must not be
+    blank, neither text field may collide with a prompt separator, and
+    the parse must be well formed. Otherwise it raises MalformedRow
+    (SeparatorCollision for a separator) or MalformedParse. The parse's
+    intent/slot labels, in document order and interned, are kept as
+    ``labels``; they feed the output index and template matching, so no
+    exemplar is parsed twice.
     """
 
     exemplar_id: int
@@ -78,6 +79,9 @@ class Exemplar:
             if not isinstance(value, str):
                 raise MalformedRow(
                     f"{name} must be a string, got {type(value).__name__}")
+        if not isinstance(self.domain, (str, type(None))):
+            raise MalformedRow(f"domain must be a string or null, "
+                               f"got {type(self.domain).__name__}")
         if not self.utterance.strip():
             raise MalformedRow("empty utterance")
         check_separator_safe(self.utterance)
@@ -114,9 +118,8 @@ class InvertedIndex:
     document vectors transposed; the vectors themselves are not kept.
     """
 
-    def __init__(self, token_docs: Sequence[Sequence[str]],
-                 config: TfidfConfig = TfidfConfig()):
-        self.vectorizer = TfidfVectorizer(config)
+    def __init__(self, token_docs: Sequence[Sequence[str]]):
+        self.vectorizer = TfidfVectorizer()
         doc_ids, term_ids, weights = self.vectorizer.fit_transform(token_docs)
         self.n_docs = len(token_docs)
         n_terms = len(self.vectorizer.vocabulary_)
@@ -151,8 +154,7 @@ class ExemplarStore:
     exemplar set, so a store reloaded from disk scores identically.
     """
 
-    def __init__(self, config: TfidfConfig = TfidfConfig()):
-        self.config = config
+    def __init__(self):
         self._exemplars: dict[int, Exemplar] = {}
         self._dirty = True
         self._ids: np.ndarray = np.empty(0, dtype=np.int64)
@@ -193,9 +195,8 @@ class ExemplarStore:
         ordered = self.exemplars
         self._ids = np.array([e.exemplar_id for e in ordered], dtype=np.int64)
         self._input_index = InvertedIndex(
-            [tokenize_text(e.utterance) for e in ordered], self.config)
-        self._output_index = InvertedIndex(
-            [e.labels for e in ordered], self.config)
+            [tokenize_text(e.utterance) for e in ordered])
+        self._output_index = InvertedIndex([e.labels for e in ordered])
         self._dirty = False
 
     def ensure_built(self) -> None:

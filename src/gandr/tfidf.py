@@ -4,21 +4,21 @@ Utterances are tokenized as lowercase ``\\w+`` runs; parses are tokenized
 as their intent/slot labels (see :func:`gandr.top_parse.structure_tokens`).
 Both feed the same vectorizer.
 
-Weighting: tf is the raw in-document count (``1 + ln(tf)`` when
-``sublinear_tf``), idf is ``ln((1 + N) / (1 + df)) + 1``, and vectors are
-L2-normalized unless ``normalize`` is off. Retrieval scores are dot
-products of these vectors: cosine similarity when normalized, raw dot
-products of the unnormalized weights otherwise.
+Weighting: tf is the raw in-document count, idf is
+``ln((1 + N) / (1 + df)) + 1``, and vectors are L2-normalized. Retrieval
+scores are dot products of these vectors, i.e. cosine similarities in
+[0, 1], so both channels share one scale and ``alpha`` weighs them as
+it says.
 
 A corpus is fitted in one batched array pass (``fit_transform``); a
 query is vectorized on its own (``transform``). Both give the same bits
-for the same document, because the arithmetic order is pinned: idf and
-sublinear tf go through ``math.log`` one term or count at a time, each
-weight is ``tf * idf``, and a document's squared norm is summed weight by
-weight in ascending term order, starting from 0.0, before one square root
-and one division per weight. The batched fit keeps that order by adding
-the j-th squared weight of every document in step j; the pairwise
-summation of ``np.sum`` or ``np.add.reduceat`` would change the bits.
+for the same document, because the arithmetic order is pinned: idf goes
+through ``math.log`` one term at a time, each weight is ``tf * idf``,
+and a document's squared norm is summed weight by weight in ascending
+term order, starting from 0.0, before one square root and one division
+per weight. The batched fit keeps that order by adding the j-th squared
+weight of every document in step j; the pairwise summation of
+``np.sum`` or ``np.add.reduceat`` would change the bits.
 """
 
 from __future__ import annotations
@@ -43,12 +43,6 @@ def tokenize_text(text: str) -> list[str]:
 
 
 @dataclass(frozen=True)
-class TfidfConfig:
-    sublinear_tf: bool = False
-    normalize: bool = True
-
-
-@dataclass(frozen=True)
 class SparseVector:
     """A sparse vector as parallel arrays; term ids are strictly ascending."""
 
@@ -70,8 +64,7 @@ class TfidfVectorizer:
     transform time are dropped.
     """
 
-    def __init__(self, config: TfidfConfig = TfidfConfig()):
-        self.config = config
+    def __init__(self):
         self.vocabulary_: dict[str, int] = {}
         self.idf_: np.ndarray = _EMPTY_WEIGHTS
 
@@ -82,18 +75,12 @@ class TfidfVectorizer:
         if not pairs:
             return EMPTY_VECTOR
         ids = np.array([tid for tid, _ in pairs], dtype=np.int64)
-        weights = np.zeros(len(pairs), dtype=np.float64)
-        for k, (tid, count) in enumerate(pairs):
-            tf = 1.0 + math.log(count) if self.config.sublinear_tf else float(count)
-            weights[k] = tf * float(self.idf_[tid])
-        if self.config.normalize:
-            acc = 0.0
-            for k in range(weights.shape[0]):
-                acc += float(weights[k]) * float(weights[k])
-            norm = math.sqrt(acc)
-            if norm > 0.0:
-                weights = weights / norm
-        return SparseVector(ids, weights)
+        weights = [count * float(self.idf_[tid]) for tid, count in pairs]
+        acc = 0.0
+        for w in weights:
+            acc += w * w
+        # tf >= 1 and idf >= 1, so a vector with entries has norm > 0
+        return SparseVector(ids, np.array(weights) / math.sqrt(acc))
 
     def fit_transform(self, docs: Sequence[Sequence[str]]
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -125,16 +112,9 @@ class TfidfVectorizer:
         self.idf_ = np.array(
             [math.log((1.0 + n_docs) / (1.0 + d)) + 1.0 for d in df.tolist()],
             dtype=np.float64)
-        if self.config.sublinear_tf:
-            values, which = np.unique(counts, return_inverse=True)
-            tf = np.array([1.0 + math.log(c) for c in values.tolist()],
-                          dtype=np.float64)[which]
-        else:
-            tf = counts.astype(np.float64)
-        weights = tf * self.idf_[term]
-        if self.config.normalize:
-            # tf >= 1 and idf >= 1, so no document with entries has norm 0
-            weights /= np.sqrt(_squared_norms(doc, weights, n_docs))[doc]
+        weights = counts.astype(np.float64) * self.idf_[term]
+        # tf >= 1 and idf >= 1, so no document with entries has norm 0
+        weights /= np.sqrt(_squared_norms(doc, weights, n_docs))[doc]
         return doc, term, weights
 
 

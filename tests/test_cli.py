@@ -113,6 +113,14 @@ class TestIndex:
         assert main(["index", "--data", str(dataset), "--split", "half",
                      "--out", str(tmp_path / "s.store")]) == 2
 
+    @pytest.mark.parametrize("flag", ["--sublinear-tf", "--no-normalize"])
+    def test_weighting_flags_are_gone(self, tmp_path, dataset, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["index", "--data", str(dataset), flag,
+                  "--out", str(tmp_path / "s.store")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "s.store").exists()
+
 
 class TestRetrieve:
     def test_json_output(self, store, capsys):
@@ -143,6 +151,26 @@ class TestRetrieve:
         hit = json.loads(capsys.readouterr().out.splitlines()[0])
         assert hit["exemplar_id"] == 4  # the matching CREATE_CALL exemplar
 
+
+    @pytest.mark.parametrize("config", [
+        {"sublinear_tf": True, "normalize": True},
+        {"sublinear_tf": "no", "normalize": True},
+        {"sublinear_tf": False, "normalize": False},
+        {"sublinear_tf": False, "normalize": 1},
+        [False, True],
+    ])
+    def test_store_with_another_weighting_exits_1(self, store, capsys,
+                                                  config):
+        lines = store.read_text(encoding="utf-8").splitlines(keepends=True)
+        header = dict(json.loads(lines[0]), config=config)
+        store.write_text(json.dumps(header) + "\n" + "".join(lines[1:]),
+                         encoding="utf-8")
+        code = main(["retrieve", "--store", str(store), "--query",
+                     TRACE_QUERY, "--k", "1"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"{store}: TF-IDF " in err
+        assert "Traceback" not in err
 
     def test_bad_query_exits_2(self, store, capsys):
         assert main(["retrieve", "--store", str(store), "--query",
@@ -285,6 +313,17 @@ class TestEval:
         report = json.loads(capsys.readouterr().out)
         assert 0.0 <= report["template_recall"] <= 1.0
 
+    def test_non_string_final_exits_1(self, store, records, capsys):
+        lines = records.read_text(encoding="utf-8").splitlines()
+        lines[2] = json.dumps(dict(json.loads(lines[2]), final=7))
+        records.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code = main(["eval", "--store", str(store), "--records",
+                     str(records)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "line 3: final must be a string or null, got int" in err
+        assert "Traceback" not in err
+
     def test_missing_records_exits_2(self, store, tmp_path):
         assert main(["eval", "--store", str(store), "--records",
                      str(tmp_path / "absent.jsonl")]) == 2
@@ -413,6 +452,26 @@ class TestEmitTrain:
                      "--out", str(out)])
         assert code == 0
         assert len(out.read_text().splitlines()) == 8
+
+    def test_stage2_non_string_preliminary_exits_1(self, tmp_path, store,
+                                                   dataset, capsys):
+        records = tmp_path / "records.jsonl"
+        main(["run", "--store", str(store), "--data", str(dataset),
+              "--final-endpoint", f"oracle:{dataset}",
+              "--out", str(records)])
+        lines = records.read_text(encoding="utf-8").splitlines()
+        lines[4] = json.dumps(dict(json.loads(lines[4]), preliminary=5))
+        records.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        out = tmp_path / "train.jsonl"
+        code = main(["emit-train", "--store", str(store), "--stage", "2",
+                     "--preliminary-from", str(records), "--alpha", "1.0",
+                     "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "line 5: preliminary must be a string or null, got int" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_stage2_with_endpoint(self, tmp_path, store, dataset):
         out = tmp_path / "train.jsonl"

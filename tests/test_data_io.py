@@ -36,7 +36,6 @@ from gandr.errors import (
 from gandr.generator import ReplayGenerator
 from gandr.pipeline import PredictionRecord, TrainingPair
 from gandr.retrieval import Exemplar, ExemplarStore, ScoredExemplar
-from gandr.tfidf import TfidfConfig
 
 GOOD_PARSE = "[IN:GET_WEATHER [SL:LOCATION paris ] ]"
 
@@ -230,7 +229,7 @@ class TestParseSplitSpec:
 
 class TestStoreFiles:
     def build(self):
-        store = ExemplarStore(config=TfidfConfig(sublinear_tf=True))
+        store = ExemplarStore()
         store.add(Exemplar(0, "weather in paris", GOOD_PARSE, "weather"))
         store.add(Exemplar(1, "cold out today", GOOD_PARSE))
         # line and paragraph separators that json.dumps leaves unescaped
@@ -244,7 +243,6 @@ class TestStoreFiles:
         save_store(store, path)
         loaded = load_store(path)
         assert loaded.exemplars == store.exemplars
-        assert loaded.config == store.config
 
     @settings(max_examples=100, deadline=None)
     @given(rows=st.lists(st.tuples(any_text, st.none() | any_text),
@@ -288,6 +286,75 @@ class TestStoreFiles:
         path = write(tmp_path / "s.store",
                      json.dumps(header) + "\n" + json.dumps(row) + "\n")
         with pytest.raises(CorruptFile, match="line 2: exemplar id"):
+            load_store(path)
+
+    def test_domain_that_is_not_a_string_is_corrupt(self, tmp_path):
+        header = {"format": "gandr-store", "version": 1, "count": 1}
+        row = {"exemplar_id": 0, "utterance": "hi", "parse": GOOD_PARSE,
+               "domain": 5}
+        path = write(tmp_path / "s.store",
+                     json.dumps(header) + "\n" + json.dumps(row) + "\n")
+        with pytest.raises(CorruptFile, match="line 2: domain must be"):
+            load_store(path)
+
+    # the header and rows that every earlier gandr and the benchmark's
+    # corpus writer produce
+    SAVED = ('{"format":"gandr-store","version":1,"count":2,"config":'
+             '{"sublinear_tf":false,"normalize":true}}\n'
+             '{"exemplar_id":0,"utterance":"weather in paris","parse":'
+             '"[IN:GET_WEATHER [SL:LOCATION paris ] ]","domain":"weather"}\n'
+             '{"exemplar_id":1,"utterance":"cold out today","parse":'
+             '"[IN:GET_WEATHER [SL:LOCATION paris ] ]","domain":null}\n')
+
+    def test_earlier_store_resaves_byte_for_byte(self, tmp_path):
+        a, b = tmp_path / "a.store", tmp_path / "b.store"
+        a.write_bytes(self.SAVED.encode())
+        save_store(load_store(a), b)
+        assert b.read_bytes() == a.read_bytes()
+
+    @pytest.mark.parametrize("header", [
+        {},
+        {"config": {}},
+        {"config": {"sublinear_tf": False}},
+        {"config": {"normalize": True}},
+    ], ids=["no-config", "empty", "sublinear-only", "normalize-only"])
+    def test_header_naming_the_one_weighting_loads(self, tmp_path, header):
+        lines = self.SAVED.splitlines()
+        header = dict({"format": "gandr-store", "version": 1, "count": 2},
+                      **header)
+        path = write(tmp_path / "s.store",
+                     "\n".join([json.dumps(header)] + lines[1:]) + "\n")
+        assert [e.exemplar_id for e in load_store(path).exemplars] == [0, 1]
+
+    @pytest.mark.parametrize("config, named", [
+        ({"sublinear_tf": True, "normalize": True}, "sublinear_tf is true"),
+        ({"sublinear_tf": "no", "normalize": True}, 'sublinear_tf is "no"'),
+        ({"sublinear_tf": 0}, "sublinear_tf is 0"),
+        ({"sublinear_tf": False, "normalize": False}, "normalize is false"),
+        ({"normalize": 1}, "normalize is 1"),
+        ({"normalize": None}, "normalize is null"),
+        (None, "config must be an object, got null"),
+        ([False, True], "config must be an object"),
+        ("plain", "config must be an object"),
+    ])
+    def test_other_weighting_is_a_version_mismatch(self, tmp_path, config,
+                                                   named):
+        lines = self.SAVED.splitlines()
+        header = {"format": "gandr-store", "version": 1, "count": 2,
+                  "config": config}
+        path = write(tmp_path / "s.store",
+                     "\n".join([json.dumps(header)] + lines[1:]) + "\n")
+        with pytest.raises(VersionMismatch, match=named):
+            load_store(path)
+
+    @pytest.mark.parametrize("count", [True, 1.0, "1", None])
+    def test_count_must_be_an_int(self, tmp_path, count):
+        header = {"format": "gandr-store", "version": 1, "count": count}
+        row = {"exemplar_id": 0, "utterance": "hi", "parse": GOOD_PARSE}
+        path = write(tmp_path / "s.store",
+                     json.dumps(header) + "\n" + json.dumps(row) + "\n")
+        with pytest.raises(CorruptFile, match="header promises .* rows, "
+                                              "found 1"):
             load_store(path)
 
     def test_second_save_is_byte_identical(self, tmp_path):
@@ -379,6 +446,35 @@ class TestRecordsFiles:
     def test_corrupt_records(self, tmp_path):
         with pytest.raises(CorruptFile):
             read_records(write(tmp_path / "r.jsonl", "{nope\n"))
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("query", None, "query must be a string, got NoneType"),
+        ("query", 5, "query must be a string, got int"),
+        ("gold", 5, "gold must be a string or null, got int"),
+        ("preliminary", 5, "preliminary must be a string or null, got int"),
+        ("final", 7, "final must be a string or null, got int"),
+        ("final", ["x"], "final must be a string or null, got list"),
+        ("domain_tag", False, "domain_tag must be a string or null"),
+        ("status", "done", "unknown status 'done'"),
+        ("status", None, "unknown status None"),
+    ])
+    def test_fields_of_the_wrong_type_are_corrupt(self, tmp_path, field,
+                                                  value, message):
+        hit = ScoredExemplar(exemplar_id=3, relevance=0.5, input_sim=0.5,
+                             output_sim=0.5, rank=0)
+        record = PredictionRecord(
+            sample_id=0, query="q", gold=GOOD_PARSE, pass1_retrievals=(hit,),
+            pass1_augmented=AugmentedInput("p", "q", (3,), False),
+            preliminary=GOOD_PARSE, pass2_retrievals=(hit,),
+            pass2_augmented=AugmentedInput("p", "q", (3,), False),
+            final=GOOD_PARSE, status="ok", domain_tag="weather")
+        path = tmp_path / "r.jsonl"
+        write_records([record, record], path)
+        lines = path.read_text().splitlines()
+        bad = dict(json.loads(lines[1]), **{field: value})
+        write(path, lines[0] + "\n" + json.dumps(bad) + "\n")
+        with pytest.raises(CorruptFile, match=f"line 2: {message}"):
+            read_records(path)
 
 
 class TestUndecodableBytes:

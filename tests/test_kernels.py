@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from gandr import _kernels
 from gandr.retrieval import Exemplar, InvertedIndex
-from gandr.tfidf import TfidfConfig, TfidfVectorizer, tokenize_text
+from gandr.tfidf import TfidfVectorizer, tokenize_text
 
 from conftest import make_random_corpus
 
@@ -87,22 +87,18 @@ def test_postings_equal_naive_transposition(empty_at):
     assert index.post_weights.dtype == np.float64
 
 
-CONFIGS = [TfidfConfig(), TfidfConfig(sublinear_tf=True),
-           TfidfConfig(normalize=False)]
-
 # short unicode tokens from a small alphabet, so documents repeat tokens
 # and share them; empty documents and a lone document are drawn too
 _token = st.text(alphabet="ab\u00e9\u4e2d\U0001f600 ", max_size=2)
 _docs = st.lists(st.lists(_token, max_size=8), min_size=1, max_size=12)
 
 
-@pytest.mark.parametrize("config", CONFIGS, ids=["plain", "sublinear", "raw"])
 @settings(max_examples=150, deadline=None)
 @given(docs=_docs)
 @example(docs=[["a", "a", "b"]])
 @example(docs=[[]])
 @example(docs=[[], ["\u00e9", "\u00e9", "\u4e2d"], [], ["\U0001f600"], []])
-def test_batched_fit_equals_per_document_transform(config, docs):
+def test_batched_fit_equals_per_document_transform(docs):
     """The batched fit's vocabulary, idf and postings equal, byte for byte,
     a per-document fit: Counter document frequencies and ``transform`` of
     each document, transposed term by term."""
@@ -113,7 +109,7 @@ def test_batched_fit_equals_per_document_transform(config, docs):
     idf = np.array([math.log((1.0 + len(docs)) / (1.0 + df[t])) + 1.0
                     for t in terms], dtype=np.float64)
 
-    index = InvertedIndex(docs, config)
+    index = InvertedIndex(docs)
     vectorizer = index.vectorizer
     assert vectorizer.vocabulary_ == {t: i for i, t in enumerate(terms)}
     assert vectorizer.idf_.dtype == np.float64
@@ -127,7 +123,7 @@ def test_batched_fit_equals_per_document_transform(config, docs):
     assert index.post_weights.tobytes() == \
         np.array(weights, np.float64).tobytes()
 
-    doc, term, weight = TfidfVectorizer(config).fit_transform(docs)
+    doc, term, weight = TfidfVectorizer().fit_transform(docs)
     assert doc.tolist() == [d for d, vec in enumerate(vectors)
                             for _ in vec.term_ids]
     assert term.tolist() == [t for vec in vectors for t in vec.term_ids.tolist()]

@@ -66,6 +66,13 @@ class TestExemplar:
         with pytest.raises(MalformedRow, match="exemplar id"):
             Exemplar(exemplar_id, "x y", "[IN:A ]")
 
+    @pytest.mark.parametrize("domain", [5, 1.5, True, b"weather", ["a"]])
+    def test_domain_must_be_a_string_or_none(self, domain):
+        with pytest.raises(MalformedRow, match="domain must be"):
+            Exemplar(0, "a", "[IN:A ]", domain)
+        assert Exemplar(0, "a", "[IN:A ]", "weather").domain == "weather"
+        assert Exemplar(0, "a", "[IN:A ]").domain is None
+
     def test_keeps_interned_labels_in_document_order(self):
         exemplar = Exemplar(0, "hi", "[in:b [sl:z x ] [sl:a y ] ]")
         assert exemplar.labels == ("IN:B", "SL:Z", "SL:A")

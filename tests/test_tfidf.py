@@ -5,7 +5,7 @@ import pytest
 
 from gandr.errors import EmptyCorpus
 from gandr.retrieval import InvertedIndex
-from gandr.tfidf import TfidfConfig, TfidfVectorizer, tokenize_text
+from gandr.tfidf import TfidfVectorizer, tokenize_text
 
 
 def test_tokenize_lowercases_and_drops_punctuation():
@@ -82,27 +82,6 @@ def test_normalized_vectors_have_unit_norm():
     for i, vec in enumerate(fitted_vectors(TfidfVectorizer(), CORPUS)):
         assert float(np.sum(vec.weights ** 2)) == pytest.approx(1.0, abs=1e-12)
         assert index.scores(CORPUS[i])[i] == pytest.approx(1.0, abs=1e-12)
-
-
-def test_sublinear_tf():
-    vectorizer = TfidfVectorizer(TfidfConfig(sublinear_tf=True))
-    vectors = fitted_vectors(vectorizer, CORPUS)
-    idf_a = 1.0
-    idf_b = math.log(4 / 3) + 1
-    wa, wb = 1.0 * idf_a, (1 + math.log(2)) * idf_b
-    norm = math.sqrt(wa * wa + wb * wb)
-    assert vectors[2].weights.tolist() == pytest.approx([wa / norm, wb / norm],
-                                                        rel=1e-15)
-
-
-def test_unnormalized_keeps_raw_weights():
-    vectorizer = TfidfVectorizer(TfidfConfig(normalize=False))
-    vectors = fitted_vectors(vectorizer, CORPUS)
-    idf_b = math.log(4 / 3) + 1
-    assert vectors[2].weights.tolist() == [1.0, 2 * idf_b]
-    # retrieval scores unnormalized vectors by their raw dot product
-    index = InvertedIndex(CORPUS, TfidfConfig(normalize=False))
-    assert index.scores(CORPUS[2])[2] == 1.0 + (2 * idf_b) * (2 * idf_b)
 
 
 def test_unknown_tokens_are_dropped():
