@@ -21,6 +21,7 @@ config, missing input files).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -290,17 +291,8 @@ def cmd_eval(args, config: dict) -> int:
     report = evaluate(records, store, k=args.k,
                       multiset=not args.set_match, casefold=args.casefold)
     if args.json:
-        payload = {
-            "n": report.n,
-            "exact_match": report.exact_match,
-            "template_recall": report.template_recall,
-            "n_failed": report.n_failed,
-            "per_domain": {
-                domain: vars(stats)
-                for domain, stats in report.per_domain.items()
-            },
-        }
-        print(json.dumps(payload, ensure_ascii=False, sort_keys=True))
+        print(json.dumps(dataclasses.asdict(report), ensure_ascii=False,
+                         sort_keys=True))
         return 0
     print(f"samples\t{report.n}")
     print(f"exact_match\t{report.exact_match:.6f}")
@@ -317,8 +309,11 @@ def cmd_sweep(args, config: dict) -> int:
     samples = _load_samples(args.data, args.format, args.has_header,
                             args.strict)
     base_config = _pipeline_config(args, config)
-    preliminary, final, endpoint_echo = _endpoint_pair(args, config)
     axis = SweepAxis(args.axis)
+    if base_config.mode is PipelineMode.INPUT_ONLY and axis is SweepAxis.ALPHA:
+        raise ConfigError("alpha has no effect in input-only mode; "
+                          "sweep k instead")
+    preliminary, final, endpoint_echo = _endpoint_pair(args, config)
     values = (_comma_floats(args.values) if axis is SweepAxis.ALPHA
               else _comma_ints(args.values))
     seeds = _comma_ints(args.seeds)

@@ -30,7 +30,7 @@ class MissingPrediction(GandrError, ValueError):
 
 
 class StoreTooSmall(GandrError, ValueError):
-    """Sampled retrieval asked for more exemplars than the store holds."""
+    """Retrieval asked for more exemplars than are left after exclusions."""
 
 
 class QueryExceedsBudget(GandrError, ValueError):
@@ -98,4 +98,4 @@ class CorruptFile(GandrError):
 
 
 class RecordNotFound(GandrError, LookupError):
-    """A records file has no record with the requested sample id."""
+    """An unknown exemplar id: the store has no exemplar with it."""

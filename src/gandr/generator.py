@@ -157,14 +157,13 @@ class RemoteGenerator(Generator):
 
     def __init__(self, url: str, timeout: float = 30.0,
                  max_batch: int | None = None, retries: int = 2,
-                 backoff: float = 0.1,
-                 session: requests.Session | None = None):
+                 backoff: float = 0.1):
         self.url = url
         self.timeout = timeout
         self.max_batch = max_batch
         self.retries = retries
         self.backoff = backoff
-        self._session = session or requests.Session()
+        self._session = requests.Session()
 
     def _post_once(self, chunk: Sequence[str]) -> list[str]:
         try:

@@ -5,8 +5,8 @@ prompts a preliminary endpoint, re-retrieves with the preliminary parse
 mixed in (weight ``alpha``), and prompts the final endpoint. Modes:
 
 * INPUT_ONLY: single pass, pure input retrieval (alpha pinned to 0).
-* GANDR: both passes, configured alpha for the second.
-* OUTPUT_ONLY: both passes, second pass pinned to alpha 1.
+* GANDR: both passes, configured alpha for the second; alpha 1 retrieves
+  by output similarity alone.
 
 Both passes are one step: retrieve and prompt per sample, then generate
 in bulk. The first pass is that step at alpha 0 with no preliminary
@@ -39,9 +39,11 @@ from .errors import ConfigError, GenerationError, MissingGold, MissingPrediction
 from .retrieval import (
     ExemplarStore,
     ScoredExemplar,
+    is_int64,
     retrieve_sampled,
     retrieve_topk_alphas,
     validate_alpha,
+    validate_k,
 )
 
 STATUS_OK = "ok"
@@ -49,11 +51,12 @@ STATUS_PASS1_FAILED = "pass1_failed"
 STATUS_PASS2_FAILED = "pass2_failed"
 STATUSES = (STATUS_OK, STATUS_PASS1_FAILED, STATUS_PASS2_FAILED)
 
+_KIND_NAMES = {str: "a string", float: "a float", bool: "a bool"}
+
 
 class PipelineMode(Enum):
-    INPUT_ONLY = "input-only"
     GANDR = "gandr"
-    OUTPUT_ONLY = "output-only"
+    INPUT_ONLY = "input-only"
 
 
 class FailurePolicy(Enum):
@@ -81,19 +84,14 @@ class PipelineConfig:
 
     def __post_init__(self):
         validate_alpha(self.alpha)
-        if not isinstance(self.k, int) or isinstance(self.k, bool) or self.k < 1:
-            raise ConfigError(f"k must be a positive integer, got {self.k!r}")
+        validate_k(self.k)
         if self.budget is not None and self.budget < 1:
             raise ConfigError(f"budget must be positive, got {self.budget}")
 
     @property
     def pass2_alpha(self) -> float:
         """The mixing weight actually used by the second pass."""
-        if self.mode is PipelineMode.INPUT_ONLY:
-            return 0.0
-        if self.mode is PipelineMode.OUTPUT_ONLY:
-            return 1.0
-        return self.alpha
+        return 0.0 if self.mode is PipelineMode.INPUT_ONLY else self.alpha
 
 
 @dataclass(frozen=True)
@@ -141,43 +139,61 @@ class PredictionRecord:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "PredictionRecord":
-        """Inverse of ``to_dict``. A text field of the wrong type raises
-        TypeError, and a status not in ``STATUSES`` ValueError."""
+        """Inverse of ``to_dict``. A status not in ``STATUSES`` raises
+        ValueError, and any other field of the wrong type TypeError: ids
+        and ranks follow the exemplar id rule (``is_int64``) and ranks are
+        not negative, similarities are floats, texts strings, and
+        ``truncated`` a bool."""
 
-        def text(key, nullable=True):
-            value = data.get(key) if nullable else data[key]
-            if isinstance(value, str) or nullable and value is None:
+        def typed(raw, key, kind=str, nullable=False):
+            value = raw.get(key) if nullable else raw[key]
+            if isinstance(value, kind) or nullable and value is None:
                 return value
-            raise TypeError(f"{key} must be a string"
+            raise TypeError(f"{key} must be {_KIND_NAMES[kind]}"
                             f"{' or null' if nullable else ''}, "
                             f"got {type(value).__name__}")
 
+        def ident(value, name, nonnegative=False):
+            if is_int64(value) and not (nonnegative and value < 0):
+                return value
+            raise TypeError(f"{name} must be a"
+                            f"{' non-negative' if nonnegative else ''} "
+                            f"64-bit integer, got {value!r}")
+
+        def hit(raw):
+            scored = ScoredExemplar(**raw)
+            ident(scored.exemplar_id, "exemplar_id")
+            ident(scored.rank, "rank", nonnegative=True)
+            for key in ("relevance", "input_sim", "output_sim"):
+                typed(raw, key, float)
+            return scored
+
         def hits(raw):
-            if raw is None:
-                return None
-            return tuple(ScoredExemplar(**h) for h in raw)
+            return None if raw is None else tuple(map(hit, raw))
 
         def aug(raw):
             if raw is None:
                 return None
-            return AugmentedInput(text=raw["text"], query=raw["query"],
-                                  exemplar_ids=tuple(raw["exemplar_ids"]),
-                                  truncated=raw["truncated"])
+            return AugmentedInput(
+                text=typed(raw, "text"), query=typed(raw, "query"),
+                exemplar_ids=tuple(ident(i, "exemplar_ids entry")
+                                   for i in raw["exemplar_ids"]),
+                truncated=typed(raw, "truncated", bool))
 
         if data["status"] not in STATUSES:
             raise ValueError(f"unknown status {data['status']!r}")
         return cls(
-            sample_id=data["sample_id"],
-            query=text("query", nullable=False),
-            gold=text("gold"),
+            sample_id=ident(data["sample_id"], "sample_id"),
+            query=typed(data, "query"),
+            gold=typed(data, "gold", nullable=True),
             pass1_retrievals=hits(data["pass1_retrievals"]) or (),
             pass1_augmented=aug(data["pass1_augmented"]),
-            preliminary=text("preliminary"),
+            preliminary=typed(data, "preliminary", nullable=True),
             pass2_retrievals=hits(data.get("pass2_retrievals")),
             pass2_augmented=aug(data.get("pass2_augmented")),
-            final=text("final"),
+            final=typed(data, "final", nullable=True),
             status=data["status"],
-            domain_tag=text("domain_tag"),
+            domain_tag=typed(data, "domain_tag", nullable=True),
         )
 
 

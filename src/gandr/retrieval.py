@@ -12,14 +12,14 @@ parses. ``alpha`` is the mixing weight: 0 ranks purely by input text, 1
 purely by parse structure.
 
 Candidates are ordered by descending relevance with ties broken by
-ascending exemplar id. ``retrieve_topk_alphas`` takes the head of that
-ordering at each of several alphas from one scoring of the query, since
-only the mix depends on alpha; ``retrieve_topk`` is its one-alpha case,
-and both pipeline passes select through it. ``retrieve_sampled`` draws
-from the ordering with geometrically decaying rank probabilities (used
-to diversify training data, not at inference). Only the head is
-materialised: the k best candidates, or as many as the deepest sampled
-rank needs, found by a partition instead of a full sort.
+ascending exemplar id. ``retrieve_topk_alphas`` is the one selector: it
+takes the head of that ordering at each of several alphas from one
+scoring of the query, since only the mix depends on alpha, and finds the
+head by a partition instead of a full sort. ``retrieve_topk`` is its
+one-alpha case, and both pipeline passes select through it.
+``retrieve_sampled`` draws ranks with geometrically decaying
+probabilities (used to diversify training data, not at inference) and
+reads them from the top-k head as deep as its deepest draw.
 """
 
 from __future__ import annotations
@@ -45,6 +45,12 @@ from .tfidf import TfidfVectorizer, tokenize_text
 from .top_parse import parse_top, structure_tokens
 
 
+def is_int64(value) -> bool:
+    """The id rule: an int, not a bool, that fits the store's int64 ids."""
+    return isinstance(value, int) and not isinstance(value, bool) \
+        and -2**63 <= value < 2**63
+
+
 @dataclass(frozen=True)
 class Exemplar:
     """One training pair: an utterance and its bracketed parse.
@@ -68,10 +74,7 @@ class Exemplar:
     labels: tuple[str, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        # the store keeps ids in an int64 array
-        if not isinstance(self.exemplar_id, int) \
-                or isinstance(self.exemplar_id, bool) \
-                or not -2**63 <= self.exemplar_id < 2**63:
+        if not is_int64(self.exemplar_id):
             raise MalformedRow(f"exemplar id must be a 64-bit integer, "
                                f"got {self.exemplar_id!r}")
         for name in ("utterance", "parse"):
@@ -108,6 +111,12 @@ def validate_alpha(alpha: float) -> float:
     if math.isnan(alpha) or not 0.0 <= alpha <= 1.0:
         raise ConfigError(f"alpha must lie in [0, 1], got {alpha}")
     return alpha
+
+
+def validate_k(k: int) -> int:
+    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
+        raise ConfigError(f"k must be a positive integer, got {k!r}")
+    return k
 
 
 class InvertedIndex:
@@ -158,8 +167,7 @@ class ExemplarStore:
         self._exemplars: dict[int, Exemplar] = {}
         self._dirty = True
         self._ids: np.ndarray = np.empty(0, dtype=np.int64)
-        self._input_index: InvertedIndex | None = None
-        self._output_index: InvertedIndex | None = None
+        self._indexes: tuple[InvertedIndex, InvertedIndex] | None = None
 
     def add(self, exemplar: Exemplar) -> None:
         if exemplar.exemplar_id in self._exemplars:
@@ -194,43 +202,25 @@ class ExemplarStore:
             raise EmptyCorpus("store has no exemplars")
         ordered = self.exemplars
         self._ids = np.array([e.exemplar_id for e in ordered], dtype=np.int64)
-        self._input_index = InvertedIndex(
-            [tokenize_text(e.utterance) for e in ordered])
-        self._output_index = InvertedIndex([e.labels for e in ordered])
+        self._indexes = (
+            InvertedIndex([tokenize_text(e.utterance) for e in ordered]),
+            InvertedIndex([e.labels for e in ordered]))
         self._dirty = False
 
     def ensure_built(self) -> None:
         if self._dirty:
             self.build()
 
-    @property
-    def input_index(self) -> InvertedIndex:
-        self.ensure_built()
-        assert self._input_index is not None
-        return self._input_index
-
-    @property
-    def output_index(self) -> InvertedIndex:
-        self.ensure_built()
-        assert self._output_index is not None
-        return self._output_index
-
     def similarities(self, query: str,
                      preliminary: str | None) -> tuple[np.ndarray, np.ndarray]:
         """(input_sim, output_sim) of every exemplar, in ascending id
         order; output_sim is zero everywhere without a preliminary."""
         self.ensure_built()
-        in_sims = self.input_index.scores(tokenize_text(query))
+        inputs, outputs = self._indexes
+        in_sims = inputs.scores(tokenize_text(query))
         if preliminary is None:
             return in_sims, np.zeros(len(self._exemplars), dtype=np.float64)
-        return in_sims, self.output_index.scores(structure_tokens(preliminary))
-
-    def score_all(self, query: str, alpha: float,
-                  preliminary: str | None) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Score every exemplar; returns (ids, relevance, input_sim, output_sim)."""
-        alpha = _check_mix(alpha, preliminary)
-        in_sims, out_sims = self.similarities(query, preliminary)
-        return self._ids, _mix(in_sims, out_sims, alpha), in_sims, out_sims
+        return in_sims, outputs.scores(structure_tokens(preliminary))
 
 
 def _check_mix(alpha: float, preliminary: str | None) -> float:
@@ -271,24 +261,15 @@ def _candidate_order(ids: np.ndarray, relevance: np.ndarray,
 
 def _check_k(k: int, store: ExemplarStore,
              exclude_ids: Collection[int]) -> int:
-    """Validate k against the exemplars left after exclusions; returns
-    how many are left."""
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise ConfigError(f"k must be a positive integer, got {k!r}")
+    """Build the store, then validate k against the exemplars left after
+    exclusions; returns how many are left."""
+    store.ensure_built()
+    validate_k(k)
     available = len(store) - sum(i in store for i in set(exclude_ids))
     if k > available:
         raise StoreTooSmall(
             f"requested {k} exemplars but only {available} are available")
     return available
-
-
-def _hit(scored, i, rank) -> ScoredExemplar:
-    ids, relevance, in_sims, out_sims = scored
-    return ScoredExemplar(exemplar_id=int(ids[i]),
-                          relevance=float(relevance[i]),
-                          input_sim=float(in_sims[i]),
-                          output_sim=float(out_sims[i]),
-                          rank=int(rank))
 
 
 def retrieve_topk(store: ExemplarStore, query: str, k: int,
@@ -309,17 +290,22 @@ def retrieve_topk_alphas(store: ExemplarStore, query: str, k: int,
     list best first.
 
     Only the mix depends on alpha, so the query's similarities are scored
-    once and mixed per alpha with the formula ``score_all`` uses, so each
-    alpha's relevances are bit for bit ``score_all``'s at that alpha.
+    once and mixed per alpha.
     """
     alphas = [_check_mix(alpha, preliminary) for alpha in alphas]
-    in_sims, out_sims = store.similarities(query, preliminary)
     _check_k(k, store, exclude_ids)
+    in_sims, out_sims = store.similarities(query, preliminary)
+    ids = store._ids
     hits = []
     for alpha in alphas:
-        scored = store._ids, _mix(in_sims, out_sims, alpha), in_sims, out_sims
-        head = _candidate_order(scored[0], scored[1], exclude_ids, k)
-        hits.append([_hit(scored, i, rank) for rank, i in enumerate(head)])
+        relevance = _mix(in_sims, out_sims, alpha)
+        head = _candidate_order(ids, relevance, exclude_ids, k)
+        hits.append([ScoredExemplar(exemplar_id=int(ids[i]),
+                                    relevance=float(relevance[i]),
+                                    input_sim=float(in_sims[i]),
+                                    output_sim=float(out_sims[i]),
+                                    rank=rank)
+                     for rank, i in enumerate(head)])
     return hits
 
 
@@ -361,11 +347,12 @@ def retrieve_sampled(store: ExemplarStore, query: str, k: int, p: float,
                      exclude_ids: Collection[int] = ()) -> list[ScoredExemplar]:
     """Draw k exemplars with geometrically decaying rank probabilities.
 
-    Ranks refer to the same relevance ordering ``retrieve_topk`` uses, and
-    the reported ``rank`` of each hit is its position in that full
-    ordering. Results are in draw order, not rank order.
+    Each hit is the ``retrieve_topk`` hit at a drawn rank, read from the
+    head as deep as the deepest draw, so its ``rank`` is its position in
+    the full ordering. Results are in draw order, not rank order.
     """
-    scored = store.score_all(query, alpha, preliminary)
+    _check_mix(alpha, preliminary)
     picks = sample_geometric_ranks(_check_k(k, store, exclude_ids), k, p, rng)
-    head = _candidate_order(scored[0], scored[1], exclude_ids, max(picks) + 1)
-    return [_hit(scored, head[rank], rank) for rank in picks]
+    hits = retrieve_topk(store, query, max(picks) + 1, alpha, preliminary,
+                         exclude_ids)
+    return [hits[rank] for rank in picks]

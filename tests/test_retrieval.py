@@ -121,7 +121,7 @@ class TestStore:
         monkeypatch.setattr(retrieval, "parse_top", forbidden)
         monkeypatch.setattr(retrieval, "structure_tokens", forbidden)
         store.build()
-        assert_same_index(store.output_index, reparsed)
+        assert_same_index(store._indexes[1], reparsed)
 
     def test_rejected_add_keeps_no_labels(self, tiny_store):
         fresh = build_store(tiny_store.exemplars)
@@ -137,8 +137,8 @@ class TestStore:
         tiny_store.build()
         fresh.build()
         assert tiny_store._ids.tolist() == fresh._ids.tolist()
-        assert_same_index(tiny_store.input_index, fresh.input_index)
-        assert_same_index(tiny_store.output_index, fresh.output_index)
+        for index, expected in zip(tiny_store._indexes, fresh._indexes):
+            assert_same_index(index, expected)
 
     def test_mutation_after_build_is_visible(self):
         store = build_store([Exemplar(0, "alpha beta", "[IN:A x ]")])
@@ -190,6 +190,28 @@ class TestValidation:
                            match="^requested 3 exemplars but only 2 are "
                                  "available$"):
             retrieve(tiny_store, 3, [0, 2, 0, 99])
+
+
+    @pytest.mark.parametrize("empty, settings, error", [
+        (True, {}, EmptyCorpus),
+        (True, {"k": 0}, EmptyCorpus),
+        (True, {"k": 0, "p": 0.0}, EmptyCorpus),
+        (True, {"alpha": 2.0}, ConfigError),
+        (True, {"alpha": 0.5}, ConfigError),
+        (False, {"k": 5, "p": 0.0}, StoreTooSmall),
+        (False, {"alpha": 0.5, "k": 5}, ConfigError),
+    ])
+    def test_sampled_checks_mix_then_store_then_k_then_p(
+            self, tiny_store, empty, settings, error):
+        settings = {"k": 1, "p": 0.5, **settings}
+        with pytest.raises(error):
+            retrieve_sampled(ExemplarStore() if empty else tiny_store,
+                             "play jazz", rng=np.random.default_rng(0),
+                             **settings)
+
+    def test_empty_store_comes_before_k(self):
+        with pytest.raises(EmptyCorpus):
+            retrieve_topk(ExemplarStore(), "play jazz", 0)
 
 
 class TestTopK:
@@ -333,8 +355,9 @@ class TestHeadSelection:
         alpha = data.draw(st.sampled_from([0.0, 0.5, 1.0]))
         preliminary = data.draw(st.sampled_from(
             ["[IN:A [SL:S x ] ]", "[IN:UNSEEN z ]"]))
-        ids, relevance, in_sims, out_sims = store.score_all(query, alpha,
-                                                            preliminary)
+        in_sims, out_sims = store.similarities(query, preliminary)
+        relevance = (1.0 - alpha) * in_sims + alpha * out_sims
+        ids = np.array([e.exemplar_id for e in store.exemplars])
         order = np.lexsort((ids, -relevance))
 
         k = data.draw(st.integers(1, n))
