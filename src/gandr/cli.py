@@ -93,12 +93,19 @@ def _load_config_file(path: str | None) -> dict:
     return config
 
 
+# the JSON types a non-string value may have, by the cast of its flag
+_JSON_TYPES = {int: int, float: (int, float)}
+
+
 def _resolve(flag, env_name: str | None, config: dict, key: str,
              default=None, cast=None):
     """flag > environment > config file > default.
 
-    ``cast`` converts whichever value wins, bar the default; a value it
-    rejects is a ConfigError.
+    A value that is not a string must have the JSON type its flag
+    produces: an integer for an ``int`` cast, a number for a ``float``
+    cast, a string otherwise; bools count as neither. ``cast`` then
+    converts whichever value wins, bar the default; a value it rejects
+    is a ConfigError.
     """
     if flag is not None:
         raw = flag
@@ -108,10 +115,13 @@ def _resolve(flag, env_name: str | None, config: dict, key: str,
         raw = config[key]
     else:
         return default
+    if isinstance(raw, bool) or not isinstance(
+            raw, (str, type(None), _JSON_TYPES.get(cast, str))):
+        raise ConfigError(f"bad value for {key}: {raw!r}")
     if cast is not None:
         try:
             return cast(raw)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"bad value for {key}: {raw!r}") from exc
     return raw
 

@@ -35,7 +35,7 @@ from typing import Collection, Mapping, Sequence
 import numpy as np
 
 from .augment import AugmentedInput, build_augmented_input
-from .errors import ConfigError, GenerationError, MissingGold, MissingPrediction
+from .errors import GenerationError, MissingGold, MissingPrediction
 from .retrieval import (
     ExemplarStore,
     ScoredExemplar,
@@ -85,8 +85,8 @@ class PipelineConfig:
     def __post_init__(self):
         validate_alpha(self.alpha)
         validate_k(self.k)
-        if self.budget is not None and self.budget < 1:
-            raise ConfigError(f"budget must be positive, got {self.budget}")
+        if self.budget is not None:
+            validate_k(self.budget, "budget")
 
     @property
     def pass2_alpha(self) -> float:

@@ -113,9 +113,10 @@ def validate_alpha(alpha: float) -> float:
     return alpha
 
 
-def validate_k(k: int) -> int:
+def validate_k(k: int, name: str = "k") -> int:
+    """The rule for k and for a prompt budget: an int, not a bool, >= 1."""
     if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise ConfigError(f"k must be a positive integer, got {k!r}")
+        raise ConfigError(f"{name} must be a positive integer, got {k!r}")
     return k
 
 
@@ -123,23 +124,15 @@ class InvertedIndex:
     """TF-IDF postings in CSR layout.
 
     ``post_indptr[t]:post_indptr[t+1]`` slices the (doc, weight) postings of
-    term ``t``; doc ids within a slice ascend. The postings are the fitted
-    document vectors transposed; the vectors themselves are not kept.
+    term ``t``; doc ids within a slice ascend. They are kept as the fit
+    returns them; the document vectors themselves are not kept.
     """
 
     def __init__(self, token_docs: Sequence[Sequence[str]]):
         self.vectorizer = TfidfVectorizer()
-        doc_ids, term_ids, weights = self.vectorizer.fit_transform(token_docs)
+        self.post_indptr, self.post_doc_ids, self.post_weights = \
+            self.vectorizer.fit_transform(token_docs)
         self.n_docs = len(token_docs)
-        n_terms = len(self.vectorizer.vocabulary_)
-
-        # a stable sort keeps doc ids ascending within each term's slice
-        by_term = np.argsort(term_ids, kind="stable")
-        self.post_indptr = np.zeros(n_terms + 1, dtype=np.int64)
-        np.cumsum(np.bincount(term_ids, minlength=n_terms),
-                  out=self.post_indptr[1:])
-        self.post_doc_ids = doc_ids[by_term]
-        self.post_weights = weights[by_term]
 
     def scores(self, tokens: Iterable[str]) -> np.ndarray:
         """Similarity of the query against every document, dense float64.

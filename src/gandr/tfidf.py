@@ -10,15 +10,15 @@ scores are dot products of these vectors, i.e. cosine similarities in
 [0, 1], so both channels share one scale and ``alpha`` weighs them as
 it says.
 
-A corpus is fitted in one batched array pass (``fit_transform``); a
-query is vectorized on its own (``transform``). Both give the same bits
-for the same document, because the arithmetic order is pinned: idf goes
-through ``math.log`` one term at a time, each weight is ``tf * idf``,
-and a document's squared norm is summed weight by weight in ascending
-term order, starting from 0.0, before one square root and one division
-per weight. The batched fit keeps that order by adding the j-th squared
-weight of every document in step j; the pairwise summation of
-``np.sum`` or ``np.add.reduceat`` would change the bits.
+A corpus is fitted in one sort straight into term-major CSR postings
+(``fit_transform``); a query is vectorized on its own (``transform``).
+Both give the same bits for the same document, because the arithmetic
+order is pinned: idf goes through ``math.log`` one term at a time, each
+weight is ``tf * idf``, and a document's squared norm is summed weight
+by weight in ascending term order, starting from 0.0, before one square
+root and one division per weight. ``np.bincount`` adds in entry order,
+which in term-major postings is each document's ascending term order;
+the pairwise summation of ``np.sum`` or ``np.add.reduceat`` would not.
 """
 
 from __future__ import annotations
@@ -84,12 +84,15 @@ class TfidfVectorizer:
 
     def fit_transform(self, docs: Sequence[Sequence[str]]
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Fit on ``docs`` and vectorize them all in one array pass.
+        """Fit on ``docs`` and vectorize them all as term-major postings.
 
-        Returns parallel ``(doc, term, weight)`` arrays (int64, int64,
-        float64) sorted by doc, then term: the nonzero entries of every
-        document vector, bit for bit what ``transform`` gives each
-        document after the fit. A document without tokens has no entries.
+        Returns CSR ``(indptr, doc_ids, weights)`` (int64, int64, float64):
+        ``indptr[t]:indptr[t+1]`` slices the entries of term ``t``, whose
+        doc ids ascend, and each weight is bit for bit what ``transform``
+        gives that document for that term after the fit. A document
+        without tokens has no entries. Norms are summed by ``bincount``,
+        which adds in entry order; a document's entries come in ascending
+        term order, so its sum runs as ``transform``'s does.
         """
         n_docs = len(docs)
         if n_docs == 0:
@@ -98,44 +101,25 @@ class TfidfVectorizer:
         self.vocabulary_ = vocabulary
         n_terms = len(vocabulary)
 
-        # one int64 key per token, doc * n_terms + term, so a single sort
-        # counts every (doc, term) pair and leaves them in (doc, term) order
+        # one int64 key per token, term * n_docs + doc, so a single sort
+        # counts every (term, doc) pair and leaves them term-major
         lengths = np.fromiter(map(len, docs), dtype=np.int64, count=n_docs)
         tokens = itertools.chain.from_iterable(docs)
         keys = np.fromiter(map(vocabulary.__getitem__, tokens),
                            dtype=np.int64, count=int(lengths.sum()))
-        keys += np.repeat(np.arange(n_docs, dtype=np.int64) * n_terms, lengths)
+        keys *= n_docs
+        keys += np.repeat(np.arange(n_docs, dtype=np.int64), lengths)
         keys, counts = np.unique(keys, return_counts=True)
-        doc, term = np.divmod(keys, n_terms)
+        term, doc = np.divmod(keys, n_docs)
 
         df = np.bincount(term, minlength=n_terms)
+        indptr = np.zeros(n_terms + 1, dtype=np.int64)
+        np.cumsum(df, out=indptr[1:])
         self.idf_ = np.array(
             [math.log((1.0 + n_docs) / (1.0 + d)) + 1.0 for d in df.tolist()],
             dtype=np.float64)
         weights = counts.astype(np.float64) * self.idf_[term]
         # tf >= 1 and idf >= 1, so no document with entries has norm 0
-        weights /= np.sqrt(_squared_norms(doc, weights, n_docs))[doc]
-        return doc, term, weights
-
-
-def _squared_norms(doc: np.ndarray, weights: np.ndarray,
-                   n_docs: int) -> np.ndarray:
-    """Each document's sum of squared weights, added in entry order.
-
-    Step j adds the j-th entry of every document that has one, so each
-    sum runs 0.0 + w0*w0 + w1*w1 + ... exactly as ``transform`` adds it.
-    Documents are visited longest first, so step j touches only a prefix
-    of that order and the whole pass costs one add per entry.
-    """
-    nnz = np.bincount(doc, minlength=n_docs)
-    starts = np.zeros(n_docs, dtype=np.int64)
-    np.cumsum(nnz[:-1], out=starts[1:])
-    longest_first = np.argsort(-nnz, kind="stable")
-    # longer[j]: how many documents have more than j entries
-    longer = n_docs - np.cumsum(np.bincount(nnz))
-    squares = weights * weights
-    acc = np.zeros(n_docs, dtype=np.float64)
-    for j in range(int(nnz.max())):
-        live = longest_first[:longer[j]]
-        acc[live] += squares[starts[live] + j]
-    return acc
+        weights /= np.sqrt(np.bincount(doc, weights=weights * weights,
+                                       minlength=n_docs))[doc]
+        return indptr, doc, weights

@@ -679,6 +679,39 @@ class TestConfigResolution:
         assert code == 2
         assert f"bad value for {key}: {value!r}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [
+        ("k", 2.5), ("k", True), ("alpha", True), ("budget", 7.9),
+        ("timeout", False), ("final_endpoint", 5),
+        ("preliminary_endpoint", ["a"]),
+        pytest.param("alpha", 2 ** 1024, id="alpha-int-beyond-float")])
+    def test_config_value_of_the_wrong_json_type_exits_2(
+            self, tmp_path, store, dataset, capsys, key, value):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"final_endpoint": "static:x",
+                                      key: value}))
+        out = tmp_path / "r.jsonl"
+        code = main(["--config", str(config), "run", "--store", str(store),
+                     "--data", str(dataset), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"error: bad value for {key}: {value!r}" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_config_strings_and_integral_numbers_still_cast(
+            self, tmp_path, store, dataset):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "final_endpoint": f"oracle:{dataset}", "k": "3", "alpha": 1,
+            "budget": "50", "timeout": 5}))
+        out = tmp_path / "r.jsonl"
+        code = main(["--config", str(config), "run", "--store", str(store),
+                     "--data", str(dataset), "--out", str(out)])
+        assert code == 0
+        sidecar = json.loads((tmp_path / "r.jsonl.config.json").read_text())
+        assert (sidecar["k"], sidecar["alpha"], sidecar["budget"],
+                sidecar["timeout"]) == (3, 1.0, 50, 5.0)
+
     def test_bad_config_file_exits_2(self, tmp_path, store, dataset, capsys):
         config = tmp_path / "config.json"
         config.write_text("[1, 2]")

@@ -123,12 +123,39 @@ def test_batched_fit_equals_per_document_transform(docs):
     assert index.post_weights.tobytes() == \
         np.array(weights, np.float64).tobytes()
 
-    doc, term, weight = TfidfVectorizer().fit_transform(docs)
-    assert doc.tolist() == [d for d, vec in enumerate(vectors)
-                            for _ in vec.term_ids]
-    assert term.tolist() == [t for vec in vectors for t in vec.term_ids.tolist()]
-    assert weight.tobytes() == np.concatenate(
-        [vec.weights for vec in vectors]).tobytes()
+    fit_indptr, fit_doc_ids, fit_weights = TfidfVectorizer().fit_transform(docs)
+    assert fit_indptr.tobytes() == np.array(indptr, np.int64).tobytes()
+    assert fit_doc_ids.tobytes() == np.array(doc_ids, np.int64).tobytes()
+    assert fit_weights.tobytes() == np.array(weights, np.float64).tobytes()
+
+
+def test_long_document_norm_is_summed_in_term_order():
+    """A document of 48 distinct terms with varied idf, where pairwise
+    summation gives other bits than adding in term order, still fits to
+    exactly the weights ``transform`` gives it."""
+    # term i occurs 1 + i % 5 times in document 0; document j (1..12)
+    # holds every term whose index is divisible by j, so df varies
+    words = [f"w{i:02d}" for i in range(48)]
+    docs = [[w for i, w in enumerate(words) for _ in range(1 + i % 5)]]
+    docs += [[w for i, w in enumerate(words) if i % j == 0]
+             for j in range(1, 13)]
+    indptr, doc_ids, weights = TfidfVectorizer().fit_transform(docs)
+
+    vectorizer = TfidfVectorizer()
+    vectorizer.fit_transform(docs)
+    squares = [((1 + i % 5) * float(vectorizer.idf_[i])) ** 2
+               for i in range(48)]
+    in_order = 0.0
+    for square in squares:
+        in_order += square
+    assert len(set(vectorizer.idf_.tolist())) > 5
+    assert float(np.sum(squares)) != in_order
+
+    vectors = [vectorizer.transform(tokens) for tokens in docs]
+    expected = naive_postings(vectors, len(words))
+    assert indptr.tobytes() == np.array(expected[0], np.int64).tobytes()
+    assert doc_ids.tobytes() == np.array(expected[1], np.int64).tobytes()
+    assert weights.tobytes() == np.array(expected[2], np.float64).tobytes()
 
 
 def test_index_over_only_empty_documents():

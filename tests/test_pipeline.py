@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from gandr.errors import (
@@ -184,6 +186,17 @@ class TestConfigValidation:
     def test_bad_budget(self):
         with pytest.raises(ConfigError):
             PipelineConfig(budget=0)
+
+    @pytest.mark.parametrize("budget", [-3, True, False, 2.5, "8"])
+    def test_budget_follows_the_k_rule(self, budget):
+        with pytest.raises(ConfigError,
+                           match=f"budget must be a positive integer, "
+                                 f"got {re.escape(repr(budget))}"):
+            PipelineConfig(budget=budget)
+
+    @pytest.mark.parametrize("budget", [None, 1, 40])
+    def test_good_budget(self, budget):
+        assert PipelineConfig(budget=budget).budget == budget
 
 
 def test_record_dict_round_trip(tiny_store):

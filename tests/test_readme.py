@@ -1,12 +1,16 @@
 """README's examples run, or at least parse, as written against the
 installed package."""
 
+import json
 import re
 import shlex
 from pathlib import Path
 
 import gandr
 from gandr import cli
+from gandr.cli import main
+
+from conftest import TRACE_EXEMPLARS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -53,3 +57,44 @@ def test_mode_lists_name_the_parser_modes():
     assert lists
     for listed in lists:
         assert listed.split("|") == [m.value for m in gandr.PipelineMode]
+
+
+def config_keys() -> list[str]:
+    """The config file keys README lists, in its order."""
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    [listed] = re.findall(r"Config file keys match the long flag names "
+                          r"\(([^)]*)\)", text)
+    return re.findall(r"`(\w+)`", listed)
+
+
+def test_every_listed_config_key_rejects_a_list(tmp_path, capsys,
+                                                 monkeypatch):
+    """A JSON list is no flag's type, so each listed key given one makes
+    ``run`` or, for the keys ``run`` does not read, ``emit-train`` exit 2
+    naming that key."""
+    for name in (cli.ENV_PRELIMINARY_URL, cli.ENV_FINAL_URL, cli.ENV_TIMEOUT):
+        monkeypatch.delenv(name, raising=False)
+    data = tmp_path / "data.tsv"
+    data.write_text("".join(f"{e.utterance}\t{e.parse}\n"
+                            for e in TRACE_EXEMPLARS), encoding="utf-8")
+    store = tmp_path / "s.store"
+    assert main(["index", "--data", str(data), "--out", str(store)]) == 0
+    commands = [
+        ["run", "--store", str(store), "--data", str(data),
+         "--out", str(tmp_path / "r.jsonl")],
+        ["emit-train", "--store", str(store), "--stage", "1",
+         "--out", str(tmp_path / "t.jsonl")],
+    ]
+    keys = config_keys()
+    assert len(keys) == 9
+    config = tmp_path / "config.json"
+    for key in keys:
+        config.write_text(json.dumps({"final_endpoint": "static:x",
+                                      key: ["a"]}))
+        capsys.readouterr()
+        for command in commands:
+            if main(["--config", str(config)] + command) == 2:
+                break
+        else:
+            raise AssertionError(f"no command rejected {key}: ['a']")
+        assert f"error: bad value for {key}: ['a']" in capsys.readouterr().err

@@ -59,10 +59,15 @@ def test_three_doc_corpus_against_hand_computation():
     assert vectors[1].term_ids.tolist() == [0, 2]
     assert vectors[2].term_ids.tolist() == [0, 1]
 
-    doc, term, weights = TfidfVectorizer().fit_transform(CORPUS)
-    assert doc.tolist() == [0, 0, 1, 1, 2, 2]
-    assert term.tolist() == [0, 1, 0, 2, 0, 1]
-    assert weights.tolist() == expected[0] + expected[1] + expected[2]
+    # term-major postings: a in docs 0, 1, 2; b in 0, 2; c in 1
+    indptr, doc_ids, weights = TfidfVectorizer().fit_transform(CORPUS)
+    assert indptr.tolist() == [0, 3, 5, 6]
+    assert doc_ids.tolist() == [0, 1, 2, 0, 2, 1]
+    assert weights.tolist() == [expected[0][0], expected[1][0], expected[2][0],
+                                expected[0][1], expected[2][1], expected[1][1]]
+    assert weights.tobytes() == np.array(
+        [vectors[d].weights[i] for i, d in
+         [(0, 0), (0, 1), (0, 2), (1, 0), (1, 2), (1, 1)]]).tobytes()
 
 
 def test_cosine_matches_hand_computation():
