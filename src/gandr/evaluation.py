@@ -9,9 +9,10 @@ denominators; a pipeline that skips half its inputs scores accordingly.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .data_io import Fraction, apply_split
 from .errors import ConfigError, MissingGold
@@ -40,6 +41,10 @@ def exact_match(prediction: str | None, gold: str, casefold: bool = False) -> bo
     return a == b
 
 
+def _gold_template(gold: str) -> Template:
+    return extract_template(parse_top(gold))
+
+
 def record_template_hit(record: PredictionRecord, store: ExemplarStore,
                         k: int | None = None, multiset: bool = True) -> bool:
     """Did any top-k exemplar feeding the final pass match gold's template?
@@ -49,7 +54,12 @@ def record_template_hit(record: PredictionRecord, store: ExemplarStore,
     """
     if record.gold is None:
         raise MissingGold(f"sample {record.sample_id} has no gold parse")
-    gold_template = extract_template(parse_top(record.gold))
+    return _template_hit(record, _gold_template(record.gold), store, k,
+                         multiset)
+
+
+def _template_hit(record: PredictionRecord, gold_template: Template,
+                  store: ExemplarStore, k: int | None, multiset: bool) -> bool:
     hits = record.pass2_retrievals
     if hits is None:
         hits = record.pass1_retrievals
@@ -85,8 +95,15 @@ def _check_recall_k(k: int | None) -> None:
 
 def evaluate(records: Sequence[PredictionRecord], store: ExemplarStore,
              k: int | None = None, multiset: bool = True,
-             casefold: bool = False) -> EvalReport:
-    """Aggregate exact match and template recall, overall and per domain."""
+             casefold: bool = False, *,
+             _gold_template: Callable[[str], Template] = _gold_template
+             ) -> EvalReport:
+    """Aggregate exact match and template recall, overall and per domain.
+
+    Each record's gold is parsed once. ``_gold_template`` is internal:
+    ``run_sweep`` passes a memoized parse, so that a gold shared by
+    several rows of a sweep is parsed once for all of them.
+    """
     _check_recall_k(k)
     if not records:
         raise ConfigError("nothing to evaluate: no records")
@@ -100,7 +117,8 @@ def evaluate(records: Sequence[PredictionRecord], store: ExemplarStore,
         if record.final is None:
             n_failed += 1
         em_flags.append(exact_match(record.final, record.gold, casefold))
-        recall_flags.append(record_template_hit(record, store, k, multiset))
+        recall_flags.append(_template_hit(
+            record, _gold_template(record.gold), store, k, multiset))
         if record.domain_tag is not None:
             domains.setdefault(record.domain_tag, []).append(i)
 
@@ -149,9 +167,10 @@ def run_sweep(store: ExemplarStore, samples: Sequence[Sample],
     over the union of the seeds' subsets, and each row scores its own
     subset's records in subset order. So a sample's first pass runs once
     per k value, whatever the alphas and seeds, and every alpha builds on
-    the same preliminary. Given endpoints that answer a prompt the same
-    way every time, the rows equal those of a separate ``run_pipeline``
-    per (value, seed).
+    the same preliminary, and each distinct gold is parsed once for every
+    row that scores it. Given endpoints that answer a prompt the same way
+    every time, the rows equal those of a separate ``run_pipeline`` per
+    (value, seed).
     """
     if not values or not seeds:
         raise ConfigError("sweep needs at least one value and one seed")
@@ -171,11 +190,12 @@ def run_sweep(store: ExemplarStore, samples: Sequence[Sample],
     at = {i: n for n, i in enumerate(union)}
     runs = run_pipeline_grid(store, [samples[i] for i in union],
                              preliminary_generator, final_generator, configs)
+    gold_template = functools.cache(_gold_template)
     rows: list[SweepRow] = []
     for value, records in zip(values, runs):
         for seed, subset in zip(seeds, subsets):
             report = evaluate([records[at[i]] for i in subset], store,
-                              k=recall_k)
+                              k=recall_k, _gold_template=gold_template)
             rows.append(SweepRow(value=value, seed=int(seed),
                                  exact_match=report.exact_match,
                                  template_recall=report.template_recall))

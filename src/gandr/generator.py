@@ -16,6 +16,7 @@ per input, in order. The family:
 from __future__ import annotations
 
 import json
+import math
 import time
 from abc import ABC, abstractmethod
 from pathlib import Path
@@ -26,6 +27,7 @@ import requests
 from .augment import EXEMPLAR_SEP
 from .data_io import numbered_lines
 from .errors import (
+    ConfigError,
     CorruptFile,
     GenerationTimeout,
     OracleMiss,
@@ -34,7 +36,7 @@ from .errors import (
     ReplayMiss,
     RetriesExhausted,
 )
-from .retrieval import Exemplar
+from .retrieval import Exemplar, validate_k
 
 
 class Generator(ABC):
@@ -152,12 +154,20 @@ class RemoteGenerator(Generator):
     ``retries`` extra attempts with exponential backoff; 4xx responses
     fail immediately. Exhaustion raises GenerationTimeout when the last
     failure was a timeout, RetriesExhausted otherwise (RemoteError when
-    no retries were configured).
+    no retries were configured). ``timeout`` must be a positive finite
+    number of seconds and ``max_batch`` a positive int or None (no
+    limit); anything else is a ConfigError.
     """
 
     def __init__(self, url: str, timeout: float = 30.0,
                  max_batch: int | None = None, retries: int = 2,
                  backoff: float = 0.1):
+        if isinstance(timeout, bool) or not isinstance(timeout, (int, float)) \
+                or not (math.isfinite(timeout) and timeout > 0):
+            raise ConfigError(f"timeout must be a positive finite number "
+                              f"of seconds, got {timeout!r}")
+        if max_batch is not None:
+            validate_k(max_batch, "max_batch")
         self.url = url
         self.timeout = timeout
         self.max_batch = max_batch

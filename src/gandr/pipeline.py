@@ -12,10 +12,12 @@ Both passes are one step: retrieve and prompt per sample, then generate
 in bulk. The first pass is that step at alpha 0 with no preliminary
 parse. ``run_pipeline_grid`` runs several configs that differ only in
 alpha from one first pass; their second pass scores each sample once and
-mixes the scores per alpha. Retrieval runs on one thread. A query orders
-only the head of its candidates, so what is left of its cost is mostly
-Python holding the interpreter lock, and a second thread was measured
-slower than one at every store size from 20k to 100k exemplars.
+mixes the scores per alpha. Retrieval runs on one thread. What is left
+of a query's cost is mostly its dense passes over the store: the
+postings kernel of each channel it scores (the first pass scores only
+the input channel) and, above alpha 0, their mix; selection orders only
+the candidates its prefilter keeps. A second thread was measured slower
+than one at every store size from 20k to 100k exemplars.
 
 Generation runs in batches. When a batch fails and the failure policy is
 SKIP_SAMPLE, the batch is replayed item by item so one bad sample cannot

@@ -198,6 +198,23 @@ class TestRun:
         assert sidecar["preliminary_endpoint"] == f"oracle:{dataset}"
         assert "jobs" not in sidecar
 
+    @pytest.mark.parametrize("flags, key", [
+        (["--timeout", "-1"], "timeout"), (["--timeout", "0"], "timeout"),
+        (["--timeout", "nan"], "timeout"),
+        (["--max-batch", "-1"], "max_batch"),
+        (["--max-batch", "0"], "max_batch")])
+    def test_bad_remote_setting_exits_2(self, tmp_path, store, dataset,
+                                        capsys, flags, key):
+        out = tmp_path / "r.jsonl"
+        code = main(["run", "--store", str(store), "--data", str(dataset),
+                     "--final-endpoint", "http://127.0.0.1:9/", *flags,
+                     "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} must be a positive")
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_jobs_flag_is_gone(self, tmp_path, store, dataset):
         with pytest.raises(SystemExit) as exc:
             main(["run", "--store", str(store), "--data", str(dataset),

@@ -356,6 +356,27 @@ class TestSweepEqualsPerRunLoop:
         # the first pass scores each sample once, the second pass once more
         assert len(scored) == 2 * passes * len(union)
 
+    @pytest.mark.parametrize("axis", list(SweepAxis))
+    def test_each_gold_is_parsed_once(self, world, monkeypatch, axis):
+        store, samples, parses, gold = world
+        parsed = []
+
+        def counting_parse_top(text, *args):
+            parsed.append(text)
+            return parse_top(text, *args)
+
+        monkeypatch.setattr(evaluation, "parse_top", counting_parse_top)
+        args = (store, samples, PromptHash(parses, gold),
+                PromptHash(parses, gold), PipelineConfig(k=4), axis,
+                self.AXES[axis], self.SEEDS)
+        rows = run_sweep(*args, sample_fraction=0.5)
+        union = set()
+        for seed in self.SEEDS:
+            union |= set(apply_split(range(len(samples)), Fraction(0.5), seed))
+        assert sorted(parsed) == sorted({samples[i].gold for i in union})
+        monkeypatch.undo()
+        assert rows == reference_sweep(*args, sample_fraction=0.5)
+
     @pytest.mark.parametrize("failing", ["preliminary", "final"])
     def test_abort_propagates_a_generation_error(self, world, failing):
         store, samples, parses, gold = world

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import any_text
 from gandr.errors import (
+    ConfigError,
     CorruptFile,
     GenerationTimeout,
     OracleMiss,
@@ -195,6 +196,19 @@ def stub_server():
 
 
 class TestRemote:
+    @pytest.mark.parametrize("timeout", [
+        -1, 0, 0.0, -0.5, float("nan"), float("inf"), True, "5", None])
+    def test_bad_timeout_is_a_config_error(self, stub_server, timeout):
+        with pytest.raises(ConfigError, match="timeout"):
+            RemoteGenerator(stub_server.url, timeout=timeout)
+        assert stub_server.requests == []
+
+    @pytest.mark.parametrize("max_batch", [-1, 0, True, 2.0, "2"])
+    def test_bad_max_batch_is_a_config_error(self, stub_server, max_batch):
+        with pytest.raises(ConfigError, match="max_batch"):
+            RemoteGenerator(stub_server.url, timeout=5.0, max_batch=max_batch)
+        assert stub_server.requests == []
+
     def test_round_trip(self, stub_server):
         gen = RemoteGenerator(stub_server.url, timeout=5.0)
         assert gen.generate(["a", "b"]) == ["parsed:a", "parsed:b"]

@@ -258,7 +258,64 @@ class TestTopK:
         assert first == second
 
 
+# Above the size from which selection prefilters its candidates: a few
+# colours tie in large groups, tags narrow a query's head, and three parses
+# make the output channel tie almost everywhere.
+_BIG_COLOURS = ("red", "blue", "green", "gold")
+_BIG_TAGS = tuple(f"tag{i}" for i in range(300))
+_BIG_PARSES = ("[IN:PAINT [SL:COLOUR x ] ]", "[IN:PAINT ]",
+               "[IN:SHOW [SL:TAG y ] [SL:COLOUR x ] ]")
+
+
+@pytest.fixture(scope="module")
+def big_corpus():
+    rng = np.random.default_rng(7)
+    n = retrieval._PREFILTER_MIN_STORE + 1234
+    corpus = []
+    for i in range(n):
+        words = list(rng.choice(_BIG_COLOURS, size=int(rng.integers(1, 3))))
+        if rng.random() < 0.6:
+            words.append(str(rng.choice(_BIG_TAGS)))
+        if i >= n - 3:
+            # past the grid of column maxima: the head of "violet tag7"
+            words = ["violet", "tag7", "red"]
+        # odd ids, so the even ones lie between the store's ids
+        corpus.append(Exemplar(2 * i + 1, " ".join(words),
+                               str(rng.choice(_BIG_PARSES))))
+    return corpus, build_store(corpus)
+
+
+@pytest.fixture
+def prefilter_spy(monkeypatch):
+    """How often selection took the prefiltered path and how often not."""
+    taken = {True: 0, False: 0}
+    reaching = retrieval._reaching
+
+    def spy(relevance, need):
+        candidates = reaching(relevance, need)
+        taken[candidates is not None] += 1
+        return candidates
+
+    monkeypatch.setattr(retrieval, "_reaching", spy)
+    return taken
+
+
 class TestOracleEquivalence:
+    def test_against_brute_force_above_the_prefilter_size(self, big_corpus,
+                                                          prefilter_spy):
+        corpus, store = big_corpus
+        query, preliminary = "tag7 red", "[IN:SHOW [SL:TAG y ] ]"
+        exclude = {corpus[3].exemplar_id, 0, -5}
+        for alpha in (0.0, 0.5):
+            expected = [r for r in brute_force_ranking(
+                corpus, query, alpha, preliminary) if r[0] not in exclude]
+            hits = retrieve_topk(store, query, 10, alpha=alpha,
+                                 preliminary=preliminary, exclude_ids=exclude)
+            assert [(h.exemplar_id, h.relevance, h.input_sim, h.output_sim,
+                     h.rank) for h in hits] == \
+                [(*r, rank) for rank, r in enumerate(expected[:10])]
+        assert prefilter_spy[True] == 2
+
     @pytest.mark.parametrize("alpha", [0.0, 0.25, 0.5, 0.75, 1.0])
     def test_against_brute_force(self, alpha):
         rng = np.random.default_rng(42)
@@ -396,6 +453,80 @@ class TestHeadSelection:
                                alpha=alpha, preliminary=preliminary,
                                exclude_ids=exclude)
         assert as_rows(got) == [reference(r) for r in picks]
+
+
+class TestPrefilteredSelection:
+    """Selection on a store large enough to prefilter, against the full
+    ``np.lexsort`` order."""
+
+    QUERIES = ["tag7 red", "violet tag7", "tag12 tag250", "blue", "zzz"]
+    ALPHAS = [0.0, 0.5, 1.0]
+
+    @staticmethod
+    def full_order(store, query, preliminary, alpha):
+        in_sims, out_sims = store.similarities(query, preliminary)
+        if out_sims is None:
+            out_sims = np.zeros_like(in_sims)
+        relevance = (1.0 - alpha) * in_sims + alpha * out_sims
+        ids = store._ids
+        return [(int(ids[i]), relevance[i], in_sims[i], out_sims[i])
+                for i in np.lexsort((ids, -relevance))]
+
+    def test_matches_full_sort(self, big_corpus, prefilter_spy):
+        corpus, store = big_corpus
+        columns = len(store) // 64
+        rng = np.random.default_rng(3)
+        for query in self.QUERIES:
+            for preliminary, alphas in (("[IN:SHOW [SL:TAG y ] ]",
+                                         self.ALPHAS), (None, [0.0])):
+                orders = [self.full_order(store, query, preliminary, alpha)
+                          for alpha in alphas]
+                for k in (1, 2, 3, 5, 17, 64, columns - 3, columns,
+                          columns + 5):
+                    # ids at and next to the k-th place of the first alpha,
+                    # one anywhere, and ids the store lacks
+                    near = {orders[0][q][0] for q in range(k - 2, k + 2)
+                            if q >= 0}
+                    anywhere = corpus[int(rng.integers(len(corpus)))]
+                    for exclude in (set(), near | {anywhere.exemplar_id},
+                                    {0, 2, -1, 10**12}):
+                        got = retrieve_topk_alphas(store, query, k, alphas,
+                                                   preliminary, exclude)
+                        for hits, order in zip(got, orders):
+                            kept = [r for r in order if r[0] not in exclude]
+                            assert [(h.exemplar_id, h.relevance, h.input_sim,
+                                     h.output_sim, h.rank) for h in hits] == \
+                                [(*r, rank) for rank, r in enumerate(kept[:k])]
+        # both paths ran: narrow heads prefilter; broad ties, the all-zero
+        # query and k past the column count order every candidate
+        assert prefilter_spy[True] > 0 and prefilter_spy[False] > 0
+
+
+class TestAlphaZeroAliasing:
+    """At alpha 0 the relevance is the input similarity array itself, so
+    nothing may write into it."""
+
+    @pytest.mark.parametrize("large", [False, True])
+    def test_relevance_is_input_sim_bit_for_bit(self, big_corpus, trace_store,
+                                                large):
+        store = big_corpus[1] if large else trace_store
+        query = "tag7 red" if large else "send a message to the group"
+        exclude = {h.exemplar_id for h in retrieve_topk(store, query, 3)[1:]}
+        calls = [(None, [0.0]), ("[IN:SHOW [SL:TAG y ] ]", [0.0, 0.5, 0.0])]
+        for preliminary, alphas in calls:
+            first = retrieve_topk_alphas(store, query, 5, alphas, preliminary,
+                                         exclude)
+            assert retrieve_topk_alphas(store, query, 5, alphas, preliminary,
+                                        exclude) == first
+            for alpha, hits in zip(alphas, first):
+                assert not {h.exemplar_id for h in hits} & exclude
+                if alpha != 0.0:
+                    continue
+                for hit in hits:
+                    assert np.float64(hit.relevance).tobytes() == \
+                        np.float64(hit.input_sim).tobytes()
+                    if preliminary is None:
+                        assert hit.output_sim == 0.0
 
 
 class TestGeometricSampling:
