@@ -216,6 +216,13 @@ def _comma_ints(text: str) -> list[int]:
         raise ConfigError(f"bad integer list {text!r}") from exc
 
 
+def _checked_seed(seed: int, flag: str) -> int:
+    """A seed numpy can take; a negative one is a usage error."""
+    if seed < 0:
+        raise ConfigError(f"{flag} must be a non-negative integer, got {seed}")
+    return seed
+
+
 def _checked_query(query: str) -> str:
     """A ``--query`` that can head a prompt; one that cannot is a usage
     error."""
@@ -236,11 +243,12 @@ def _print_hits(store: ExemplarStore, hits, indent: str = "") -> None:
 
 
 def cmd_index(args, config: dict) -> int:
+    seed = _checked_seed(args.seed, "--seed")
     loaded = load_dataset(args.data, fmt=args.format,
                           has_header=args.has_header, strict=args.strict)
     _report_issues(loaded, args.data)
     exemplars = apply_split(loaded.exemplars, parse_split_spec(args.split),
-                            seed=args.seed)
+                            seed=seed)
     if not exemplars:
         raise EmptyCorpus("store has no exemplars")
     store = ExemplarStore()
@@ -326,7 +334,8 @@ def cmd_sweep(args, config: dict) -> int:
     preliminary, final, endpoint_echo = _endpoint_pair(args, config)
     values = (_comma_floats(args.values) if axis is SweepAxis.ALPHA
               else _comma_ints(args.values))
-    seeds = _comma_ints(args.seeds)
+    seeds = [_checked_seed(seed, "--seeds")
+             for seed in _comma_ints(args.seeds)]
     rows = run_sweep(store, samples, preliminary, final, base_config, axis,
                      values, seeds, recall_k=args.recall_k,
                      sample_fraction=args.sample_fraction)
@@ -346,6 +355,7 @@ def cmd_sweep(args, config: dict) -> int:
 
 
 def cmd_emit_train(args, config: dict) -> int:
+    rng = np.random.default_rng(_checked_seed(args.seed, "--seed"))
     store = load_store(args.store)
     if args.data:
         samples = _load_samples(args.data, args.format, args.has_header,
@@ -355,7 +365,6 @@ def cmd_emit_train(args, config: dict) -> int:
     k = _resolve(args.k, None, config, "k", DEFAULT_K, int)
     p = _resolve(args.p, None, config, "p", DEFAULT_P, float)
     budget = _resolve(args.budget, None, config, "budget", None, int)
-    rng = np.random.default_rng(args.seed)
 
     if args.stage == 1:
         alpha = 0.0

@@ -23,7 +23,7 @@ from .pipeline import (
     run_pipeline_grid,
 )
 from .retrieval import ExemplarStore
-from .top_parse import Template, extract_template, parse_top
+from .top_parse import Template, parse_labels
 
 
 def normalize_for_match(text: str) -> str:
@@ -42,7 +42,7 @@ def exact_match(prediction: str | None, gold: str, casefold: bool = False) -> bo
 
 
 def _gold_template(gold: str) -> Template:
-    return extract_template(parse_top(gold))
+    return Template.from_labels(parse_labels(gold))
 
 
 def record_template_hit(record: PredictionRecord, store: ExemplarStore,

@@ -146,6 +146,11 @@ class RecordingGenerator(Generator):
         return outputs
 
 
+def _finite_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) \
+        and math.isfinite(value)
+
+
 class RemoteGenerator(Generator):
     """HTTP endpoint speaking ``{"inputs": [...]} -> {"outputs": [...]}``.
 
@@ -155,19 +160,26 @@ class RemoteGenerator(Generator):
     fail immediately. Exhaustion raises GenerationTimeout when the last
     failure was a timeout, RetriesExhausted otherwise (RemoteError when
     no retries were configured). ``timeout`` must be a positive finite
-    number of seconds and ``max_batch`` a positive int or None (no
-    limit); anything else is a ConfigError.
+    number of seconds, ``max_batch`` a positive int or None (no limit),
+    ``retries`` a non-negative int and ``backoff`` a non-negative finite
+    number of seconds; anything else is a ConfigError.
     """
 
     def __init__(self, url: str, timeout: float = 30.0,
                  max_batch: int | None = None, retries: int = 2,
                  backoff: float = 0.1):
-        if isinstance(timeout, bool) or not isinstance(timeout, (int, float)) \
-                or not (math.isfinite(timeout) and timeout > 0):
+        if not (_finite_number(timeout) and timeout > 0):
             raise ConfigError(f"timeout must be a positive finite number "
                               f"of seconds, got {timeout!r}")
         if max_batch is not None:
             validate_k(max_batch, "max_batch")
+        if isinstance(retries, bool) or not isinstance(retries, int) \
+                or retries < 0:
+            raise ConfigError(f"retries must be a non-negative integer, "
+                              f"got {retries!r}")
+        if not (_finite_number(backoff) and backoff >= 0):
+            raise ConfigError(f"backoff must be a non-negative finite number "
+                              f"of seconds, got {backoff!r}")
         self.url = url
         self.timeout = timeout
         self.max_batch = max_batch

@@ -361,6 +361,8 @@ def generate_preliminaries(store: ExemplarStore, samples: Sequence[Sample],
                            exclude_self: bool = True) -> dict[int, str]:
     """Preliminary parses by sample id for stage-2 training: the first
     pass with ``self_exclusion``; any generation error propagates."""
+    if budget is not None:
+        validate_k(budget, "budget")
     [(_, outputs)] = _run_pass(store, samples, [None] * len(samples),
                                generator, k, budget, FailurePolicy.ABORT,
                                [0.0], exclude_self)
@@ -382,6 +384,8 @@ def emit_training_pairs(store: ExemplarStore, samples: Sequence[Sample],
     ``self_exclusion``).
     """
     alpha = validate_alpha(alpha)
+    if budget is not None:
+        validate_k(budget, "budget")
     pairs: list[TrainingPair] = []
     for sample in samples:
         if sample.gold is None:

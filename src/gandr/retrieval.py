@@ -46,7 +46,7 @@ from .errors import (
     StoreTooSmall,
 )
 from .tfidf import TfidfVectorizer, tokenize_text
-from .top_parse import parse_top, structure_tokens
+from .top_parse import parse_labels, structure_tokens
 
 
 def is_int64(value) -> bool:
@@ -65,10 +65,10 @@ class Exemplar:
     be strings, the domain a string or None, the utterance must not be
     blank, neither text field may collide with a prompt separator, and
     the parse must be well formed. Otherwise it raises MalformedRow
-    (SeparatorCollision for a separator) or MalformedParse. The parse's
-    intent/slot labels, in document order and interned, are kept as
-    ``labels``; they feed the output index and template matching, so no
-    exemplar is parsed twice.
+    (SeparatorCollision for a separator) or MalformedParse. The parse is
+    scanned once by ``parse_labels``, and no tree is built; its labels, in
+    document order and interned, are kept as ``labels`` for the output
+    index and template matching.
     """
 
     exemplar_id: int
@@ -93,7 +93,7 @@ class Exemplar:
             raise MalformedRow("empty utterance")
         check_separator_safe(self.utterance)
         check_separator_safe(self.parse)
-        labels = structure_tokens(parse_top(self.parse))
+        labels = parse_labels(self.parse)
         object.__setattr__(self, "labels", tuple(map(sys.intern, labels)))
 
 

@@ -5,6 +5,9 @@ The serialized form is a single line of space-delimited tokens where
 token is utterance text attached to the enclosing node, e.g.::
 
     [IN:CREATE_CALL [SL:GROUP Musicals ] ]
+
+:func:`parse_labels` is the one grammar: it validates a string and returns
+its labels without building a tree. :func:`parse_top` runs it, then builds.
 """
 
 from __future__ import annotations
@@ -93,8 +96,8 @@ def _classify(label: str) -> NodeKind:
                          f"{INTENT_PREFIX!r} nor {SLOT_PREFIX!r}")
 
 
-def parse_top(text: str) -> ParseTree:
-    """Parse a bracketed intent/slot string into a ParseTree.
+def parse_labels(text: str) -> list[str]:
+    """Validate a bracketed intent/slot string; return its labels in order.
 
     Labels are upper-cased to canonical form. Raises MalformedParse for
     anything that is not a single well-formed tree rooted at an intent:
@@ -103,17 +106,9 @@ def parse_top(text: str) -> ParseTree:
     """
     if not isinstance(text, str) or not text.strip():
         raise MalformedParse("empty input")
-
+    labels: list[str] = []
+    depth = 0
     tokens = iter(_TOKEN_RE.findall(text))
-    root: ParseNode | None = None
-    stack: list[tuple[str, NodeKind, list]] = []
-    words: list[str] = []
-
-    def flush_words():
-        if words:
-            stack[-1][2].append(TextSpan(" ".join(words)))
-            words.clear()
-
     for tok in tokens:
         if tok == "[":
             # the end of input counts as a missing label too
@@ -122,34 +117,48 @@ def parse_top(text: str) -> ParseTree:
                 raise MalformedParse("missing label after '['")
             label = label.upper()
             kind = _classify(label)
-            if not stack:
-                if root is not None:
+            if not depth:
+                if labels:
                     raise MalformedParse("more than one top-level node")
                 if kind is not NodeKind.INTENT:
                     raise MalformedParse(f"root must be an intent, got {label!r}")
-            else:
-                flush_words()
-            stack.append((label, kind, []))
+            depth += 1
+            labels.append(label)
         elif tok == "]":
-            if not stack:
+            if not depth:
                 raise MalformedParse("unbalanced ']'")
-            flush_words()
-            label, kind, children = stack.pop()
-            node = ParseNode(label, kind, tuple(children))
-            if stack:
-                stack[-1][2].append(node)
-            else:
-                root = node
-        else:
-            if not stack:
-                raise MalformedParse(f"text outside brackets: {tok!r}")
-            words.append(tok)
-
-    if stack:
+            depth -= 1
+        elif not depth:
+            raise MalformedParse(f"text outside brackets: {tok!r}")
+    if depth:
         raise MalformedParse("unbalanced '['")
-    if root is None:
-        raise MalformedParse("no parse found")
-    return ParseTree(root=root)
+    return labels
+
+
+def parse_top(text: str) -> ParseTree:
+    """Parse a bracketed intent/slot string into a ParseTree.
+
+    The string is validated by :func:`parse_labels`, which raises the same
+    MalformedParse; the tree is then built over the same tokens.
+    """
+    parse_labels(text)
+    tokens = iter(_TOKEN_RE.findall(text))
+    stack: list[tuple[str, list]] = [("", [])]
+    words: list[str] = []
+    for tok in tokens:
+        if tok not in ("[", "]"):
+            words.append(tok)
+            continue
+        if words:
+            stack[-1][1].append(TextSpan(" ".join(words)))
+            words.clear()
+        if tok == "[":
+            stack.append((next(tokens).upper(), []))
+        else:
+            label, children = stack.pop()
+            stack[-1][1].append(
+                ParseNode(label, _classify(label), tuple(children)))
+    return ParseTree(root=stack[0][1][0])
 
 
 def serialize(tree: ParseTree) -> str:
@@ -169,31 +178,22 @@ def serialize(tree: ParseTree) -> str:
     return " ".join(parts)
 
 
-def _labels_in_order(node: ParseNode, out: list[str]) -> list[str]:
-    out.append(node.label)
-    for child in node.children:
-        if isinstance(child, ParseNode):
-            _labels_in_order(child, out)
-    return out
-
-
 def extract_template(tree: ParseTree) -> Template:
     """Collect the multiset of intent and slot labels; text spans contribute nothing."""
-    return Template.from_labels(_labels_in_order(tree.root, []))
+    nodes = [tree.root]
+    for node in nodes:
+        nodes.extend(c for c in node.children if isinstance(c, ParseNode))
+    return Template.from_labels(node.label for node in nodes)
 
 
-def structure_tokens(parse_or_text: ParseTree | str) -> list[str]:
-    """Intent/slot labels of a parse as a token list, in document order.
+def structure_tokens(text: str) -> list[str]:
+    """Intent/slot labels of a parse string as a token list, in document order.
 
-    Accepts a ParseTree or a raw string. Unparseable strings (malformed
-    model predictions) degrade to a regex scan for anything shaped like a
-    label, so retrieval on predictions never hard-fails; the result may be
-    empty.
+    A string that does not parse (a malformed model prediction) degrades
+    to a regex scan for anything shaped like a label, so retrieval on
+    predictions never hard-fails; the result may be empty.
     """
-    if isinstance(parse_or_text, ParseTree):
-        return _labels_in_order(parse_or_text.root, [])
     try:
-        tree = parse_top(parse_or_text)
+        return parse_labels(text)
     except MalformedParse:
-        return [m.group(0).upper() for m in _FALLBACK_RE.finditer(parse_or_text)]
-    return _labels_in_order(tree.root, [])
+        return [m.group(0).upper() for m in _FALLBACK_RE.finditer(text)]

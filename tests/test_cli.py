@@ -67,11 +67,11 @@ class TestIndex:
     def test_parses_each_row_once(self, tmp_path, dataset, monkeypatch):
         calls = []
         for module in (data_io, retrieval, top_parse):
-            if hasattr(module, "parse_top"):
-                def counting(text, parse=module.parse_top):
+            if hasattr(module, "parse_labels"):
+                def counting(text, parse=module.parse_labels):
                     calls.append(text)
                     return parse(text)
-                monkeypatch.setattr(module, "parse_top", counting)
+                monkeypatch.setattr(module, "parse_labels", counting)
         assert main(["index", "--data", str(dataset),
                      "--out", str(tmp_path / "s.store")]) == 0
         assert sorted(calls) == sorted(e.parse for e in TRACE_EXEMPLARS)
@@ -108,6 +108,13 @@ class TestIndex:
         assert main(["index", "--data", str(data), "--strict",
                      "--out", str(out)]) == 1
         assert "error: line 2: not UTF-8" in capsys.readouterr().err
+
+    def test_negative_seed_exits_2(self, tmp_path, dataset, capsys):
+        assert main(["index", "--data", str(dataset), "--split", "count:2",
+                     "--seed", "-1", "--out", str(tmp_path / "s.store")]) == 2
+        assert "--seed must be a non-negative integer, got -1" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "s.store").exists()
 
     def test_bad_split_exits_2(self, tmp_path, dataset):
         assert main(["index", "--data", str(dataset), "--split", "half",
@@ -462,6 +469,23 @@ class TestSweep:
         assert message in capsys.readouterr().err
         assert calls == []
 
+    def test_negative_seed_exits_2_before_any_generation(
+            self, store, dataset, capsys, monkeypatch):
+        calls = []
+
+        def counting(self, inputs):
+            calls.append(list(inputs))
+            return [self.output for _ in inputs]
+
+        monkeypatch.setattr(StaticGenerator, "generate", counting)
+        assert main(["sweep", "--store", str(store), "--data", str(dataset),
+                     "--final-endpoint", f"static:{TRACE_GOLD}",
+                     "--axis", "alpha", "--values", "0,0.75",
+                     "--seeds", "-1", "--sample-fraction", "0.7"]) == 2
+        assert "--seeds must be a non-negative integer, got -1" in \
+            capsys.readouterr().err
+        assert calls == []
+
 
     def test_alpha_axis_in_input_only_mode_exits_2(self, store, dataset,
                                                    capsys, monkeypatch):
@@ -499,6 +523,40 @@ class TestEmitTrain:
             main(["emit-train", "--store", str(store), "--stage", "1",
                   "--seed", "11", "--out", str(out)])
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("flags, budget_in_config, message", [
+        (["--seed", "-1"], None,
+         "--seed must be a non-negative integer, got -1"),
+        (["--budget", "0"], None, "budget must be a positive integer, got 0"),
+        (["--budget", "-3"], None,
+         "budget must be a positive integer, got -3"),
+        ([], 0, "budget must be a positive integer, got 0"),
+    ], ids=["seed", "budget-0", "budget-negative", "config-budget-0"])
+    @pytest.mark.parametrize("stage", ["1", "2"])
+    def test_bad_setting_exits_2_before_any_generation(
+            self, tmp_path, store, capsys, monkeypatch, flags,
+            budget_in_config, message, stage):
+        calls = []
+
+        def counting(self, inputs):
+            calls.append(list(inputs))
+            return [self.output for _ in inputs]
+
+        monkeypatch.setattr(StaticGenerator, "generate", counting)
+        config_flags = []
+        if budget_in_config is not None:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"budget": budget_in_config}),
+                              encoding="utf-8")
+            config_flags = ["--config", str(config)]
+        out = tmp_path / "t.jsonl"
+        assert main([*config_flags, "emit-train",
+                     "--store", str(store), "--stage", stage,
+                     "--preliminary-endpoint", f"static:{TRACE_GOLD}",
+                     *flags, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert calls == []
+        assert not out.exists()
 
     def test_stage2_needs_preliminaries(self, tmp_path, store, capsys):
         code = main(["emit-train", "--store", str(store), "--stage", "2",

@@ -34,7 +34,7 @@ from gandr.pipeline import (
     run_pipeline,
 )
 from gandr.retrieval import ExemplarStore, ScoredExemplar
-from gandr.top_parse import extract_template, parse_top
+from gandr.top_parse import extract_template, parse_labels, parse_top
 
 
 class TestExactMatch:
@@ -183,11 +183,11 @@ class TestEvaluate:
 
         calls = []
 
-        def counting_parse_top(text, *args):
+        def counting_parse_labels(text):
             calls.append(text)
-            return parse_top(text, *args)
+            return parse_labels(text)
 
-        monkeypatch.setattr(evaluation, "parse_top", counting_parse_top)
+        monkeypatch.setattr(evaluation, "parse_labels", counting_parse_labels)
         for k in (1, 2, 4):
             for multiset in (True, False):
                 calls.clear()
@@ -361,11 +361,11 @@ class TestSweepEqualsPerRunLoop:
         store, samples, parses, gold = world
         parsed = []
 
-        def counting_parse_top(text, *args):
+        def counting_parse_labels(text):
             parsed.append(text)
-            return parse_top(text, *args)
+            return parse_labels(text)
 
-        monkeypatch.setattr(evaluation, "parse_top", counting_parse_top)
+        monkeypatch.setattr(evaluation, "parse_labels", counting_parse_labels)
         args = (store, samples, PromptHash(parses, gold),
                 PromptHash(parses, gold), PipelineConfig(k=4), axis,
                 self.AXES[axis], self.SEEDS)

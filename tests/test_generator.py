@@ -209,6 +209,19 @@ class TestRemote:
             RemoteGenerator(stub_server.url, timeout=5.0, max_batch=max_batch)
         assert stub_server.requests == []
 
+    @pytest.mark.parametrize("retries", [-1, True, 1.5, "2", None])
+    def test_bad_retries_is_a_config_error(self, stub_server, retries):
+        with pytest.raises(ConfigError, match="retries"):
+            RemoteGenerator(stub_server.url, timeout=5.0, retries=retries)
+        assert stub_server.requests == []
+
+    @pytest.mark.parametrize("backoff", [
+        -1, -0.5, float("nan"), float("inf"), True, "0.1", None])
+    def test_bad_backoff_is_a_config_error(self, stub_server, backoff):
+        with pytest.raises(ConfigError, match="backoff"):
+            RemoteGenerator(stub_server.url, timeout=5.0, backoff=backoff)
+        assert stub_server.requests == []
+
     def test_round_trip(self, stub_server):
         gen = RemoteGenerator(stub_server.url, timeout=5.0)
         assert gen.generate(["a", "b"]) == ["parsed:a", "parsed:b"]

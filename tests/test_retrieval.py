@@ -118,7 +118,7 @@ class TestStore:
         def forbidden(*args, **kwargs):
             raise AssertionError("build parsed an exemplar again")
 
-        monkeypatch.setattr(retrieval, "parse_top", forbidden)
+        monkeypatch.setattr(retrieval, "parse_labels", forbidden)
         monkeypatch.setattr(retrieval, "structure_tokens", forbidden)
         store.build()
         assert_same_index(store._indexes[1], reparsed)

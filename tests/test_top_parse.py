@@ -10,6 +10,7 @@ from gandr.top_parse import (
     Template,
     TextSpan,
     extract_template,
+    parse_labels,
     parse_top,
     serialize,
     structure_tokens,
@@ -71,9 +72,77 @@ def test_serialize_round_trip_is_canonical():
     "[ ]",
     "[[IN:A ] ]",
 ])
-def test_malformed_inputs_raise(bad):
+@pytest.mark.parametrize("parse", [parse_top, parse_labels])
+def test_malformed_inputs_raise(parse, bad):
     with pytest.raises(MalformedParse):
-        parse_top(bad)
+        parse(bad)
+
+
+# every message the grammar raises, as a fragment of its text
+_GRAMMAR_MESSAGES = (
+    "empty input", "missing label after '['", "empty intent name",
+    "empty slot name", "matches neither prefix",
+    "more than one top-level node", "root must be an intent",
+    "unbalanced ']'", "text outside brackets", "unbalanced '['")
+# well-formed labels in either case, then empty and unknown prefixes
+_GRAMMAR_LABELS = st.one_of(
+    st.sampled_from(["IN:A", "in:b_c", "SL:X", "sl:y"]),
+    st.sampled_from(["IN:B", "SL:Y", "IN:", "SL:", "XX:Z"]))
+_GRAMMAR_WORDS = st.sampled_from(["play", "café", "друг", "\t"])
+_GRAMMAR_GAPS = st.sampled_from(["", " ", "  ", "\t"])
+
+
+def _grammar_node(label, children, close):
+    return " ".join(["[" + label, *children, close])
+
+
+# nodes over those labels and words, most of them closed, next to stray
+# brackets and words, so that whole, nested, unclosed and second top-level
+# nodes are all common and not left to chance
+_GRAMMAR_NODES = st.builds(
+    _grammar_node, _GRAMMAR_LABELS,
+    st.lists(st.recursive(_GRAMMAR_WORDS, lambda inner: st.builds(
+        _grammar_node, _GRAMMAR_LABELS, st.lists(inner, max_size=3),
+        st.sampled_from(["]", "]", ""]))), max_size=3),
+    st.sampled_from(["]", "]", ""]))
+_GRAMMAR_TEXT = st.lists(
+    st.tuples(st.one_of(_GRAMMAR_NODES, st.sampled_from(["[", "]", "play"])),
+              _GRAMMAR_GAPS),
+    max_size=3).map(lambda parts: "".join(a + gap for a, gap in parts))
+
+
+def _labels_by_walk(node, out):
+    out.append(node.label)
+    for child in node.children:
+        if isinstance(child, ParseNode):
+            _labels_by_walk(child, out)
+    return out
+
+
+def test_one_grammar_for_tree_and_labels():
+    """parse_labels raises exactly when parse_top does, with its message;
+    otherwise it gives the tree's labels in document order, as does
+    structure_tokens."""
+    reached = set()
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(_GRAMMAR_TEXT)
+    def same_grammar(text):
+        try:
+            tree = parse_top(text)
+        except MalformedParse as exc:
+            with pytest.raises(MalformedParse) as scan:
+                parse_labels(text)
+            assert str(scan.value) == str(exc)
+            reached.update(m for m in _GRAMMAR_MESSAGES if m in str(exc))
+            return
+        reached.add(None)
+        labels = parse_labels(text)
+        assert labels == _labels_by_walk(tree.root, [])
+        assert structure_tokens(text) == labels
+
+    same_grammar()
+    assert reached == {None, *_GRAMMAR_MESSAGES}
 
 
 def test_text_span_rejects_brackets():
@@ -110,7 +179,6 @@ def test_structure_tokens_document_order():
              "[SL:DATE_TIME night ] ]")
     assert structure_tokens(parse) == [
         "IN:GET_EVENT", "SL:DATE_TIME", "SL:LOCATION", "SL:DATE_TIME"]
-    assert structure_tokens(parse_top(parse)) == structure_tokens(parse)
 
 
 def test_structure_tokens_salvages_malformed_predictions():
