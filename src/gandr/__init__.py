@@ -6,7 +6,7 @@ that parse folded into the similarity, and prompts again for the final
 parse. See the README for the command line and file formats.
 """
 
-from .augment import AugmentedInput, build_augmented_input, split_augmented
+from .augment import AugmentedInput, build_augmented_input
 from .errors import GandrError
 from .evaluation import EvalReport, evaluate, exact_match, run_sweep
 from .generator import (
@@ -37,7 +37,6 @@ from .tfidf import TfidfVectorizer, tokenize_text
 from .top_parse import (
     ParseTree,
     Template,
-    extract_template,
     parse_top,
     serialize,
     structure_tokens,
@@ -70,14 +69,12 @@ __all__ = [
     "emit_training_pairs",
     "evaluate",
     "exact_match",
-    "extract_template",
     "parse_top",
     "retrieve_sampled",
     "retrieve_topk",
     "run_pipeline",
     "run_sweep",
     "serialize",
-    "split_augmented",
     "structure_tokens",
     "tokenize_text",
 ]

@@ -86,20 +86,3 @@ def build_augmented_input(query: str, exemplars: Sequence[Exemplar],
         truncated=truncated,
     )
 
-
-def split_augmented(text: str) -> tuple[str, list[tuple[str, str]]]:
-    """Invert build_augmented_input: (query, [(utterance, parse), ...]).
-
-    Each exemplar chunk splits on its last `` & ``, so parses containing
-    no separator round-trip exactly.
-    """
-    chunks = text.split(EXEMPLAR_SEP)
-    query = chunks[0]
-    pairs: list[tuple[str, str]] = []
-    for chunk in chunks[1:]:
-        if PAIR_SEP not in chunk:
-            raise SeparatorCollision(
-                f"exemplar chunk has no utterance/parse separator: {chunk!r}")
-        utterance, parse = chunk.rsplit(PAIR_SEP, 1)
-        pairs.append((utterance, parse))
-    return query, pairs

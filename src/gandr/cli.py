@@ -58,6 +58,7 @@ from .generator import (
     RemoteGenerator,
     ReplayGenerator,
     StaticGenerator,
+    validate_request_limits,
 )
 from .pipeline import (
     FailurePolicy,
@@ -129,6 +130,8 @@ def _resolve(flag, env_name: str | None, config: dict, key: str,
 def _build_endpoint(spec: str, timeout: float,
                     record_path: str | None = None,
                     max_batch: int | None = None) -> Generator:
+    # one rule for every endpoint, though only http(s) ones use the values
+    validate_request_limits(timeout, max_batch)
     if spec.startswith(("http://", "https://")):
         endpoint: Generator = RemoteGenerator(spec, timeout=timeout,
                                               max_batch=max_batch)
@@ -252,7 +255,8 @@ def cmd_index(args, config: dict) -> int:
     if not exemplars:
         raise EmptyCorpus("store has no exemplars")
     store = ExemplarStore()
-    store.add_many(exemplars)
+    for exemplar in exemplars:
+        store.add(exemplar)
     save_store(store, args.out)
     print(f"indexed {len(store)} exemplars "
           f"({len(loaded.issues)} rows skipped) -> {args.out}")

@@ -45,21 +45,9 @@ def _gold_template(gold: str) -> Template:
     return Template.from_labels(parse_labels(gold))
 
 
-def record_template_hit(record: PredictionRecord, store: ExemplarStore,
-                        k: int | None = None, multiset: bool = True) -> bool:
-    """Did any top-k exemplar feeding the final pass match gold's template?
-
-    Gold is parsed here; exemplar templates come from the labels each
-    exemplar kept when its construction validated the parse.
-    """
-    if record.gold is None:
-        raise MissingGold(f"sample {record.sample_id} has no gold parse")
-    return _template_hit(record, _gold_template(record.gold), store, k,
-                         multiset)
-
-
 def _template_hit(record: PredictionRecord, gold_template: Template,
                   store: ExemplarStore, k: int | None, multiset: bool) -> bool:
+    """Did any top-k exemplar feeding the final pass match gold's template?"""
     hits = record.pass2_retrievals
     if hits is None:
         hits = record.pass1_retrievals

@@ -151,6 +151,17 @@ def _finite_number(value) -> bool:
         and math.isfinite(value)
 
 
+def validate_request_limits(timeout: float, max_batch: int | None) -> None:
+    """The rule for a request ``timeout`` (a positive finite number of
+    seconds) and ``max_batch`` (a positive int, or None for no limit);
+    anything else is a ConfigError."""
+    if not (_finite_number(timeout) and timeout > 0):
+        raise ConfigError(f"timeout must be a positive finite number "
+                          f"of seconds, got {timeout!r}")
+    if max_batch is not None:
+        validate_k(max_batch, "max_batch")
+
+
 class RemoteGenerator(Generator):
     """HTTP endpoint speaking ``{"inputs": [...]} -> {"outputs": [...]}``.
 
@@ -168,11 +179,7 @@ class RemoteGenerator(Generator):
     def __init__(self, url: str, timeout: float = 30.0,
                  max_batch: int | None = None, retries: int = 2,
                  backoff: float = 0.1):
-        if not (_finite_number(timeout) and timeout > 0):
-            raise ConfigError(f"timeout must be a positive finite number "
-                              f"of seconds, got {timeout!r}")
-        if max_batch is not None:
-            validate_k(max_batch, "max_batch")
+        validate_request_limits(timeout, max_batch)
         if isinstance(retries, bool) or not isinstance(retries, int) \
                 or retries < 0:
             raise ConfigError(f"retries must be a non-negative integer, "

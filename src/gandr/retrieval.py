@@ -172,10 +172,6 @@ class ExemplarStore:
         self._exemplars[exemplar.exemplar_id] = exemplar
         self._dirty = True
 
-    def add_many(self, exemplars: Iterable[Exemplar]) -> None:
-        for exemplar in exemplars:
-            self.add(exemplar)
-
     def __len__(self) -> int:
         return len(self._exemplars)
 

@@ -1,4 +1,4 @@
-"""TF-IDF vectors over token sequences, plus the two tokenizers used here.
+"""TF-IDF vectors over token sequences, plus the utterance tokenizer.
 
 Utterances are tokenized as lowercase ``\\w+`` runs; parses are tokenized
 as their intent/slot labels (see :func:`gandr.top_parse.structure_tokens`).

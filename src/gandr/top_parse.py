@@ -73,14 +73,11 @@ class Template:
     def from_labels(cls, labels) -> "Template":
         return cls(tuple(sorted(labels)))
 
-    def as_set(self) -> frozenset[str]:
-        return frozenset(self.labels)
-
     def matches(self, other: "Template", multiset: bool = True) -> bool:
         """Compare templates; ``multiset=False`` relaxes to set equality."""
         if multiset:
             return self.labels == other.labels
-        return self.as_set() == other.as_set()
+        return set(self.labels) == set(other.labels)
 
 
 def _classify(label: str) -> NodeKind:
@@ -176,14 +173,6 @@ def serialize(tree: ParseTree) -> str:
 
     emit(tree.root)
     return " ".join(parts)
-
-
-def extract_template(tree: ParseTree) -> Template:
-    """Collect the multiset of intent and slot labels; text spans contribute nothing."""
-    nodes = [tree.root]
-    for node in nodes:
-        nodes.extend(c for c in node.children if isinstance(c, ParseNode))
-    return Template.from_labels(node.label for node in nodes)
 
 
 def structure_tokens(text: str) -> list[str]:

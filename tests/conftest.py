@@ -55,14 +55,15 @@ TRACE_GROUP_IDS = (4, 5, 6, 7)
 @pytest.fixture
 def trace_store() -> ExemplarStore:
     store = ExemplarStore()
-    store.add_many(TRACE_EXEMPLARS)
+    for exemplar in TRACE_EXEMPLARS:
+        store.add(exemplar)
     return store
 
 
 @pytest.fixture
 def tiny_store() -> ExemplarStore:
     store = ExemplarStore()
-    store.add_many([
+    for exemplar in [
         Exemplar(0, "play some jazz music",
                  "[IN:PLAY_MUSIC [SL:MUSIC_GENRE jazz ] ]", domain="music"),
         Exemplar(1, "call my mother now",
@@ -72,7 +73,8 @@ def tiny_store() -> ExemplarStore:
         Exemplar(3, "play the new jazz album",
                  "[IN:PLAY_MUSIC [SL:MUSIC_TYPE album ] [SL:MUSIC_GENRE jazz ] ]",
                  domain="music"),
-    ])
+    ]:
+        store.add(exemplar)
     return store
 
 

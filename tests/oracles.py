@@ -90,3 +90,21 @@ def truncated_geometric_pmf(p: float, n: int) -> list[float]:
     """P(rank = r) for r in [0, n) under decay p, renormalized to the n ranks."""
     z = 1.0 - (1.0 - p) ** n
     return [p * (1.0 - p) ** r / z for r in range(n)]
+
+
+def split_augmented(text: str) -> tuple[str, list[tuple[str, str]]]:
+    """Invert build_augmented_input: (query, [(utterance, parse), ...]).
+
+    The separators are spelled out here, not imported, so a change to the
+    wire format fails the comparison. Each exemplar chunk splits on its
+    last " & ", so parses containing no separator round-trip exactly.
+    """
+    chunks = text.split(" || ")
+    pairs = []
+    for chunk in chunks[1:]:
+        if " & " not in chunk:
+            raise ValueError(
+                f"exemplar chunk has no utterance/parse separator: {chunk!r}")
+        utterance, parse = chunk.rsplit(" & ", 1)
+        pairs.append((utterance, parse))
+    return chunks[0], pairs

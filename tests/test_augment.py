@@ -7,10 +7,11 @@ from gandr.augment import (
     PAIR_SEP,
     build_augmented_input,
     check_separator_safe,
-    split_augmented,
 )
 from gandr.errors import QueryExceedsBudget, SeparatorCollision
 from gandr.retrieval import Exemplar
+
+from oracles import split_augmented
 
 CALL = Exemplar(1, "Start a call Spoken Word",
                 "[IN:CREATE_CALL [SL:GROUP Spoken Word ] ]")
@@ -113,7 +114,7 @@ def test_split_round_trip():
 
 
 def test_split_rejects_chunk_without_pair_separator():
-    with pytest.raises(SeparatorCollision):
+    with pytest.raises(ValueError, match="no utterance/parse separator"):
         split_augmented("query" + EXEMPLAR_SEP + "no pair separator here")
 
 

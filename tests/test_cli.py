@@ -4,10 +4,10 @@ import pytest
 
 from conftest import TRACE_EXEMPLARS, TRACE_GOLD, TRACE_PRELIMINARY, TRACE_QUERY
 from gandr import cli, data_io, evaluation, retrieval, top_parse
-from gandr.augment import split_augmented
 from gandr.cli import main
 from gandr.data_io import load_store, read_records
 from gandr.generator import StaticGenerator
+from oracles import split_augmented
 
 
 @pytest.fixture(autouse=True)
@@ -794,6 +794,52 @@ class TestConfigResolution:
                      str(store), "--query", "hello"])
         assert code == 2
         assert "JSON object" in capsys.readouterr().err
+
+
+BAD_REQUEST_LIMITS = [
+    (["--timeout", "-5"],
+     "error: timeout must be a positive finite number of seconds, got -5.0"),
+    (["--max-batch", "0"],
+     "error: max_batch must be a positive integer, got 0"),
+]
+
+
+def endpoint_command(command, endpoint, store, dataset, out):
+    return {
+        "run": ["run", "--store", str(store), "--data", str(dataset),
+                "--final-endpoint", endpoint, "--out", str(out)],
+        "sweep": ["sweep", "--store", str(store), "--data", str(dataset),
+                  "--final-endpoint", endpoint, "--axis", "alpha",
+                  "--values", "0,0.75", "--out", str(out)],
+        "trace": ["trace", "--store", str(store), "--query", TRACE_QUERY,
+                  "--final-endpoint", endpoint],
+        "emit-train": ["emit-train", "--store", str(store), "--stage", "2",
+                       "--preliminary-endpoint", endpoint, "--out", str(out)],
+    }[command]
+
+
+@pytest.mark.parametrize("endpoint", [f"static:{TRACE_GOLD}",
+                                      "http://127.0.0.1:9/"],
+                         ids=["static", "http"])
+@pytest.mark.parametrize("command, flags, message", [
+    pytest.param(command, flags, message, id=f"{command}{flags[0]}")
+    for command in ("run", "sweep", "trace", "emit-train")
+    for flags, message in BAD_REQUEST_LIMITS
+    # emit-train has no --max-batch flag
+    if not (command == "emit-train" and flags[0] == "--max-batch")])
+def test_bad_request_limit_exits_2_for_every_endpoint(
+        tmp_path, store, dataset, capsys, monkeypatch, command, flags,
+        message, endpoint):
+    def no_generation(self, inputs):
+        raise AssertionError("a sample ran")
+
+    monkeypatch.setattr(StaticGenerator, "generate", no_generation)
+    out = tmp_path / "out"
+    argv = endpoint_command(command, endpoint, store, dataset, out)
+    capsys.readouterr()
+    assert main(argv + flags) == 2
+    assert capsys.readouterr().err == message + "\n"
+    assert not out.exists()
 
 
 def test_version_flag(capsys):

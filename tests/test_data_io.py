@@ -577,8 +577,8 @@ class TestUndecodableBytes:
     def test_store_row_is_corrupt(self, tmp_path):
         path = tmp_path / "s.store"
         store = ExemplarStore()
-        store.add_many([Exemplar(0, "a b", GOOD_PARSE),
-                        Exemplar(1, "c d", GOOD_PARSE)])
+        store.add(Exemplar(0, "a b", GOOD_PARSE))
+        store.add(Exemplar(1, "c d", GOOD_PARSE))
         save_store(store, path)
         data = path.read_bytes()
         path.write_bytes(data.replace(b"c d", b"c \xff"))

@@ -16,7 +16,6 @@ from gandr.evaluation import (
     exact_match,
     format_sweep_tsv,
     normalize_for_match,
-    record_template_hit,
     run_sweep,
 )
 from gandr.generator import (
@@ -34,7 +33,8 @@ from gandr.pipeline import (
     run_pipeline,
 )
 from gandr.retrieval import ExemplarStore, ScoredExemplar
-from gandr.top_parse import extract_template, parse_labels, parse_top
+from gandr.top_parse import Template, parse_labels
+from oracles import label_tokens
 
 
 class TestExactMatch:
@@ -76,40 +76,47 @@ def fake_record(gold, retrieved_ids, sample_id=0, final=None, domain=None,
         domain_tag=domain)
 
 
+def template_hit(record, store, **kwargs) -> bool:
+    """One record's template hit, read off a one-record evaluation."""
+    recall = evaluate([record], store, **kwargs).template_recall
+    assert recall in (0.0, 1.0)
+    return recall == 1.0
+
+
 class TestTemplateHit:
     # trace_store: ids 5,6,7 share the SEND_MESSAGE/GROUP template;
     # id 4 is CREATE_CALL/GROUP
 
     def test_hit_somewhere_in_top_k(self, trace_store):
         record = fake_record("[IN:SEND_MESSAGE [SL:GROUP books ] ]", [0, 3, 6])
-        assert record_template_hit(record, trace_store)
-        assert record_template_hit(record, trace_store, k=3)
+        assert template_hit(record, trace_store)
+        assert template_hit(record, trace_store, k=3)
 
     def test_k_cutoff_excludes_later_hits(self, trace_store):
         record = fake_record("[IN:SEND_MESSAGE [SL:GROUP books ] ]", [0, 3, 6])
-        assert not record_template_hit(record, trace_store, k=2)
+        assert not template_hit(record, trace_store, k=2)
 
     def test_slot_values_do_not_matter(self, trace_store):
         record = fake_record("[IN:CREATE_CALL [SL:GROUP anything at all ] ]",
                              [4])
-        assert record_template_hit(record, trace_store, k=1)
+        assert template_hit(record, trace_store, k=1)
 
     def test_multiset_vs_set(self, trace_store):
         # gold has a doubled GROUP slot; no store parse doubles it
         record = fake_record(
             "[IN:SEND_MESSAGE [SL:GROUP a ] [SL:GROUP b ] ]", [5, 6, 7])
-        assert not record_template_hit(record, trace_store)
-        assert record_template_hit(record, trace_store, multiset=False)
+        assert not template_hit(record, trace_store)
+        assert template_hit(record, trace_store, multiset=False)
 
     def test_pass1_used_when_single_pass(self, trace_store):
         record = fake_record("[IN:SEND_MESSAGE [SL:GROUP books ] ]", [6],
                              use_pass2=False)
-        assert record_template_hit(record, trace_store)
+        assert template_hit(record, trace_store)
 
     def test_missing_gold(self, trace_store):
         record = fake_record(None, [4])
         with pytest.raises(MissingGold):
-            record_template_hit(record, trace_store)
+            evaluate([record], trace_store)
 
 
 class TestEvaluate:
@@ -174,9 +181,9 @@ class TestEvaluate:
             """Template recall with every exemplar parse parsed again."""
             hits = 0
             for record in records:
-                gold = extract_template(parse_top(record.gold))
+                gold = Template.from_labels(label_tokens(record.gold))
                 hits += any(
-                    gold.matches(extract_template(parse_top(
+                    gold.matches(Template.from_labels(label_tokens(
                         trace_store.get(h.exemplar_id).parse)), multiset)
                     for h in record.pass2_retrievals[:k])
             return hits / len(records)
@@ -284,7 +291,8 @@ class TestSweepEqualsPerRunLoop:
     def world(self):
         rng = np.random.default_rng(11)
         store = ExemplarStore()
-        store.add_many(make_random_corpus(rng, 30))
+        for exemplar in make_random_corpus(rng, 30):
+            store.add(exemplar)
         samples = [Sample(100 + i, random_utterance(rng), gold=random_parse(rng),
                           domain="d" if i % 2 else None) for i in range(12)]
         parses = sorted({e.parse for e in store.exemplars})

@@ -22,6 +22,7 @@ from gandr.pipeline import (
     run_pipeline,
 )
 from gandr.retrieval import retrieve_topk
+from gandr.top_parse import Template, parse_labels
 
 import numpy as np
 
@@ -297,6 +298,5 @@ def test_oracle_preliminary_feeds_pass2(tiny_store):
         # with alpha=1 and the gold parse as preliminary, the top hit
         # shares the gold template (here: the sample's own store entry)
         top = tiny_store.get(record.pass2_retrievals[0].exemplar_id)
-        from gandr.top_parse import extract_template, parse_top
-        assert extract_template(parse_top(top.parse)) == \
-            extract_template(parse_top(sample.gold))
+        assert Template.from_labels(parse_labels(top.parse)) == \
+            Template.from_labels(parse_labels(sample.gold))

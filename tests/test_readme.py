@@ -51,6 +51,24 @@ def test_every_exported_name_resolves():
     assert [name for name in gandr.__all__ if not hasattr(gandr, name)] == []
 
 
+def test_every_exported_name_has_a_user():
+    """Each name in ``gandr.__all__`` is used by a module of the package,
+    beyond its own ``def`` or ``class`` line, or is named in the README:
+    a public name that only tests call is dead code."""
+    package = Path(gandr.__file__).parent
+    code = "\n".join(path.read_text(encoding="utf-8")
+                     for path in sorted(package.glob("*.py"))
+                     if path.name != "__init__.py")
+    readme = README.read_text(encoding="utf-8")
+    unused = []
+    for name in gandr.__all__:
+        word = re.compile(rf"\b{name}\b")
+        uses = re.sub(rf"(?m)^\s*(?:def|class) {name}\b", "", code)
+        if not (word.search(uses) or word.search(readme)):
+            unused.append(name)
+    assert unused == []
+
+
 def test_mode_lists_name_the_parser_modes():
     lists = re.findall(r"--mode ([a-z-]+(?:\|[a-z-]+)+)",
                        README.read_text(encoding="utf-8"))

@@ -35,7 +35,8 @@ from oracles import brute_force_ranking, truncated_geometric_pmf
 
 def build_store(exemplars):
     store = ExemplarStore()
-    store.add_many(exemplars)
+    for exemplar in exemplars:
+        store.add(exemplar)
     return store
 
 
@@ -253,7 +254,8 @@ class TestTopK:
     def test_deterministic_across_rebuilds(self, trace_store):
         first = retrieve_topk(trace_store, "send a message to the group", 8)
         rebuilt = ExemplarStore()
-        rebuilt.add_many(trace_store.exemplars)
+        for exemplar in trace_store.exemplars:
+            rebuilt.add(exemplar)
         second = retrieve_topk(rebuilt, "send a message to the group", 8)
         assert first == second
 

@@ -9,7 +9,6 @@ from gandr.top_parse import (
     ParseNode,
     Template,
     TextSpan,
-    extract_template,
     parse_labels,
     parse_top,
     serialize,
@@ -151,24 +150,27 @@ def test_text_span_rejects_brackets():
 
 
 def test_template_is_label_multiset():
-    tree = parse_top("[IN:SEND_MESSAGE [SL:GROUP anime ] [SL:GROUP manga ] ]")
-    template = extract_template(tree)
+    template = Template.from_labels(parse_labels(
+        "[IN:SEND_MESSAGE [SL:GROUP anime ] [SL:GROUP manga ] ]"))
     assert template.labels == ("IN:SEND_MESSAGE", "SL:GROUP", "SL:GROUP")
 
 
 def test_template_multiset_vs_set_matching():
-    double = extract_template(
-        parse_top("[IN:SEND_MESSAGE [SL:GROUP a ] [SL:GROUP b ] ]"))
-    single = extract_template(parse_top("[IN:SEND_MESSAGE [SL:GROUP a ] ]"))
+    double = Template.from_labels(
+        parse_labels("[IN:SEND_MESSAGE [SL:GROUP a ] [SL:GROUP b ] ]"))
+    single = Template.from_labels(
+        parse_labels("[IN:SEND_MESSAGE [SL:GROUP a ] ]"))
+    other = Template.from_labels(parse_labels("[IN:SEND_MESSAGE ]"))
     assert not double.matches(single)
     assert double.matches(single, multiset=False)
-    assert double.as_set() == single.as_set()
+    assert single.matches(double, multiset=False)
+    assert not double.matches(other, multiset=False)
 
 
 def test_template_ignores_slot_values_and_order():
-    a = extract_template(parse_top(
+    a = Template.from_labels(parse_labels(
         "[IN:GET_EVENT [SL:LOCATION paris ] [SL:DATE_TIME friday ] ]"))
-    b = extract_template(parse_top(
+    b = Template.from_labels(parse_labels(
         "[IN:GET_EVENT [SL:DATE_TIME never ] [SL:LOCATION moon ] ]"))
     assert a == b
     assert a.matches(b)
