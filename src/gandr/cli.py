@@ -69,7 +69,13 @@ from .pipeline import (
     generate_preliminaries,
     run_pipeline,
 )
-from .retrieval import ExemplarStore, retrieve_topk
+from .retrieval import (
+    ExemplarStore,
+    retrieve_topk,
+    validate_alpha,
+    validate_k,
+    validate_p,
+)
 
 ENV_PRELIMINARY_URL = "GANDR_PRELIMINARY_URL"
 ENV_FINAL_URL = "GANDR_FINAL_URL"
@@ -130,8 +136,6 @@ def _resolve(flag, env_name: str | None, config: dict, key: str,
 def _build_endpoint(spec: str, timeout: float,
                     record_path: str | None = None,
                     max_batch: int | None = None) -> Generator:
-    # one rule for every endpoint, though only http(s) ones use the values
-    validate_request_limits(timeout, max_batch)
     if spec.startswith(("http://", "https://")):
         endpoint: Generator = RemoteGenerator(spec, timeout=timeout,
                                               max_batch=max_batch)
@@ -166,6 +170,8 @@ def _endpoint_pair(args, config: dict) -> tuple[Generator, Generator, dict]:
     if preliminary_spec is None:
         preliminary_spec = final_spec
     max_batch = getattr(args, "max_batch", None)
+    # one rule for every endpoint, though only http(s) ones use the values
+    validate_request_limits(timeout, max_batch)
     preliminary = _build_endpoint(preliminary_spec, timeout,
                                   getattr(args, "record_preliminary", None),
                                   max_batch)
@@ -205,18 +211,13 @@ def _load_samples(path: str, fmt: str | None, has_header: bool,
     return samples_from_exemplars(loaded.exemplars)
 
 
-def _comma_floats(text: str) -> list[float]:
+def _comma_list(text: str, cast) -> list:
+    """The comma-separated ``cast`` values (float or int) of ``text``."""
     try:
-        return [float(v) for v in text.split(",") if v.strip()]
+        return [cast(v) for v in text.split(",") if v.strip()]
     except ValueError as exc:
-        raise ConfigError(f"bad number list {text!r}") from exc
-
-
-def _comma_ints(text: str) -> list[int]:
-    try:
-        return [int(v) for v in text.split(",") if v.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"bad integer list {text!r}") from exc
+        kind = "integer" if cast is int else "number"
+        raise ConfigError(f"bad {kind} list {text!r}") from exc
 
 
 def _checked_seed(seed: int, flag: str) -> int:
@@ -336,10 +337,10 @@ def cmd_sweep(args, config: dict) -> int:
         raise ConfigError("alpha has no effect in input-only mode; "
                           "sweep k instead")
     preliminary, final, endpoint_echo = _endpoint_pair(args, config)
-    values = (_comma_floats(args.values) if axis is SweepAxis.ALPHA
-              else _comma_ints(args.values))
+    values = _comma_list(args.values,
+                         float if axis is SweepAxis.ALPHA else int)
     seeds = [_checked_seed(seed, "--seeds")
-             for seed in _comma_ints(args.seeds)]
+             for seed in _comma_list(args.seeds, int)]
     rows = run_sweep(store, samples, preliminary, final, base_config, axis,
                      values, seeds, recall_k=args.recall_k,
                      sample_fraction=args.sample_fraction)
@@ -367,20 +368,27 @@ def cmd_emit_train(args, config: dict) -> int:
     else:
         samples = samples_from_exemplars(store.exemplars)
     k = _resolve(args.k, None, config, "k", DEFAULT_K, int)
-    p = _resolve(args.p, None, config, "p", DEFAULT_P, float)
+    p = validate_p(_resolve(args.p, None, config, "p", DEFAULT_P, float))
     budget = _resolve(args.budget, None, config, "budget", None, int)
+    if budget is not None:
+        validate_k(budget, "budget")
+    timeout = _resolve(args.timeout, ENV_TIMEOUT, config, "timeout",
+                       DEFAULT_TIMEOUT, float)
+    validate_request_limits(timeout, None)
 
     if args.stage == 1:
-        alpha = 0.0
-        preliminaries = None
+        for flag in ("alpha", "preliminary_from", "preliminary_endpoint"):
+            if getattr(args, flag) is not None:
+                raise ConfigError(f"--{flag.replace('_', '-')} has no effect "
+                                  "at stage 1; drop the flag")
+        alpha, preliminaries = 0.0, None
     else:
-        alpha = _resolve(args.alpha, None, config, "alpha", DEFAULT_ALPHA,
-                         float)
+        alpha = validate_alpha(_resolve(args.alpha, None, config, "alpha",
+                                        DEFAULT_ALPHA, float))
         if args.preliminary_from:
-            preliminaries = {}
-            for record in read_records(args.preliminary_from):
-                if record.preliminary is not None:
-                    preliminaries[record.sample_id] = record.preliminary
+            preliminaries = {r.sample_id: r.preliminary
+                             for r in read_records(args.preliminary_from)
+                             if r.preliminary is not None}
         else:
             spec = _resolve(args.preliminary_endpoint, ENV_PRELIMINARY_URL,
                             config, "preliminary_endpoint")
@@ -388,8 +396,6 @@ def cmd_emit_train(args, config: dict) -> int:
                 raise ConfigError("stage 2 needs preliminaries; pass "
                                   "--preliminary-from RECORDS or a "
                                   "preliminary endpoint")
-            timeout = _resolve(args.timeout, ENV_TIMEOUT, config, "timeout",
-                               DEFAULT_TIMEOUT, float)
             endpoint = _build_endpoint(spec, timeout)
             preliminaries = generate_preliminaries(
                 store, samples, endpoint, k, budget, not args.keep_self)

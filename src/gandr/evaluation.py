@@ -20,9 +20,10 @@ from .pipeline import (
     PipelineConfig,
     PredictionRecord,
     Sample,
-    run_pipeline_grid,
+    run_pipeline,
+    run_pipeline_alphas,
 )
-from .retrieval import ExemplarStore
+from .retrieval import ExemplarStore, _check_k, validate_k
 from .top_parse import Template, parse_labels
 
 
@@ -148,17 +149,17 @@ def run_sweep(store: ExemplarStore, samples: Sequence[Sample],
     """Score the pipeline at each axis value for each seed; one row per
     (value, seed), values outer.
 
-    The axis value overrides alpha or k in the base config; every value
-    is checked before any sample runs. The seed subsamples the evaluation
-    set when ``sample_fraction`` is given; otherwise the seed is a row
-    label only. The pipeline runs once, through ``run_pipeline_grid``,
-    over the union of the seeds' subsets, and each row scores its own
-    subset's records in subset order. So a sample's first pass runs once
-    per k value, whatever the alphas and seeds, and every alpha builds on
-    the same preliminary, and each distinct gold is parsed once for every
-    row that scores it. Given endpoints that answer a prompt the same way
-    every time, the rows equal those of a separate ``run_pipeline`` per
-    (value, seed).
+    The axis value overrides alpha or k in the base config; every value,
+    and every k against the store, is checked before any sample runs.
+    The seed subsamples the evaluation set when ``sample_fraction`` is
+    given; otherwise the seed is a row label only. The pipeline runs over
+    the union of the seeds' subsets, once through ``run_pipeline_alphas``
+    on the alpha axis and once per distinct k on the k axis, and each row
+    scores its own subset's records in subset order. So every alpha
+    builds on the same preliminary, and each distinct gold is parsed
+    once for every row that scores it. Given endpoints that answer a
+    prompt the same way every time, the rows equal those of a separate
+    ``run_pipeline`` per (value, seed).
     """
     if not values or not seeds:
         raise ConfigError("sweep needs at least one value and one seed")
@@ -166,18 +167,25 @@ def run_sweep(store: ExemplarStore, samples: Sequence[Sample],
     if sample_fraction is not None and not 0.0 < sample_fraction <= 1.0:
         raise ConfigError(
             f"sample fraction must lie in (0, 1], got {sample_fraction}")
-    if axis is SweepAxis.ALPHA:
-        configs = [replace(base_config, alpha=float(v)) for v in values]
-    else:
-        configs = [replace(base_config, k=int(v)) for v in values]
+    if axis is SweepAxis.K:
+        ks = [validate_k(int(v)) for v in values]
+        _check_k(max(ks), store, ())
     positions = range(len(samples))
     subsets = [positions if sample_fraction is None
                else apply_split(positions, Fraction(sample_fraction), seed)
                for seed in seeds]
     union = sorted(set().union(*subsets))
     at = {i: n for n, i in enumerate(union)}
-    runs = run_pipeline_grid(store, [samples[i] for i in union],
-                             preliminary_generator, final_generator, configs)
+    chosen = [samples[i] for i in union]
+    if axis is SweepAxis.ALPHA:
+        runs = run_pipeline_alphas(store, chosen, preliminary_generator,
+                                   final_generator, base_config,
+                                   [float(v) for v in values])
+    else:
+        by_k = {k: run_pipeline(store, chosen, preliminary_generator,
+                                final_generator, replace(base_config, k=k))
+                for k in dict.fromkeys(ks)}
+        runs = [by_k[k] for k in ks]
     gold_template = functools.cache(_gold_template)
     rows: list[SweepRow] = []
     for value, records in zip(values, runs):

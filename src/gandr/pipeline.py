@@ -10,9 +10,9 @@ mixed in (weight ``alpha``), and prompts the final endpoint. Modes:
 
 Both passes are one step: retrieve and prompt per sample, then generate
 in bulk. The first pass is that step at alpha 0 with no preliminary
-parse. ``run_pipeline_grid`` runs several configs that differ only in
-alpha from one first pass; their second pass scores each sample once and
-mixes the scores per alpha. Retrieval runs on one thread. What is left
+parse. ``run_pipeline_alphas`` runs one config at several alphas from
+one first pass; its second pass scores each sample once and mixes the
+scores per alpha. Retrieval runs on one thread. What is left
 of a query's cost is mostly its dense passes over the store: the
 postings kernel of each channel it scores (the first pass scores only
 the input channel) and, above alpha 0, their mix; selection orders only
@@ -30,7 +30,7 @@ inputs produce byte-identical record files.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Collection, Mapping, Sequence
 
@@ -282,12 +282,27 @@ def _records(samples: Sequence[Sample], pass1,
     return records
 
 
-def _run_alphas(store: ExemplarStore, samples: Sequence[Sample],
-                preliminary_generator, final_generator,
-                config: PipelineConfig,
-                alphas: Sequence[float]) -> list[list[PredictionRecord]]:
-    """The records of ``config`` at each second-pass alpha, in order,
-    from one first pass."""
+def run_pipeline(store: ExemplarStore, samples: Sequence[Sample],
+                 preliminary_generator, final_generator,
+                 config: PipelineConfig = PipelineConfig()) -> list[PredictionRecord]:
+    """Run the full flow over samples; one record per sample, input order."""
+    return run_pipeline_alphas(store, samples, preliminary_generator,
+                               final_generator, config, [config.alpha])[0]
+
+
+def run_pipeline_alphas(store: ExemplarStore, samples: Sequence[Sample],
+                        preliminary_generator, final_generator,
+                        config: PipelineConfig, alphas: Sequence[float]
+                        ) -> list[list[PredictionRecord]]:
+    """``run_pipeline``'s records with ``config`` at each of ``alphas``,
+    in order, from one first pass, so each first-pass prompt reaches the
+    endpoint once. The second pass scores each live sample once, mixes
+    per distinct alpha and generates once per distinct alpha. In
+    input-only mode every alpha gets the same single-pass records. Given
+    endpoints that answer a prompt the same way every time, each alpha
+    gets the records ``run_pipeline`` would give it alone.
+    """
+    alphas = [validate_alpha(alpha) for alpha in alphas]
     single_pass = config.mode is PipelineMode.INPUT_ONLY
     settings = config.k, config.budget, config.failure_policy
     no_preliminaries = [None] * len(samples)
@@ -299,49 +314,14 @@ def _run_alphas(store: ExemplarStore, samples: Sequence[Sample],
         return [_records(samples, pass1, no_preliminaries, {},
                          dict(enumerate(outputs1)))] * len(alphas)
     live = [i for i, out in enumerate(outputs1) if out is not None]
+    distinct = list(dict.fromkeys(alphas))
     runs = _run_pass(store, [samples[i] for i in live],
                      [outputs1[i] for i in live], final_generator, *settings,
-                     alphas)
-    return [_records(samples, pass1, outputs1, dict(zip(live, steps)),
-                     dict(zip(live, finals)))
-            for steps, finals in runs]
-
-
-def run_pipeline(store: ExemplarStore, samples: Sequence[Sample],
-                 preliminary_generator, final_generator,
-                 config: PipelineConfig = PipelineConfig()) -> list[PredictionRecord]:
-    """Run the full flow over samples; one record per sample, input order."""
-    return run_pipeline_grid(store, samples, preliminary_generator,
-                             final_generator, [config])[0]
-
-
-def run_pipeline_grid(store: ExemplarStore, samples: Sequence[Sample],
-                      preliminary_generator, final_generator,
-                      configs: Sequence[PipelineConfig]
-                      ) -> list[list[PredictionRecord]]:
-    """``run_pipeline`` under each config, in order, doing shared work once.
-
-    The first pass does not depend on alpha, so configs that differ only
-    in alpha share one, and each of its prompts reaches the endpoint
-    once. Their second passes score each live sample's similarities once
-    and mix them per distinct second-pass alpha; each such alpha
-    generates for all its prompts at once. Given endpoints that answer a
-    prompt the same way every time, each config gets the records
-    ``run_pipeline`` would give it alone.
-    """
-    alphas_by_pass1: dict[PipelineConfig, list[float]] = {}
-    for config in configs:
-        alphas = alphas_by_pass1.setdefault(replace(config, alpha=0.0), [])
-        if config.pass2_alpha not in alphas:
-            alphas.append(config.pass2_alpha)
-    runs = {}
-    for pass1_config, alphas in alphas_by_pass1.items():
-        records = _run_alphas(store, samples, preliminary_generator,
-                              final_generator, pass1_config, alphas)
-        runs.update(((pass1_config, alpha), run)
-                    for alpha, run in zip(alphas, records))
-    return [runs[replace(config, alpha=0.0), config.pass2_alpha]
-            for config in configs]
+                     distinct)
+    records = {alpha: _records(samples, pass1, outputs1,
+                               dict(zip(live, steps)), dict(zip(live, finals)))
+               for alpha, (steps, finals) in zip(distinct, runs)}
+    return [records[alpha] for alpha in alphas]
 
 
 def self_exclusion(store: ExemplarStore, sample: Sample,
@@ -361,8 +341,6 @@ def generate_preliminaries(store: ExemplarStore, samples: Sequence[Sample],
                            exclude_self: bool = True) -> dict[int, str]:
     """Preliminary parses by sample id for stage-2 training: the first
     pass with ``self_exclusion``; any generation error propagates."""
-    if budget is not None:
-        validate_k(budget, "budget")
     [(_, outputs)] = _run_pass(store, samples, [None] * len(samples),
                                generator, k, budget, FailurePolicy.ABORT,
                                [0.0], exclude_self)

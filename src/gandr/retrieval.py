@@ -375,6 +375,13 @@ def retrieve_topk_alphas(store: ExemplarStore, query: str, k: int,
     return hits
 
 
+def validate_p(p: float) -> float:
+    """The rule for the geometric decay p of rank sampling: positive."""
+    if not 0.0 < p:
+        raise ConfigError(f"sampling decay p must be positive, got {p}")
+    return p
+
+
 def sample_geometric_ranks(n: int, k: int, p: float,
                            rng: np.random.Generator) -> list[int]:
     """Draw k distinct ranks from [0, n) without replacement.
@@ -386,8 +393,7 @@ def sample_geometric_ranks(n: int, k: int, p: float,
     Returned ranks are positions in the original [0, n) ordering. p >= 1
     degenerates to always taking the best remaining rank.
     """
-    if not 0.0 < p:
-        raise ConfigError(f"sampling decay p must be positive, got {p}")
+    validate_p(p)
     if k > n:
         raise StoreTooSmall(f"requested {k} draws from {n} candidates")
     picks: list[int] = []

@@ -34,6 +34,19 @@ def store(tmp_path, dataset):
     return path
 
 
+@pytest.fixture
+def endpoint_calls(monkeypatch):
+    """Every batch a static endpoint is asked to answer."""
+    calls = []
+
+    def counting(self, inputs):
+        calls.append(list(inputs))
+        return [self.output for _ in inputs]
+
+    monkeypatch.setattr(StaticGenerator, "generate", counting)
+    return calls
+
+
 class TestIndex:
     def test_builds_store(self, tmp_path, dataset, capsys):
         out = tmp_path / "s.store"
@@ -441,7 +454,7 @@ class TestSweep:
         def no_run(*args, **kwargs):
             raise AssertionError("the pipeline ran")
 
-        monkeypatch.setattr(evaluation, "run_pipeline_grid", no_run)
+        monkeypatch.setattr(evaluation, "run_pipeline_alphas", no_run)
         assert main(["sweep", "--store", str(store), "--data", str(dataset),
                      "--final-endpoint", f"oracle:{dataset}",
                      "--axis", "alpha", "--values", "0,0.75",
@@ -487,6 +500,26 @@ class TestSweep:
         assert calls == []
 
 
+    def test_k_larger_than_the_store_exits_1_before_any_generation(
+            self, store, dataset, capsys, endpoint_calls):
+        assert main(["sweep", "--store", str(store), "--data", str(dataset),
+                     "--final-endpoint", f"static:{TRACE_GOLD}",
+                     "--axis", "k", "--values", "2,9"]) == 1
+        assert capsys.readouterr().err == \
+            "error: requested 9 exemplars but only 8 are available\n"
+        assert endpoint_calls == []
+
+    def test_repeated_k_value_sends_each_first_pass_prompt_once(
+            self, store, dataset, capsys, endpoint_calls):
+        assert main(["sweep", "--store", str(store), "--data", str(dataset),
+                     "--final-endpoint", f"static:{TRACE_GOLD}",
+                     "--axis", "k", "--values", "2,2"]) == 0
+        first_pass, second_pass = endpoint_calls
+        assert len(first_pass) == len(set(first_pass)) == 8
+        assert len(second_pass) == 8
+        first, second = capsys.readouterr().out.splitlines()[2:]
+        assert first == second and first.startswith("2\t0\t")
+
     def test_alpha_axis_in_input_only_mode_exits_2(self, store, dataset,
                                                    capsys, monkeypatch):
         calls = []
@@ -506,6 +539,56 @@ class TestSweep:
 
 
 class TestEmitTrain:
+    @pytest.mark.parametrize("flags, message", [
+        (["--stage", "1", "--alpha", "0.5"],
+         "--alpha has no effect at stage 1; drop the flag"),
+        (["--stage", "1", "--preliminary-from", "nope.jsonl"],
+         "--preliminary-from has no effect at stage 1; drop the flag"),
+        (["--stage", "1", "--preliminary-endpoint", "static:x"],
+         "--preliminary-endpoint has no effect at stage 1; drop the flag"),
+        (["--stage", "1", "--timeout", "-5"],
+         "timeout must be a positive finite number of seconds, got -5.0"),
+        (["--stage", "2", "--preliminary-from", "RECORDS", "--timeout", "-5"],
+         "timeout must be a positive finite number of seconds, got -5.0"),
+        (["--stage", "2", "--preliminary-endpoint", "static:[IN:PLAY_MUSIC ]",
+          "--p", "0"], "sampling decay p must be positive, got 0.0"),
+        (["--stage", "2", "--preliminary-endpoint", "static:[IN:PLAY_MUSIC ]",
+          "--p", "nan"], "sampling decay p must be positive, got nan"),
+        (["--stage", "2", "--preliminary-endpoint", "static:[IN:PLAY_MUSIC ]",
+          "--alpha", "1.5"], "alpha must lie in [0, 1], got 1.5"),
+        (["--stage", "2", "--preliminary-endpoint", "static:[IN:PLAY_MUSIC ]",
+          "--alpha", "nan"], "alpha must lie in [0, 1], got nan"),
+    ], ids=["stage1-alpha", "stage1-preliminary-from",
+            "stage1-preliminary-endpoint", "stage1-timeout",
+            "stage2-records-timeout", "p-0", "p-nan", "alpha-1.5",
+            "alpha-nan"])
+    def test_unused_flag_or_bad_value_exits_2_before_any_generation(
+            self, tmp_path, store, dataset, capsys, flags, message,
+            endpoint_calls):
+        records = tmp_path / "records.jsonl"
+        assert main(["run", "--store", str(store), "--data", str(dataset),
+                     "--final-endpoint", f"oracle:{dataset}",
+                     "--out", str(records)]) == 0
+        flags = [str(records) if f == "RECORDS" else f for f in flags]
+        out = tmp_path / "t.jsonl"
+        capsys.readouterr()
+        assert main(["emit-train", "--store", str(store), *flags,
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert endpoint_calls == []
+        assert not out.exists()
+
+    def test_stage1_ignores_preliminary_settings_from_env_and_config(
+            self, tmp_path, store, monkeypatch):
+        monkeypatch.setenv("GANDR_PRELIMINARY_URL", "static:x")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"alpha": 0.5,
+                                      "preliminary_endpoint": "static:y"}))
+        out = tmp_path / "t.jsonl"
+        assert main(["--config", str(config), "emit-train", "--store",
+                     str(store), "--stage", "1", "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 8
+
     def test_stage1(self, tmp_path, store, capsys):
         out = tmp_path / "train.jsonl"
         code = main(["emit-train", "--store", str(store), "--stage", "1",

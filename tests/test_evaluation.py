@@ -8,7 +8,12 @@ from conftest import make_random_corpus, random_parse, random_utterance
 from gandr import evaluation, retrieval
 from gandr.augment import AugmentedInput
 from gandr.data_io import Fraction, apply_split
-from gandr.errors import ConfigError, GenerationError, MissingGold
+from gandr.errors import (
+    ConfigError,
+    GenerationError,
+    MissingGold,
+    StoreTooSmall,
+)
 from gandr.evaluation import (
     SweepAxis,
     SweepRow,
@@ -31,6 +36,7 @@ from gandr.pipeline import (
     PredictionRecord,
     Sample,
     run_pipeline,
+    run_pipeline_alphas,
 )
 from gandr.retrieval import ExemplarStore, ScoredExemplar
 from gandr.top_parse import Template, parse_labels
@@ -403,6 +409,126 @@ class TestSweepEqualsPerRunLoop:
                       endpoints["final"],
                       PipelineConfig(failure_policy=FailurePolicy.ABORT),
                       SweepAxis.ALPHA, [0.0, 0.5], self.SEEDS)
+
+
+class FailFor(PromptHash):
+    """A ``PromptHash`` whose batches fail when they hold a prompt for one
+    of the ``failing`` queries."""
+
+    def __init__(self, parses, gold_by_query, failing):
+        super().__init__(parses, gold_by_query)
+        self.failing = set(failing)
+
+    def generate(self, inputs):
+        if any(p.split(" || ", 1)[0] in self.failing for p in inputs):
+            raise GenerationError("endpoint down")
+        return super().generate(inputs)
+
+
+class TestRunPipelineAlphas:
+    """``run_pipeline_alphas`` gives ``run_pipeline``'s records at each
+    alpha from one first pass."""
+
+    ALPHAS = [0.75, 0.0, 0.3, 0.75, 1.0, 0.3]
+
+    @pytest.fixture
+    def world(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        store = ExemplarStore()
+        for exemplar in make_random_corpus(rng, 30):
+            store.add(exemplar)
+        samples = [Sample(100 + i, random_utterance(rng),
+                          gold=random_parse(rng)) for i in range(12)]
+        parses = sorted({e.parse for e in store.exemplars})
+        gold = {s.utterance: s.gold for s in samples}
+        scored = []
+        similarities = retrieval.ExemplarStore.similarities
+
+        def counting(self, query, preliminary):
+            scored.append(query)
+            return similarities(self, query, preliminary)
+
+        monkeypatch.setattr(retrieval.ExemplarStore, "similarities", counting)
+        return store, samples, parses, gold, scored
+
+    @pytest.mark.parametrize("failing", [None, "preliminary", "final"])
+    def test_each_alpha_gets_the_records_of_run_pipeline(self, world,
+                                                         failing):
+        store, samples, parses, gold, _ = world
+
+        def endpoint(role):
+            if role == failing:
+                return FailFor(parses, gold,
+                               [samples[i].utterance for i in (2, 7)])
+            return PromptHash(parses, gold)
+
+        config = PipelineConfig(k=3, budget=60)
+        got = run_pipeline_alphas(store, samples, endpoint("preliminary"),
+                                  endpoint("final"), config, self.ALPHAS)
+        want = [run_pipeline(store, samples, endpoint("preliminary"),
+                             endpoint("final"), replace(config, alpha=alpha))
+                for alpha in self.ALPHAS]
+        assert got == want
+        failed = {None: "ok", "preliminary": "pass1_failed",
+                  "final": "pass2_failed"}[failing]
+        assert {r.status for records in got for r in records} == \
+            {"ok", failed}
+
+    def test_repeated_alphas_run_once(self, world):
+        store, samples, parses, gold, scored = world
+        preliminary, final = PromptHash(parses, gold), PromptHash(parses, gold)
+        got = run_pipeline_alphas(store, samples, preliminary, final,
+                                  PipelineConfig(k=3), self.ALPHAS)
+        assert got[0] == got[3] and got[2] == got[5]
+        [prompts] = preliminary.batches
+        assert len(prompts) == len(set(prompts)) == len(samples)
+        distinct = len(set(self.ALPHAS))
+        assert len(final.batches) == distinct
+        assert all(len(batch) == len(samples) for batch in final.batches)
+        # the first pass scores each sample once, the second pass once more
+        assert len(scored) == 2 * len(samples)
+
+    def test_input_only_gives_every_alpha_the_same_records(self, world):
+        store, samples, parses, gold, scored = world
+        preliminary, final = PromptHash(parses, gold), PromptHash(parses, gold)
+        config = PipelineConfig(mode=PipelineMode.INPUT_ONLY, k=3)
+        got = run_pipeline_alphas(store, samples, preliminary, final, config,
+                                  [0.0, 0.5, 1.0])
+        want = run_pipeline(store, samples, PromptHash(parses, gold),
+                            PromptHash(parses, gold), config)
+        assert got == [want] * 3
+        assert all(r.pass2_retrievals is None for r in want)
+        assert preliminary.batches == [] and len(final.batches) == 1
+
+    @pytest.mark.parametrize("alpha", [1.5, -0.1, float("nan")])
+    def test_bad_alpha_raises_before_any_generation(self, world, alpha):
+        store, samples, parses, gold, scored = world
+        preliminary, final = PromptHash(parses, gold), PromptHash(parses, gold)
+        with pytest.raises(ConfigError, match="alpha must lie in"):
+            run_pipeline_alphas(store, samples, preliminary, final,
+                                PipelineConfig(), [0.5, alpha])
+        assert preliminary.batches == final.batches == scored == []
+
+    def test_repeated_k_values_run_once(self, world):
+        store, samples, parses, gold, _ = world
+        preliminary = PromptHash(parses, gold)
+        args = (store, samples, preliminary, PromptHash(parses, gold),
+                PipelineConfig(k=3), SweepAxis.K, [3, 3, 5, 3], [0])
+        rows = run_sweep(*args)
+        assert len(preliminary.batches) == 2
+        for batch in preliminary.batches:
+            assert len(batch) == len(set(batch)) == len(samples)
+        assert rows == reference_sweep(*args)
+
+    def test_k_larger_than_the_store_raises_before_any_generation(self,
+                                                                  world):
+        store, samples, parses, gold, scored = world
+        preliminary = PromptHash(parses, gold)
+        with pytest.raises(StoreTooSmall, match="requested 31 exemplars "
+                                                "but only 30 are available"):
+            run_sweep(store, samples, preliminary, preliminary,
+                      PipelineConfig(), SweepAxis.K, [2, 31], [0])
+        assert preliminary.batches == scored == []
 
 
 def test_format_sweep_tsv():

@@ -1,6 +1,7 @@
 """README's examples run, or at least parse, as written against the
 installed package."""
 
+import importlib
 import json
 import re
 import shlex
@@ -67,6 +68,18 @@ def test_every_exported_name_has_a_user():
         if not (word.search(uses) or word.search(readme)):
             unused.append(name)
     assert unused == []
+
+
+def test_every_dotted_name_resolves():
+    """Each backticked ``gandr.<module>.<name>`` in the README exists, so a
+    rename that leaves the README stale fails here."""
+    names = re.findall(r"`gandr\.(\w+)\.(\w+)`",
+                       README.read_text(encoding="utf-8"))
+    assert names
+    missing = [f"gandr.{module}.{name}" for module, name in names
+               if not hasattr(importlib.import_module(f"gandr.{module}"),
+                              name)]
+    assert missing == []
 
 
 def test_mode_lists_name_the_parser_modes():
