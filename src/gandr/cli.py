@@ -6,6 +6,10 @@ Settings resolve in precedence order: command-line flag, then environment
 (GANDR_PRELIMINARY_URL, GANDR_FINAL_URL, GANDR_TIMEOUT), then a JSON
 config file passed with --config, then built-in defaults.
 
+Settings are resolved, and endpoints built, before the store is read. A
+flag that its command, mode, emit-train stage or sweep axis does not read
+exits 2; README lists these flags.
+
 Generation endpoints are named by spec strings:
 
 * ``static:TEXT``   always answers TEXT
@@ -133,50 +137,59 @@ def _resolve(flag, env_name: str | None, config: dict, key: str,
     return raw
 
 
+def _unused(args, flags, where: str) -> None:
+    """The one rule for flags that a command, mode, stage or sweep axis
+    does not read: each of ``flags`` given on the command line exits 2."""
+    for flag in flags:
+        if getattr(args, flag) is not None:
+            raise ConfigError(f"--{flag.replace('_', '-')} has no effect "
+                              f"{where}; drop the flag")
+
+
 def _build_endpoint(spec: str, timeout: float,
-                    record_path: str | None = None,
                     max_batch: int | None = None) -> Generator:
     if spec.startswith(("http://", "https://")):
-        endpoint: Generator = RemoteGenerator(spec, timeout=timeout,
-                                              max_batch=max_batch)
-    elif spec.startswith("static:"):
-        endpoint = StaticGenerator(spec[len("static:"):])
-    elif spec.startswith("replay:"):
-        endpoint = ReplayGenerator.from_path(spec[len("replay:"):])
-    elif spec.startswith("oracle:"):
+        return RemoteGenerator(spec, timeout=timeout, max_batch=max_batch)
+    if spec.startswith("static:"):
+        return StaticGenerator(spec[len("static:"):])
+    if spec.startswith("replay:"):
+        return ReplayGenerator.from_path(spec[len("replay:"):])
+    if spec.startswith("oracle:"):
         loaded = load_dataset(spec[len("oracle:"):])
-        endpoint = OracleLookupGenerator.from_exemplars(loaded.exemplars)
-    else:
-        raise ConfigError(
-            f"unknown endpoint spec {spec!r}; use static:TEXT, oracle:PATH, "
-            "replay:PATH, or an http(s) URL")
-    if record_path:
-        endpoint = RecordingGenerator(endpoint, record_path)
-    return endpoint
+        return OracleLookupGenerator.from_exemplars(loaded.exemplars)
+    raise ConfigError(
+        f"unknown endpoint spec {spec!r}; use static:TEXT, oracle:PATH, "
+        "replay:PATH, or an http(s) URL")
 
 
-def _endpoint_pair(args, config: dict) -> tuple[Generator, Generator, dict]:
+def _endpoint_pair(args, config: dict, mode: PipelineMode
+                   ) -> tuple[Generator | None, Generator, dict]:
+    """Both passes' endpoints, each distinct spec built once and none for
+    the preliminary in input-only mode, and their settings echo."""
     timeout = _resolve(args.timeout, ENV_TIMEOUT, config, "timeout",
                        DEFAULT_TIMEOUT, float)
-    preliminary_spec = _resolve(args.preliminary_endpoint,
-                                ENV_PRELIMINARY_URL, config,
-                                "preliminary_endpoint")
     final_spec = _resolve(args.final_endpoint, ENV_FINAL_URL, config,
                           "final_endpoint")
     if final_spec is None:
         raise ConfigError("no final endpoint configured; pass "
                           "--final-endpoint, set " + ENV_FINAL_URL +
                           ", or put final_endpoint in the config file")
-    if preliminary_spec is None:
-        preliminary_spec = final_spec
-    max_batch = getattr(args, "max_batch", None)
+    preliminary_spec = None
+    if mode is not PipelineMode.INPUT_ONLY:
+        preliminary_spec = _resolve(args.preliminary_endpoint,
+                                    ENV_PRELIMINARY_URL, config,
+                                    "preliminary_endpoint")
+        if preliminary_spec is None:
+            preliminary_spec = final_spec
     # one rule for every endpoint, though only http(s) ones use the values
-    validate_request_limits(timeout, max_batch)
-    preliminary = _build_endpoint(preliminary_spec, timeout,
-                                  getattr(args, "record_preliminary", None),
-                                  max_batch)
-    final = _build_endpoint(final_spec, timeout,
-                            getattr(args, "record_final", None), max_batch)
+    validate_request_limits(timeout, args.max_batch)
+    built = {spec: _build_endpoint(spec, timeout, args.max_batch)
+             for spec in dict.fromkeys((preliminary_spec, final_spec))
+             if spec is not None}
+    preliminary, final = (
+        RecordingGenerator(built[spec], path) if path else built.get(spec)
+        for spec, path in ((preliminary_spec, args.record_preliminary),
+                           (final_spec, args.record_final)))
     echo = {"preliminary_endpoint": preliminary_spec,
             "final_endpoint": final_spec, "timeout": timeout}
     return preliminary, final, echo
@@ -185,18 +198,23 @@ def _endpoint_pair(args, config: dict) -> tuple[Generator, Generator, dict]:
 def _pipeline_config(args, config: dict) -> PipelineConfig:
     mode = _resolve(args.mode, None, config, "mode", PipelineMode.GANDR,
                     PipelineMode)
-    if mode is PipelineMode.INPUT_ONLY and args.alpha is not None:
-        raise ConfigError("--alpha has no effect in input-only mode; "
-                          "drop the flag")
+    if mode is PipelineMode.INPUT_ONLY:
+        _unused(args, ("alpha", "preliminary_endpoint", "record_preliminary"),
+                "in input-only mode")
     return PipelineConfig(
-        mode=mode,
+        mode=mode, k=_resolve(args.k, None, config, "k", DEFAULT_K, int),
         alpha=_resolve(args.alpha, None, config, "alpha", DEFAULT_ALPHA, float),
-        k=_resolve(args.k, None, config, "k", DEFAULT_K, int),
         budget=_resolve(args.budget, None, config, "budget", None, int),
         failure_policy=_resolve(args.failure_policy, None, config,
                                 "failure_policy", FailurePolicy.SKIP_SAMPLE,
-                                FailurePolicy),
-    )
+                                FailurePolicy))
+
+
+def _settings_echo(settings: PipelineConfig, drop: str | None = None) -> dict:
+    """The fields of ``settings`` bar ``drop`` as JSON values."""
+    return {name: getattr(value, "value", value)
+            for name, value in dataclasses.asdict(settings).items()
+            if name != drop}
 
 
 def _report_issues(loaded: LoadResult, path) -> None:
@@ -266,9 +284,9 @@ def cmd_index(args, config: dict) -> int:
 
 def cmd_retrieve(args, config: dict) -> int:
     query = _checked_query(args.query)
-    store = load_store(args.store)
     alpha = _resolve(args.alpha, None, config, "alpha", 0.0, float)
     k = _resolve(args.k, None, config, "k", DEFAULT_K, int)
+    store = load_store(args.store)
     hits = retrieve_topk(store, query, k, alpha=alpha,
                          preliminary=args.preliminary)
     if args.json:
@@ -280,26 +298,18 @@ def cmd_retrieve(args, config: dict) -> int:
 
 
 def cmd_run(args, config: dict) -> int:
+    pipeline_config = _pipeline_config(args, config)
+    preliminary, final, endpoint_echo = _endpoint_pair(args, config,
+                                                       pipeline_config.mode)
     store = load_store(args.store)
     samples = _load_samples(args.data, args.format, args.has_header,
                             args.strict)
-    pipeline_config = _pipeline_config(args, config)
-    preliminary, final, endpoint_echo = _endpoint_pair(args, config)
     records = run_pipeline(store, samples, preliminary, final,
                            pipeline_config)
     write_records(records, args.out)
-    echo = {
-        "command": "run",
-        "store": args.store,
-        "data": args.data,
-        "mode": pipeline_config.mode.value,
-        "alpha": pipeline_config.alpha,
-        "pass2_alpha": pipeline_config.pass2_alpha,
-        "k": pipeline_config.k,
-        "budget": pipeline_config.budget,
-        "failure_policy": pipeline_config.failure_policy.value,
-        **endpoint_echo,
-    }
+    echo = {"command": "run", "store": args.store, "data": args.data,
+            "pass2_alpha": pipeline_config.pass2_alpha,
+            **_settings_echo(pipeline_config), **endpoint_echo}
     atomic_write_text(str(args.out) + ".config.json",
                       json.dumps(echo, sort_keys=True, indent=2) + "\n")
     n_ok = sum(1 for r in records if r.final is not None)
@@ -328,28 +338,32 @@ def cmd_eval(args, config: dict) -> int:
 
 
 def cmd_sweep(args, config: dict) -> int:
-    store = load_store(args.store)
-    samples = _load_samples(args.data, args.format, args.has_header,
-                            args.strict)
-    base_config = _pipeline_config(args, config)
     axis = SweepAxis(args.axis)
+    _unused(args, (axis.value,), f"on --axis {axis.value}")
+    # the axis sets the swept setting, so a config file value is ignored
+    config = {key: v for key, v in config.items() if key != axis.value}
+    base_config = _pipeline_config(args, config)
     if base_config.mode is PipelineMode.INPUT_ONLY and axis is SweepAxis.ALPHA:
         raise ConfigError("alpha has no effect in input-only mode; "
                           "sweep k instead")
-    preliminary, final, endpoint_echo = _endpoint_pair(args, config)
-    values = _comma_list(args.values,
-                         float if axis is SweepAxis.ALPHA else int)
+    preliminary, final, endpoint_echo = _endpoint_pair(args, config,
+                                                       base_config.mode)
+    cast, check = ((float, validate_alpha) if axis is SweepAxis.ALPHA
+                   else (int, validate_k))
+    values = [check(v) for v in _comma_list(args.values, cast)]
     seeds = [_checked_seed(seed, "--seeds")
              for seed in _comma_list(args.seeds, int)]
+    store = load_store(args.store)
+    samples = _load_samples(args.data, args.format, args.has_header,
+                            args.strict)
     rows = run_sweep(store, samples, preliminary, final, base_config, axis,
                      values, seeds, recall_k=args.recall_k,
                      sample_fraction=args.sample_fraction)
     note = json.dumps({
         "axis": axis.value, "values": values, "seeds": seeds,
-        "mode": base_config.mode.value, "alpha": base_config.alpha,
-        "k": base_config.k, "recall_k": args.recall_k,
-        "sample_fraction": args.sample_fraction, **endpoint_echo,
-    }, sort_keys=True)
+        **_settings_echo(base_config, drop=axis.value),
+        "recall_k": args.recall_k, "sample_fraction": args.sample_fraction,
+        **endpoint_echo}, sort_keys=True)
     text = format_sweep_tsv(rows, note)
     if args.out:
         atomic_write_text(args.out, text)
@@ -361,13 +375,7 @@ def cmd_sweep(args, config: dict) -> int:
 
 def cmd_emit_train(args, config: dict) -> int:
     rng = np.random.default_rng(_checked_seed(args.seed, "--seed"))
-    store = load_store(args.store)
-    if args.data:
-        samples = _load_samples(args.data, args.format, args.has_header,
-                                args.strict)
-    else:
-        samples = samples_from_exemplars(store.exemplars)
-    k = _resolve(args.k, None, config, "k", DEFAULT_K, int)
+    k = validate_k(_resolve(args.k, None, config, "k", DEFAULT_K, int))
     p = validate_p(_resolve(args.p, None, config, "p", DEFAULT_P, float))
     budget = _resolve(args.budget, None, config, "budget", None, int)
     if budget is not None:
@@ -375,17 +383,15 @@ def cmd_emit_train(args, config: dict) -> int:
     timeout = _resolve(args.timeout, ENV_TIMEOUT, config, "timeout",
                        DEFAULT_TIMEOUT, float)
     validate_request_limits(timeout, None)
-
+    alpha, endpoint, preliminaries = 0.0, None, None
     if args.stage == 1:
-        for flag in ("alpha", "preliminary_from", "preliminary_endpoint"):
-            if getattr(args, flag) is not None:
-                raise ConfigError(f"--{flag.replace('_', '-')} has no effect "
-                                  "at stage 1; drop the flag")
-        alpha, preliminaries = 0.0, None
+        _unused(args, ("alpha", "preliminary_from", "preliminary_endpoint"),
+                "at stage 1")
     else:
         alpha = validate_alpha(_resolve(args.alpha, None, config, "alpha",
                                         DEFAULT_ALPHA, float))
         if args.preliminary_from:
+            _unused(args, ("preliminary_endpoint",), "with --preliminary-from")
             preliminaries = {r.sample_id: r.preliminary
                              for r in read_records(args.preliminary_from)
                              if r.preliminary is not None}
@@ -397,9 +403,13 @@ def cmd_emit_train(args, config: dict) -> int:
                                   "--preliminary-from RECORDS or a "
                                   "preliminary endpoint")
             endpoint = _build_endpoint(spec, timeout)
-            preliminaries = generate_preliminaries(
-                store, samples, endpoint, k, budget, not args.keep_self)
-
+    store = load_store(args.store)
+    samples = (_load_samples(args.data, args.format, args.has_header,
+                             args.strict) if args.data
+               else samples_from_exemplars(store.exemplars))
+    if endpoint is not None:
+        preliminaries = generate_preliminaries(
+            store, samples, endpoint, k, budget, not args.keep_self)
     pairs = emit_training_pairs(store, samples, k, p, rng, alpha=alpha,
                                 preliminaries=preliminaries, budget=budget,
                                 exclude_self=not args.keep_self)
@@ -411,9 +421,9 @@ def cmd_emit_train(args, config: dict) -> int:
 
 def cmd_trace(args, config: dict) -> int:
     query = _checked_query(args.query)
-    store = load_store(args.store)
     pipeline_config = _pipeline_config(args, config)
-    preliminary, final, _ = _endpoint_pair(args, config)
+    preliminary, final, _ = _endpoint_pair(args, config, pipeline_config.mode)
+    store = load_store(args.store)
     sample = Sample(sample_id=0, utterance=query, gold=args.gold)
     record = run_pipeline(store, [sample], preliminary, final,
                           pipeline_config)[0]
@@ -588,15 +598,11 @@ def main(argv: list[str] | None = None) -> int:
         config = _load_config_file(args.config)
         return args.func(args, config)
     except FileNotFoundError as exc:
-        missing = exc.filename if exc.filename else exc
-        print(f"error: file not found: {missing}", file=sys.stderr)
-        return 2
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: file not found: {exc.filename or exc}", file=sys.stderr)
         return 2
     except GandrError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, ConfigError) else 1
 
 
 if __name__ == "__main__":

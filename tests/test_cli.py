@@ -299,6 +299,65 @@ class TestRun:
                      "--out", str(tmp_path / "r.jsonl")])
         assert code == 2
 
+    def test_oracle_loads_once_and_each_log_holds_its_own_pass(
+            self, tmp_path, store, dataset, monkeypatch):
+        loads = []
+
+        def counting(path, **kwargs):
+            loads.append(path)
+            return data_io.load_dataset(path, **kwargs)
+
+        monkeypatch.setattr(cli, "load_dataset", counting)
+        logs = tmp_path / "pass1.jsonl", tmp_path / "pass2.jsonl"
+        out = tmp_path / "r.jsonl"
+        assert main(["run", "--store", str(store), "--data", str(dataset),
+                     "--final-endpoint", f"oracle:{dataset}",
+                     "--record-preliminary", str(logs[0]),
+                     "--record-final", str(logs[1]), "--out", str(out)]) == 0
+        # the samples, then one oracle shared by both passes
+        assert loads == [str(dataset)] * 2
+        records = read_records(out)
+        for log, prompts in zip(logs, (
+                [r.pass1_augmented.text for r in records],
+                [r.pass2_augmented.text for r in records])):
+            assert [json.loads(line)["input"] for line in
+                    log.read_text(encoding="utf-8").splitlines()] == prompts
+
+    @pytest.mark.parametrize("flags, built", [
+        ([], ["static:b"]),
+        (["--preliminary-endpoint", "static:a"], ["static:a", "static:b"]),
+        (["--preliminary-endpoint", "static:b"], ["static:b"]),
+        (["--mode", "input-only"], ["static:b"]),
+    ], ids=["default", "distinct", "same", "input-only"])
+    def test_builds_each_endpoint_spec_once(self, tmp_path, store, dataset,
+                                            monkeypatch, flags, built):
+        specs = []
+        build = cli._build_endpoint
+
+        def counting(spec, *rest):
+            specs.append(spec)
+            return build(spec, *rest)
+
+        monkeypatch.setattr(cli, "_build_endpoint", counting)
+        assert main(["run", "--store", str(store), "--data", str(dataset),
+                     "--final-endpoint", "static:b", *flags,
+                     "--out", str(tmp_path / "r.jsonl")]) == 0
+        assert specs == built
+
+    def test_input_only_mode_ignores_the_preliminary_url(
+            self, tmp_path, store, dataset, monkeypatch, capsys):
+        monkeypatch.setenv("GANDR_PRELIMINARY_URL",
+                           f"replay:{tmp_path / 'missing.jsonl'}")
+        out = tmp_path / "r.jsonl"
+        argv = ["run", "--store", str(store), "--data", str(dataset),
+                "--final-endpoint", f"oracle:{dataset}", "--out", str(out)]
+        assert main(argv) == 2
+        assert "missing.jsonl" in capsys.readouterr().err
+        assert main(argv + ["--mode", "input-only"]) == 0
+        sidecar = json.loads((tmp_path / "r.jsonl.config.json").read_text())
+        assert sidecar["preliminary_endpoint"] is None
+        assert sidecar["pass2_alpha"] == 0.0
+
     def test_output_only_mode_is_gone(self, tmp_path, store, dataset,
                                       capsys):
         out = tmp_path / "r.jsonl"
@@ -520,6 +579,39 @@ class TestSweep:
         first, second = capsys.readouterr().out.splitlines()[2:]
         assert first == second and first.startswith("2\t0\t")
 
+    @pytest.mark.parametrize("axis, flags", [("alpha", ["--alpha", "0.3"]),
+                                             ("k", ["--k", "3"])])
+    def test_flag_of_the_swept_setting_exits_2(self, store, dataset, capsys,
+                                               endpoint_calls, axis, flags):
+        assert main(["sweep", "--store", str(store), "--data", str(dataset),
+                     "--final-endpoint", f"static:{TRACE_GOLD}",
+                     "--axis", axis, "--values", "0,1" if axis == "alpha"
+                     else "1,2", *flags]) == 2
+        assert capsys.readouterr().err == \
+            f"error: {flags[0]} has no effect on --axis {axis}; drop the flag\n"
+        assert endpoint_calls == []
+
+    @pytest.mark.parametrize("axis, values, kept", [
+        ("alpha", "0,1", ("k", 4)), ("k", "1,2", ("alpha", 0.75))])
+    def test_note_echoes_every_setting_but_the_swept_one(
+            self, tmp_path, store, dataset, capsys, axis, values, kept):
+        # a config file value of the swept setting, even a bad one, is
+        # ignored as the axis sets it
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({axis: 0 if axis == "k" else 1.5,
+                                      "budget": 60}))
+        assert main(["--config", str(config), "sweep", "--store", str(store),
+                     "--data", str(dataset), "--final-endpoint", "static:x",
+                     "--axis", axis, "--values", values]) == 0
+        line = capsys.readouterr().out.splitlines()[0]
+        note = json.loads(line[len("# config: "):])
+        assert note == {
+            "axis": axis, "values": json.loads(f"[{values}]"), "seeds": [0],
+            kept[0]: kept[1], "mode": "gandr", "budget": 60,
+            "failure_policy": "skip", "recall_k": None,
+            "sample_fraction": None, "preliminary_endpoint": "static:x",
+            "final_endpoint": "static:x", "timeout": 30.0}
+
     def test_alpha_axis_in_input_only_mode_exits_2(self, store, dataset,
                                                    capsys, monkeypatch):
         calls = []
@@ -550,6 +642,9 @@ class TestEmitTrain:
          "timeout must be a positive finite number of seconds, got -5.0"),
         (["--stage", "2", "--preliminary-from", "RECORDS", "--timeout", "-5"],
          "timeout must be a positive finite number of seconds, got -5.0"),
+        (["--stage", "2", "--preliminary-from", "RECORDS",
+          "--preliminary-endpoint", "static:x"], "--preliminary-endpoint has "
+         "no effect with --preliminary-from; drop the flag"),
         (["--stage", "2", "--preliminary-endpoint", "static:[IN:PLAY_MUSIC ]",
           "--p", "0"], "sampling decay p must be positive, got 0.0"),
         (["--stage", "2", "--preliminary-endpoint", "static:[IN:PLAY_MUSIC ]",
@@ -560,7 +655,8 @@ class TestEmitTrain:
           "--alpha", "nan"], "alpha must lie in [0, 1], got nan"),
     ], ids=["stage1-alpha", "stage1-preliminary-from",
             "stage1-preliminary-endpoint", "stage1-timeout",
-            "stage2-records-timeout", "p-0", "p-nan", "alpha-1.5",
+            "stage2-records-timeout", "stage2-records-preliminary-endpoint",
+            "p-0", "p-nan", "alpha-1.5",
             "alpha-nan"])
     def test_unused_flag_or_bad_value_exits_2_before_any_generation(
             self, tmp_path, store, dataset, capsys, flags, message,
@@ -892,8 +988,8 @@ def endpoint_command(command, endpoint, store, dataset, out):
         "run": ["run", "--store", str(store), "--data", str(dataset),
                 "--final-endpoint", endpoint, "--out", str(out)],
         "sweep": ["sweep", "--store", str(store), "--data", str(dataset),
-                  "--final-endpoint", endpoint, "--axis", "alpha",
-                  "--values", "0,0.75", "--out", str(out)],
+                  "--final-endpoint", endpoint, "--axis", "k",
+                  "--values", "1,2", "--out", str(out)],
         "trace": ["trace", "--store", str(store), "--query", TRACE_QUERY,
                   "--final-endpoint", endpoint],
         "emit-train": ["emit-train", "--store", str(store), "--stage", "2",
@@ -923,6 +1019,36 @@ def test_bad_request_limit_exits_2_for_every_endpoint(
     assert main(argv + flags) == 2
     assert capsys.readouterr().err == message + "\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "trace"])
+@pytest.mark.parametrize("flag", ["--preliminary-endpoint",
+                                  "--record-preliminary"])
+def test_preliminary_flag_exits_2_in_input_only_mode(
+        tmp_path, store, dataset, capsys, endpoint_calls, command, flag):
+    out, log = tmp_path / "out", tmp_path / "p.jsonl"
+    argv = endpoint_command(command, f"static:{TRACE_GOLD}", store, dataset,
+                            out)
+    capsys.readouterr()
+    assert main(argv + ["--mode", "input-only", flag, str(log)]) == 2
+    assert capsys.readouterr().err == \
+        f"error: {flag} has no effect in input-only mode; drop the flag\n"
+    assert endpoint_calls == []
+    assert not out.exists() and not log.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "trace", "emit-train"])
+def test_bad_setting_exits_2_without_reading_the_store(
+        tmp_path, store, dataset, capsys, monkeypatch, command):
+    loads = []
+    monkeypatch.setattr(cli, "load_store", loads.append)
+    argv = endpoint_command(command, f"static:{TRACE_GOLD}", store, dataset,
+                            tmp_path / "out")
+    capsys.readouterr()
+    assert main(argv + ["--alpha", "1.5"]) == 2
+    assert capsys.readouterr().err == \
+        "error: alpha must lie in [0, 1], got 1.5\n"
+    assert loads == []
 
 
 def test_version_flag(capsys):
