@@ -2,13 +2,13 @@
 
 Subcommands: index, retrieve, run, eval, sweep, emit-train, trace.
 
-Settings resolve in precedence order: command-line flag, then environment
-(GANDR_PRELIMINARY_URL, GANDR_FINAL_URL, GANDR_TIMEOUT), then a JSON
-config file passed with --config, then built-in defaults.
-
-Settings are resolved, and endpoints built, before the store is read. A
-flag that its command, mode, emit-train stage or sweep axis does not read
-exits 2; README lists these flags.
+``SETTINGS`` declares the nine settings a JSON config file passed with
+--config may hold. Each resolves flag > environment > config file >
+default and is checked by its rule when a command reads it. Every command
+reads and checks its settings, and builds its endpoints, before it reads
+the store; ``run`` and ``sweep`` echo the settings they read. A flag that
+its command, mode, emit-train stage or sweep axis does not read exits 2;
+README lists these flags.
 
 Generation endpoints are named by spec strings:
 
@@ -29,6 +29,7 @@ import dataclasses
 import json
 import os
 import sys
+from collections import namedtuple
 
 import numpy as np
 
@@ -54,6 +55,8 @@ from .evaluation import (
     exact_match,
     format_sweep_tsv,
     run_sweep,
+    validate_recall_k,
+    validate_sample_fraction,
 )
 from .generator import (
     Generator,
@@ -78,17 +81,28 @@ from .retrieval import (
     retrieve_topk,
     validate_alpha,
     validate_k,
+    validate_mix,
     validate_p,
 )
 
-ENV_PRELIMINARY_URL = "GANDR_PRELIMINARY_URL"
-ENV_FINAL_URL = "GANDR_FINAL_URL"
-ENV_TIMEOUT = "GANDR_TIMEOUT"
 
-DEFAULT_ALPHA = 0.75
-DEFAULT_K = 4
-DEFAULT_P = 0.5
-DEFAULT_TIMEOUT = 30.0
+# A config file setting: the environment variable that may set it, its
+# default, the type its flag produces (None for a string) and the rule a
+# value other than None must pass.
+Setting = namedtuple("Setting", "env default cast rule", defaults=[None])
+
+SETTINGS = {
+    "alpha": Setting(None, 0.75, float, validate_alpha),
+    "k": Setting(None, 4, int, validate_k),
+    "budget": Setting(None, None, int, lambda v: validate_k(v, "budget")),
+    "mode": Setting(None, PipelineMode.GANDR, PipelineMode),
+    "failure_policy": Setting(None, FailurePolicy.SKIP_SAMPLE, FailurePolicy),
+    "timeout": Setting("GANDR_TIMEOUT", 30.0, float,
+                       lambda v: validate_request_limits(v, None)),
+    "preliminary_endpoint": Setting("GANDR_PRELIMINARY_URL", None, None),
+    "final_endpoint": Setting("GANDR_FINAL_URL", None, None),
+    "p": Setting(None, 0.5, float, validate_p),
+}
 
 
 def _load_config_file(path: str | None) -> dict:
@@ -106,35 +120,41 @@ def _load_config_file(path: str | None) -> dict:
 
 # the JSON types a non-string value may have, by the cast of its flag
 _JSON_TYPES = {int: int, float: (int, float)}
+_UNSET = object()
 
 
-def _resolve(flag, env_name: str | None, config: dict, key: str,
-             default=None, cast=None):
-    """flag > environment > config file > default.
+class _Settings:
+    """Reads ``SETTINGS`` for one command; ``echo`` maps each one read to
+    its value as JSON."""
 
-    A value that is not a string must have the JSON type its flag
-    produces: an integer for an ``int`` cast, a number for a ``float``
-    cast, a string otherwise; bools count as neither. ``cast`` then
-    converts whichever value wins, bar the default; a value it rejects
-    is a ConfigError.
-    """
-    if flag is not None:
-        raw = flag
-    elif env_name and os.environ.get(env_name):
-        raw = os.environ[env_name]
-    elif key in config:
-        raw = config[key]
-    else:
-        return default
-    if isinstance(raw, bool) or not isinstance(
-            raw, (str, type(None), _JSON_TYPES.get(cast, str))):
-        raise ConfigError(f"bad value for {key}: {raw!r}")
-    if cast is not None:
-        try:
-            return cast(raw)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"bad value for {key}: {raw!r}") from exc
-    return raw
+    def __init__(self, args, config: dict):
+        self.args, self._config, self.echo = args, config, {}
+
+    def __call__(self, name: str, default=None):
+        """Setting ``name``: flag > environment > config file > default,
+        where ``default``, if given, replaces the table's. A value other
+        than a string must have the JSON type its flag produces (no bool
+        has one); ``cast`` then converts it, and the rule checks it."""
+        env, table_default, cast, rule = SETTINGS[name]
+        raw = getattr(self.args, name)
+        if raw is None and env:
+            raw = os.environ.get(env) or None
+        if raw is None:
+            raw = self._config.get(name, _UNSET)
+        if raw is _UNSET:
+            value = table_default if default is None else default
+        else:
+            try:
+                if isinstance(raw, bool) or not isinstance(
+                        raw, (str, type(None), _JSON_TYPES.get(cast, str))):
+                    raise TypeError
+                value = raw if cast is None else cast(raw)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ConfigError(f"bad value for {name}: {raw!r}") from exc
+        if rule is not None and value is not None:
+            rule(value)
+        self.echo[name] = getattr(value, "value", value)
+        return value
 
 
 def _unused(args, flags, where: str) -> None:
@@ -162,59 +182,46 @@ def _build_endpoint(spec: str, timeout: float,
         "replay:PATH, or an http(s) URL")
 
 
-def _endpoint_pair(args, config: dict, mode: PipelineMode
-                   ) -> tuple[Generator | None, Generator, dict]:
+def _endpoint_pair(settings: _Settings, mode: PipelineMode
+                   ) -> tuple[Generator | None, Generator]:
     """Both passes' endpoints, each distinct spec built once and none for
-    the preliminary in input-only mode, and their settings echo."""
-    timeout = _resolve(args.timeout, ENV_TIMEOUT, config, "timeout",
-                       DEFAULT_TIMEOUT, float)
-    final_spec = _resolve(args.final_endpoint, ENV_FINAL_URL, config,
-                          "final_endpoint")
+    the preliminary in input-only mode. The preliminary spec defaults to
+    the final one."""
+    args, timeout = settings.args, settings("timeout")
+    final_spec = settings("final_endpoint")
     if final_spec is None:
         raise ConfigError("no final endpoint configured; pass "
-                          "--final-endpoint, set " + ENV_FINAL_URL +
-                          ", or put final_endpoint in the config file")
-    preliminary_spec = None
-    if mode is not PipelineMode.INPUT_ONLY:
-        preliminary_spec = _resolve(args.preliminary_endpoint,
-                                    ENV_PRELIMINARY_URL, config,
-                                    "preliminary_endpoint")
-        if preliminary_spec is None:
-            preliminary_spec = final_spec
+                          "--final-endpoint, set "
+                          f"{SETTINGS['final_endpoint'].env}, or put "
+                          "final_endpoint in the config file")
+    preliminary_spec = (None if mode is PipelineMode.INPUT_ONLY else
+                        settings("preliminary_endpoint", final_spec))
+    # the echo names the preliminary endpoint built: None in input-only mode
+    settings.echo["preliminary_endpoint"] = preliminary_spec
     # one rule for every endpoint, though only http(s) ones use the values
     validate_request_limits(timeout, args.max_batch)
     built = {spec: _build_endpoint(spec, timeout, args.max_batch)
              for spec in dict.fromkeys((preliminary_spec, final_spec))
              if spec is not None}
-    preliminary, final = (
+    return tuple(
         RecordingGenerator(built[spec], path) if path else built.get(spec)
         for spec, path in ((preliminary_spec, args.record_preliminary),
                            (final_spec, args.record_final)))
-    echo = {"preliminary_endpoint": preliminary_spec,
-            "final_endpoint": final_spec, "timeout": timeout}
-    return preliminary, final, echo
 
 
-def _pipeline_config(args, config: dict) -> PipelineConfig:
-    mode = _resolve(args.mode, None, config, "mode", PipelineMode.GANDR,
-                    PipelineMode)
+def _pipeline_config(settings: _Settings,
+                     swept: str | None = None) -> PipelineConfig:
+    """The pipeline settings, reading all but the ``swept`` one and, in
+    input-only mode, alpha; an unread one keeps its field's default."""
+    mode, unread = settings("mode"), {swept}
     if mode is PipelineMode.INPUT_ONLY:
-        _unused(args, ("alpha", "preliminary_endpoint", "record_preliminary"),
-                "in input-only mode")
-    return PipelineConfig(
-        mode=mode, k=_resolve(args.k, None, config, "k", DEFAULT_K, int),
-        alpha=_resolve(args.alpha, None, config, "alpha", DEFAULT_ALPHA, float),
-        budget=_resolve(args.budget, None, config, "budget", None, int),
-        failure_policy=_resolve(args.failure_policy, None, config,
-                                "failure_policy", FailurePolicy.SKIP_SAMPLE,
-                                FailurePolicy))
-
-
-def _settings_echo(settings: PipelineConfig, drop: str | None = None) -> dict:
-    """The fields of ``settings`` bar ``drop`` as JSON values."""
-    return {name: getattr(value, "value", value)
-            for name, value in dataclasses.asdict(settings).items()
-            if name != drop}
+        _unused(settings.args, ("alpha", "preliminary_endpoint",
+                                "record_preliminary"), "in input-only mode")
+        unread.add("alpha")
+    return PipelineConfig(mode=mode, **{
+        name: settings(name) for name in ("k", "alpha", "budget",
+                                          "failure_policy")
+        if name not in unread})
 
 
 def _report_issues(loaded: LoadResult, path) -> None:
@@ -264,7 +271,7 @@ def _print_hits(store: ExemplarStore, hits, indent: str = "") -> None:
               f"{exemplar.utterance}\t{exemplar.parse}")
 
 
-def cmd_index(args, config: dict) -> int:
+def cmd_index(args, settings: _Settings) -> int:
     seed = _checked_seed(args.seed, "--seed")
     loaded = load_dataset(args.data, fmt=args.format,
                           has_header=args.has_header, strict=args.strict)
@@ -282,10 +289,10 @@ def cmd_index(args, config: dict) -> int:
     return 0
 
 
-def cmd_retrieve(args, config: dict) -> int:
+def cmd_retrieve(args, settings: _Settings) -> int:
     query = _checked_query(args.query)
-    alpha = _resolve(args.alpha, None, config, "alpha", 0.0, float)
-    k = _resolve(args.k, None, config, "k", DEFAULT_K, int)
+    k = settings("k")
+    alpha = validate_mix(settings("alpha", 0.0), args.preliminary)
     store = load_store(args.store)
     hits = retrieve_topk(store, query, k, alpha=alpha,
                          preliminary=args.preliminary)
@@ -297,10 +304,9 @@ def cmd_retrieve(args, config: dict) -> int:
     return 0
 
 
-def cmd_run(args, config: dict) -> int:
-    pipeline_config = _pipeline_config(args, config)
-    preliminary, final, endpoint_echo = _endpoint_pair(args, config,
-                                                       pipeline_config.mode)
+def cmd_run(args, settings: _Settings) -> int:
+    pipeline_config = _pipeline_config(settings)
+    preliminary, final = _endpoint_pair(settings, pipeline_config.mode)
     store = load_store(args.store)
     samples = _load_samples(args.data, args.format, args.has_header,
                             args.strict)
@@ -308,8 +314,7 @@ def cmd_run(args, config: dict) -> int:
                            pipeline_config)
     write_records(records, args.out)
     echo = {"command": "run", "store": args.store, "data": args.data,
-            "pass2_alpha": pipeline_config.pass2_alpha,
-            **_settings_echo(pipeline_config), **endpoint_echo}
+            "pass2_alpha": pipeline_config.pass2_alpha, **settings.echo}
     atomic_write_text(str(args.out) + ".config.json",
                       json.dumps(echo, sort_keys=True, indent=2) + "\n")
     n_ok = sum(1 for r in records if r.final is not None)
@@ -318,9 +323,10 @@ def cmd_run(args, config: dict) -> int:
     return 0
 
 
-def cmd_eval(args, config: dict) -> int:
-    store = load_store(args.store)
+def cmd_eval(args, settings: _Settings) -> int:
+    validate_recall_k(args.k)
     records = read_records(args.records)
+    store = load_store(args.store)
     report = evaluate(records, store, k=args.k,
                       multiset=not args.set_match, casefold=args.casefold)
     if args.json:
@@ -337,22 +343,20 @@ def cmd_eval(args, config: dict) -> int:
     return 0
 
 
-def cmd_sweep(args, config: dict) -> int:
+def cmd_sweep(args, settings: _Settings) -> int:
     axis = SweepAxis(args.axis)
     _unused(args, (axis.value,), f"on --axis {axis.value}")
-    # the axis sets the swept setting, so a config file value is ignored
-    config = {key: v for key, v in config.items() if key != axis.value}
-    base_config = _pipeline_config(args, config)
+    base_config = _pipeline_config(settings, swept=axis.value)
     if base_config.mode is PipelineMode.INPUT_ONLY and axis is SweepAxis.ALPHA:
         raise ConfigError("alpha has no effect in input-only mode; "
                           "sweep k instead")
-    preliminary, final, endpoint_echo = _endpoint_pair(args, config,
-                                                       base_config.mode)
-    cast, check = ((float, validate_alpha) if axis is SweepAxis.ALPHA
-                   else (int, validate_k))
-    values = [check(v) for v in _comma_list(args.values, cast)]
+    preliminary, final = _endpoint_pair(settings, base_config.mode)
+    swept = SETTINGS[axis.value]
+    values = [swept.rule(v) for v in _comma_list(args.values, swept.cast)]
     seeds = [_checked_seed(seed, "--seeds")
              for seed in _comma_list(args.seeds, int)]
+    validate_recall_k(args.recall_k)
+    validate_sample_fraction(args.sample_fraction)
     store = load_store(args.store)
     samples = _load_samples(args.data, args.format, args.has_header,
                             args.strict)
@@ -361,9 +365,8 @@ def cmd_sweep(args, config: dict) -> int:
                      sample_fraction=args.sample_fraction)
     note = json.dumps({
         "axis": axis.value, "values": values, "seeds": seeds,
-        **_settings_echo(base_config, drop=axis.value),
         "recall_k": args.recall_k, "sample_fraction": args.sample_fraction,
-        **endpoint_echo}, sort_keys=True)
+        **settings.echo}, sort_keys=True)
     text = format_sweep_tsv(rows, note)
     if args.out:
         atomic_write_text(args.out, text)
@@ -373,31 +376,22 @@ def cmd_sweep(args, config: dict) -> int:
     return 0
 
 
-def cmd_emit_train(args, config: dict) -> int:
+def cmd_emit_train(args, settings: _Settings) -> int:
     rng = np.random.default_rng(_checked_seed(args.seed, "--seed"))
-    k = validate_k(_resolve(args.k, None, config, "k", DEFAULT_K, int))
-    p = validate_p(_resolve(args.p, None, config, "p", DEFAULT_P, float))
-    budget = _resolve(args.budget, None, config, "budget", None, int)
-    if budget is not None:
-        validate_k(budget, "budget")
-    timeout = _resolve(args.timeout, ENV_TIMEOUT, config, "timeout",
-                       DEFAULT_TIMEOUT, float)
-    validate_request_limits(timeout, None)
+    k, p, budget, timeout = map(settings, ("k", "p", "budget", "timeout"))
     alpha, endpoint, preliminaries = 0.0, None, None
     if args.stage == 1:
         _unused(args, ("alpha", "preliminary_from", "preliminary_endpoint"),
                 "at stage 1")
     else:
-        alpha = validate_alpha(_resolve(args.alpha, None, config, "alpha",
-                                        DEFAULT_ALPHA, float))
+        alpha = settings("alpha")
         if args.preliminary_from:
             _unused(args, ("preliminary_endpoint",), "with --preliminary-from")
             preliminaries = {r.sample_id: r.preliminary
                              for r in read_records(args.preliminary_from)
                              if r.preliminary is not None}
         else:
-            spec = _resolve(args.preliminary_endpoint, ENV_PRELIMINARY_URL,
-                            config, "preliminary_endpoint")
+            spec = settings("preliminary_endpoint")
             if spec is None:
                 raise ConfigError("stage 2 needs preliminaries; pass "
                                   "--preliminary-from RECORDS or a "
@@ -419,10 +413,10 @@ def cmd_emit_train(args, config: dict) -> int:
     return 0
 
 
-def cmd_trace(args, config: dict) -> int:
+def cmd_trace(args, settings: _Settings) -> int:
     query = _checked_query(args.query)
-    pipeline_config = _pipeline_config(args, config)
-    preliminary, final, _ = _endpoint_pair(args, config, pipeline_config.mode)
+    pipeline_config = _pipeline_config(settings)
+    preliminary, final = _endpoint_pair(settings, pipeline_config.mode)
     store = load_store(args.store)
     sample = Sample(sample_id=0, utterance=query, gold=args.gold)
     record = run_pipeline(store, [sample], preliminary, final,
@@ -595,8 +589,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _load_config_file(args.config)
-        return args.func(args, config)
+        return args.func(args, _Settings(args, _load_config_file(args.config)))
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc.filename or exc}", file=sys.stderr)
         return 2

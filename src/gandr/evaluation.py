@@ -77,9 +77,17 @@ class EvalReport:
     per_domain: Mapping[str, DomainStats]
 
 
-def _check_recall_k(k: int | None) -> None:
+def validate_recall_k(k: int | None) -> None:
+    """The rule for a recall cutoff: None (every recorded hit) or >= 1."""
     if k is not None and k < 1:
         raise ConfigError(f"recall k must be at least 1, got {k}")
+
+
+def validate_sample_fraction(fraction: float | None) -> None:
+    """The rule for a sweep's sample fraction: None (all) or in (0, 1]."""
+    if fraction is not None and not 0.0 < fraction <= 1.0:
+        raise ConfigError(
+            f"sample fraction must lie in (0, 1], got {fraction}")
 
 
 def evaluate(records: Sequence[PredictionRecord], store: ExemplarStore,
@@ -93,7 +101,7 @@ def evaluate(records: Sequence[PredictionRecord], store: ExemplarStore,
     ``run_sweep`` passes a memoized parse, so that a gold shared by
     several rows of a sweep is parsed once for all of them.
     """
-    _check_recall_k(k)
+    validate_recall_k(k)
     if not records:
         raise ConfigError("nothing to evaluate: no records")
     em_flags: list[bool] = []
@@ -163,10 +171,8 @@ def run_sweep(store: ExemplarStore, samples: Sequence[Sample],
     """
     if not values or not seeds:
         raise ConfigError("sweep needs at least one value and one seed")
-    _check_recall_k(recall_k)
-    if sample_fraction is not None and not 0.0 < sample_fraction <= 1.0:
-        raise ConfigError(
-            f"sample fraction must lie in (0, 1], got {sample_fraction}")
+    validate_recall_k(recall_k)
+    validate_sample_fraction(sample_fraction)
     if axis is SweepAxis.K:
         ks = [validate_k(int(v)) for v in values]
         _check_k(max(ks), store, ())

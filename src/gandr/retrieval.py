@@ -218,7 +218,7 @@ class ExemplarStore:
         return in_sims, outputs.scores(structure_tokens(preliminary))
 
 
-def _check_mix(alpha: float, preliminary: str | None) -> float:
+def validate_mix(alpha: float, preliminary: str | None) -> float:
     alpha = validate_alpha(alpha)
     if alpha > 0.0 and preliminary is None:
         raise ConfigError("alpha > 0 requires a preliminary parse")
@@ -359,7 +359,7 @@ def retrieve_topk_alphas(store: ExemplarStore, query: str, k: int,
     Only the mix depends on alpha, so the query's similarities are scored
     once and mixed per alpha.
     """
-    alphas = [_check_mix(alpha, preliminary) for alpha in alphas]
+    alphas = [validate_mix(alpha, preliminary) for alpha in alphas]
     _check_k(k, store, exclude_ids)
     in_sims, out_sims = store.similarities(query, preliminary)
     ids = store._ids
@@ -423,7 +423,7 @@ def retrieve_sampled(store: ExemplarStore, query: str, k: int, p: float,
     head as deep as the deepest draw, so its ``rank`` is its position in
     the full ordering. Results are in draw order, not rank order.
     """
-    _check_mix(alpha, preliminary)
+    validate_mix(alpha, preliminary)
     picks = sample_geometric_ranks(_check_k(k, store, exclude_ids), k, p, rng)
     hits = retrieve_topk(store, query, max(picks) + 1, alpha, preliminary,
                          exclude_ids)

@@ -1037,18 +1037,143 @@ def test_preliminary_flag_exits_2_in_input_only_mode(
     assert not out.exists() and not log.exists()
 
 
-@pytest.mark.parametrize("command", ["run", "sweep", "trace", "emit-train"])
+def store_command(command, store, dataset, out):
+    """``command`` with the flags it needs bar sweep's axis and eval's
+    records, and a static endpoint where it takes one."""
+    endpoint = ["--final-endpoint", f"static:{TRACE_GOLD}"]
+    return [command, "--store", str(store), *{
+        "retrieve": ["--query", TRACE_QUERY],
+        "run": ["--data", str(dataset), *endpoint, "--out", str(out)],
+        "eval": [],
+        "sweep": ["--data", str(dataset), *endpoint, "--out", str(out)],
+        "emit-train": ["--stage", "2", "--preliminary-endpoint",
+                       f"static:{TRACE_GOLD}", "--out", str(out)],
+        "trace": ["--query", TRACE_QUERY, *endpoint],
+    }[command]]
+
+
+ALPHA_AXIS = ["--axis", "alpha", "--values", "0,1"]
+K_AXIS = ["--axis", "k", "--values", "1,2"]
+BAD_SETTINGS = [
+    (command, flags, message)
+    for flags, message, commands in [
+        (["--k", "0"], "k must be a positive integer, got 0",
+         ("retrieve", "run", "sweep", "emit-train", "trace")),
+        (["--alpha", "1.5"], "alpha must lie in [0, 1], got 1.5",
+         ("retrieve", "run", "sweep", "emit-train", "trace")),
+        (["--budget", "0"], "budget must be a positive integer, got 0",
+         ("run", "sweep", "emit-train", "trace")),
+        (["--p", "0"], "sampling decay p must be positive, got 0.0",
+         ("emit-train",)),
+        (["--alpha", "0.5"], "alpha > 0 requires a preliminary parse",
+         ("retrieve",)),
+        (["--records", "RECORDS", "--k", "0"],
+         "recall k must be at least 1, got 0", ("eval",)),
+        (["--records", "MISSING"], "file not found: MISSING", ("eval",)),
+        (["--recall-k", "0"], "recall k must be at least 1, got 0",
+         ("sweep",)),
+        (["--sample-fraction", "0"], "sample fraction must lie in (0, 1], "
+         "got 0.0", ("sweep",)),
+    ]
+    for command in commands]
+
+
+@pytest.mark.parametrize("command, flags, message", [
+    pytest.param(*case, id=f"{case[0]}{'='.join(case[1][-2:])}")
+    for case in BAD_SETTINGS])
 def test_bad_setting_exits_2_without_reading_the_store(
-        tmp_path, store, dataset, capsys, monkeypatch, command):
+        tmp_path, store, dataset, capsys, monkeypatch, command, flags,
+        message):
     loads = []
     monkeypatch.setattr(cli, "load_store", loads.append)
-    argv = endpoint_command(command, f"static:{TRACE_GOLD}", store, dataset,
-                            tmp_path / "out")
+    records, missing = tmp_path / "records.jsonl", tmp_path / "missing.jsonl"
+    records.write_text("")
+    if command == "sweep":
+        flags = (K_AXIS if flags[0] == "--alpha" else ALPHA_AXIS) + flags
+    paths = {"RECORDS": str(records), "MISSING": str(missing)}
+    flags = [paths.get(flag, flag) for flag in flags]
+    argv = store_command(command, store, dataset, tmp_path / "out")
     capsys.readouterr()
-    assert main(argv + ["--alpha", "1.5"]) == 2
+    assert main(argv + flags) == 2
     assert capsys.readouterr().err == \
-        "error: alpha must lie in [0, 1], got 1.5\n"
+        f"error: {message.replace('MISSING', str(missing))}\n"
     assert loads == []
+
+
+GOLD_ENDPOINT = f"static:{TRACE_GOLD}"
+RUN_SIDECAR = """{
+  "alpha": 0.3,
+  "budget": 60,
+  "command": "run",
+  "data": "data.tsv",
+  "failure_policy": "skip",
+  "final_endpoint": "%s",
+  "k": 2,
+  "mode": "MODE",
+  "pass2_alpha": PASS2_ALPHA,
+  "preliminary_endpoint": PRELIMINARY,
+  "store": "trace.store",
+  "timeout": 5.0
+}
+""" % GOLD_ENDPOINT
+SWEEP_NOTES = {
+    "k": '# config: {"alpha": 0.3, "axis": "k", "budget": 60, '
+         '"failure_policy": "skip", "final_endpoint": "%s", "mode": "gandr", '
+         '"preliminary_endpoint": "static:x", "recall_k": 2, '
+         '"sample_fraction": 0.5, "seeds": [0, 1], "timeout": 30.0, '
+         '"values": [1, 2]}' % GOLD_ENDPOINT,
+    "alpha": '# config: {"axis": "alpha", "budget": 60, '
+             '"failure_policy": "skip", "final_endpoint": "%s", "k": 4, '
+             '"mode": "gandr", "preliminary_endpoint": "static:x", '
+             '"recall_k": 2, "sample_fraction": 0.5, "seeds": [0, 1], '
+             '"timeout": 30.0, "values": [0.0, 1.0]}' % GOLD_ENDPOINT,
+}
+
+
+def test_settings_echo_bytes(tmp_path, store, dataset, monkeypatch):
+    """The run sidecar and the sweep note name each setting read, with a
+    value from a flag, the config file or the default; input-only mode
+    reads no alpha, so its sidecar has none, even a bad one."""
+    monkeypatch.chdir(tmp_path)
+    config = tmp_path / "config.json"
+    for mode, alpha in (("gandr", 0.3), ("input-only", 1.5)):
+        config.write_text(json.dumps({"budget": 60, "alpha": alpha}))
+        assert main(["--config", "config.json", "run", "--store",
+                     "trace.store", "--data", "data.tsv", "--mode", mode,
+                     "--k", "2", "--timeout", "5", "--final-endpoint",
+                     GOLD_ENDPOINT, "--out", f"{mode}.jsonl"]) == 0
+    gandr = RUN_SIDECAR.replace("MODE", "gandr").replace(
+        "PASS2_ALPHA", "0.3").replace("PRELIMINARY", f'"{GOLD_ENDPOINT}"')
+    input_only = RUN_SIDECAR.replace("MODE", "input-only").replace(
+        "PASS2_ALPHA", "0.0").replace("PRELIMINARY", "null").replace(
+        '  "alpha": 0.3,\n', "")
+    assert (tmp_path / "gandr.jsonl.config.json").read_text() == gandr
+    assert (tmp_path / "input-only.jsonl.config.json").read_text() == \
+        input_only
+    config.write_text(json.dumps({"budget": 60, "alpha": 0.3}))
+    for axis, values in (("k", "1,2"), ("alpha", "0,1")):
+        assert main(["--config", "config.json", "sweep", "--store",
+                     "trace.store", "--data", "data.tsv", "--axis", axis,
+                     "--values", values, "--seeds", "0,1",
+                     "--sample-fraction", "0.5", "--recall-k", "2",
+                     "--final-endpoint", GOLD_ENDPOINT,
+                     "--preliminary-endpoint", "static:x",
+                     "--out", "sweep.tsv"]) == 0
+        note = (tmp_path / "sweep.tsv").read_text().splitlines()[0]
+        assert note == SWEEP_NOTES[axis]
+
+
+@pytest.mark.parametrize("command", ["sweep", "trace"])
+def test_input_only_mode_reads_no_alpha(tmp_path, store, dataset, command):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"alpha": 1.5}))
+    out = tmp_path / "out"
+    argv = endpoint_command(command, f"static:{TRACE_GOLD}", store, dataset,
+                            out)
+    assert main(["--config", str(config), *argv,
+                 "--mode", "input-only"]) == 0
+    if command == "sweep":
+        assert '"alpha"' not in out.read_text().splitlines()[0]
 
 
 def test_version_flag(capsys):

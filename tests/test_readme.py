@@ -98,13 +98,23 @@ def config_keys() -> list[str]:
     return re.findall(r"`(\w+)`", listed)
 
 
+def test_config_keys_and_environment_match_the_settings_table():
+    """README lists the keys of ``cli.SETTINGS``, in its order, and names
+    its environment variables, no more."""
+    assert config_keys() == list(cli.SETTINGS)
+    named = re.findall(r"`(GANDR_\w+)`", README.read_text(encoding="utf-8"))
+    assert sorted(named) == sorted(s.env for s in cli.SETTINGS.values()
+                                   if s.env)
+
+
 def test_every_listed_config_key_rejects_a_list(tmp_path, capsys,
                                                  monkeypatch):
     """A JSON list is no flag's type, so each listed key given one makes
     ``run`` or, for the keys ``run`` does not read, ``emit-train`` exit 2
     naming that key."""
-    for name in (cli.ENV_PRELIMINARY_URL, cli.ENV_FINAL_URL, cli.ENV_TIMEOUT):
-        monkeypatch.delenv(name, raising=False)
+    for setting in cli.SETTINGS.values():
+        if setting.env:
+            monkeypatch.delenv(setting.env, raising=False)
     data = tmp_path / "data.tsv"
     data.write_text("".join(f"{e.utterance}\t{e.parse}\n"
                             for e in TRACE_EXEMPLARS), encoding="utf-8")
