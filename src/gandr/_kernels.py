@@ -13,13 +13,16 @@ import numpy as np
 def score_postings(term_ids: np.ndarray, query_weights: np.ndarray,
                    indptr: np.ndarray, doc_ids: np.ndarray,
                    weights: np.ndarray, n_docs: int) -> np.ndarray:
-    """Accumulate query-weighted postings into a dense score vector."""
+    """Accumulate query-weighted postings into a dense score vector.
+
+    One ``np.add.at`` per term adds that term's products in place. Doc ids
+    are unique within one term's postings, so each document still gets
+    one addition per term, in term order, starting from 0.0: the bits of
+    a fancy-index add, in one pass over the slice instead of a gather, an
+    add and a scatter (numpy 1.25 gave ``ufunc.at`` its fast path).
+    """
     scores = np.zeros(n_docs, dtype=np.float64)
-    for qi in range(term_ids.shape[0]):
-        t = int(term_ids[qi])
-        s = int(indptr[t])
-        e = int(indptr[t + 1])
-        # doc ids are unique within one term's postings, so a fancy-index
-        # add is a plain read-modify-write per document
-        scores[doc_ids[s:e]] += query_weights[qi] * weights[s:e]
+    for t, w in zip(term_ids.tolist(), query_weights.tolist()):
+        s, e = indptr[t], indptr[t + 1]
+        np.add.at(scores, doc_ids[s:e], w * weights[s:e])
     return scores

@@ -57,6 +57,7 @@ from .evaluation import (
     run_sweep,
     validate_recall_k,
     validate_sample_fraction,
+    validate_sweep_lists,
 )
 from .generator import (
     Generator,
@@ -355,6 +356,7 @@ def cmd_sweep(args, settings: _Settings) -> int:
     values = [swept.rule(v) for v in _comma_list(args.values, swept.cast)]
     seeds = [_checked_seed(seed, "--seeds")
              for seed in _comma_list(args.seeds, int)]
+    validate_sweep_lists(values, seeds)
     validate_recall_k(args.recall_k)
     validate_sample_fraction(args.sample_fraction)
     store = load_store(args.store)

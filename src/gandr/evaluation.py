@@ -90,6 +90,12 @@ def validate_sample_fraction(fraction: float | None) -> None:
             f"sample fraction must lie in (0, 1], got {fraction}")
 
 
+def validate_sweep_lists(values: Sequence, seeds: Sequence) -> None:
+    """The rule for a sweep's axis values and seeds: neither list empty."""
+    if not values or not seeds:
+        raise ConfigError("sweep needs at least one value and one seed")
+
+
 def evaluate(records: Sequence[PredictionRecord], store: ExemplarStore,
              k: int | None = None, multiset: bool = True,
              casefold: bool = False, *,
@@ -169,8 +175,7 @@ def run_sweep(store: ExemplarStore, samples: Sequence[Sample],
     prompt the same way every time, the rows equal those of a separate
     ``run_pipeline`` per (value, seed).
     """
-    if not values or not seeds:
-        raise ConfigError("sweep needs at least one value and one seed")
+    validate_sweep_lists(values, seeds)
     validate_recall_k(recall_k)
     validate_sample_fraction(sample_fraction)
     if axis is SweepAxis.K:

@@ -11,7 +11,10 @@ and ``output_sim`` compares a preliminary parse of the query with exemplar
 parses. ``alpha`` is the mixing weight: 0 ranks purely by input text, 1
 purely by parse structure. At alpha 0 the relevance is ``input_sim``
 itself, and without a preliminary the output channel is not scored at
-all; such hits report an ``output_sim`` of 0.0.
+all; such hits report an ``output_sim`` of 0.0. ``output_sim`` depends on
+an exemplar's parse only through its label multiset, so the output index
+holds one row per distinct multiset (a template), and the channel is
+scored over templates; each exemplar reads its template's score.
 
 Candidates are ordered by descending relevance with ties broken by
 ascending exemplar id. ``retrieve_topk_alphas`` is the one selector: it
@@ -129,13 +132,17 @@ class InvertedIndex:
 
     ``post_indptr[t]:post_indptr[t+1]`` slices the (doc, weight) postings of
     term ``t``; doc ids within a slice ascend. They are kept as the fit
-    returns them; the document vectors themselves are not kept.
+    returns them; the document vectors themselves are not kept. With
+    ``multiplicities`` each document stands for that many (see
+    ``TfidfVectorizer.fit_transform``), and there is one score per
+    document row.
     """
 
-    def __init__(self, token_docs: Sequence[Sequence[str]]):
+    def __init__(self, token_docs: Sequence[Sequence[str]],
+                 multiplicities: np.ndarray | None = None):
         self.vectorizer = TfidfVectorizer()
         self.post_indptr, self.post_doc_ids, self.post_weights = \
-            self.vectorizer.fit_transform(token_docs)
+            self.vectorizer.fit_transform(token_docs, multiplicities)
         self.n_docs = len(token_docs)
 
     def scores(self, tokens: Iterable[str]) -> np.ndarray:
@@ -155,8 +162,9 @@ class ExemplarStore:
 
     Every :class:`Exemplar` was checked when it was constructed, so the
     store only refuses a duplicate id, and its output index is fitted from
-    the labels each exemplar kept. Mutation marks the indexes stale; they
-    are rebuilt on first use. Rebuilding is a pure function of the
+    the labels each exemplar kept: one row per distinct label multiset,
+    weighted by how many exemplars share it. Mutation marks the indexes
+    stale; they are rebuilt on first use. Rebuilding is a pure function of the
     exemplar set, so a store reloaded from disk scores identically.
     """
 
@@ -164,6 +172,7 @@ class ExemplarStore:
         self._exemplars: dict[int, Exemplar] = {}
         self._dirty = True
         self._ids: np.ndarray = np.empty(0, dtype=np.int64)
+        self._template_of: np.ndarray = np.empty(0, dtype=np.int64)
         self._indexes: tuple[InvertedIndex, InvertedIndex] | None = None
 
     def add(self, exemplar: Exemplar) -> None:
@@ -195,9 +204,22 @@ class ExemplarStore:
             raise EmptyCorpus("store has no exemplars")
         ordered = self.exemplars
         self._ids = np.array([e.exemplar_id for e in ordered], dtype=np.int64)
+        # template ids in order of first use, keyed as Template.from_labels.
+        # Each distinct label sequence is sorted once: the seed-1 perfbench
+        # stores hold 872, 5,374 and 13,411 of them in 2k, 30k and 100k
+        # exemplars, and hashing a raw sequence costs less than sorting it
+        sequences: dict[tuple[str, ...], int] = {}
+        sequence_of = np.fromiter(
+            (sequences.setdefault(e.labels, len(sequences)) for e in ordered),
+            dtype=np.int64, count=len(ordered))
+        templates: dict[tuple[str, ...], int] = {}
+        self._template_of = np.fromiter(
+            (templates.setdefault(tuple(sorted(labels)), len(templates))
+             for labels in sequences),
+            dtype=np.int64, count=len(sequences))[sequence_of]
         self._indexes = (
             InvertedIndex([tokenize_text(e.utterance) for e in ordered]),
-            InvertedIndex([e.labels for e in ordered]))
+            InvertedIndex(list(templates), np.bincount(self._template_of)))
         self._dirty = False
 
     def ensure_built(self) -> None:
@@ -206,9 +228,11 @@ class ExemplarStore:
 
     def similarities(self, query: str, preliminary: str | None
                      ) -> tuple[np.ndarray, np.ndarray | None]:
-        """(input_sim, output_sim) of every exemplar, in ascending id
-        order. Without a preliminary there is nothing to compare parses
-        with, so the output channel is not scored and output_sim is None.
+        """(input_sim of every exemplar in ascending id order, output_sim
+        of every template). Exemplar ``i`` has output_sim
+        ``output_sim[self._template_of[i]]``. Without a preliminary there
+        is nothing to compare parses with, so the output channel is not
+        scored and output_sim is None.
         """
         self.ensure_built()
         inputs, outputs = self._indexes
@@ -226,8 +250,16 @@ def validate_mix(alpha: float, preliminary: str | None) -> float:
 
 
 def _mix(in_sims: np.ndarray, out_sims: np.ndarray | None,
-         alpha: float) -> np.ndarray:
+         template_of: np.ndarray, alpha: float) -> np.ndarray:
     """Relevance: ``(1 - alpha) * input_sim + alpha * output_sim``.
+
+    ``out_sims`` holds one score per template, so the output term is
+    ``(alpha * out_sims)[template_of]``: each exemplar gathers the
+    product its template got, which is the product a per-exemplar
+    output_sim would give, while the multiply runs over templates only.
+    The gathered products are added into the input term in place, which
+    spares the temporary numpy does not elide below 256 KiB (about 32k
+    exemplars).
 
     At alpha 0 that is ``input_sim`` itself, bit for bit: similarities
     are sums of positive products, so none is -0.0, and ``x + 0.0 == x``
@@ -236,7 +268,9 @@ def _mix(in_sims: np.ndarray, out_sims: np.ndarray | None,
     """
     if alpha == 0.0:
         return in_sims
-    return (1.0 - alpha) * in_sims + alpha * out_sims
+    relevance = (1.0 - alpha) * in_sims
+    relevance += (alpha * out_sims)[template_of]
+    return relevance
 
 
 # a store smaller than this orders its candidates without the prefilter,
@@ -362,15 +396,16 @@ def retrieve_topk_alphas(store: ExemplarStore, query: str, k: int,
     alphas = [validate_mix(alpha, preliminary) for alpha in alphas]
     _check_k(k, store, exclude_ids)
     in_sims, out_sims = store.similarities(query, preliminary)
-    ids = store._ids
+    ids, template_of = store._ids, store._template_of
     hits = []
     for alpha in alphas:
-        relevance = _mix(in_sims, out_sims, alpha)
+        relevance = _mix(in_sims, out_sims, template_of, alpha)
         head = _candidate_order(ids, relevance, exclude_ids, k)
         hits.append([ScoredExemplar(
             exemplar_id=int(ids[i]), relevance=float(relevance[i]),
             input_sim=float(in_sims[i]),
-            output_sim=0.0 if out_sims is None else float(out_sims[i]),
+            output_sim=0.0 if out_sims is None
+            else float(out_sims[template_of[i]]),
             rank=rank) for rank, i in enumerate(head)])
     return hits
 

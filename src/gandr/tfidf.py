@@ -11,7 +11,9 @@ scores are dot products of these vectors, i.e. cosine similarities in
 it says.
 
 A corpus is fitted in one sort straight into term-major CSR postings
-(``fit_transform``); a query is vectorized on its own (``transform``).
+(``fit_transform``), optionally with a multiplicity per document, so
+that a corpus of repeated documents is fitted from one row per distinct
+document; a query is vectorized on its own (``transform``).
 Both give the same bits for the same document, because the arithmetic
 order is pinned: idf goes through ``math.log`` one term at a time, each
 weight is ``tf * idf``, and a document's squared norm is summed weight
@@ -82,7 +84,8 @@ class TfidfVectorizer:
         # tf >= 1 and idf >= 1, so a vector with entries has norm > 0
         return SparseVector(ids, np.array(weights) / math.sqrt(acc))
 
-    def fit_transform(self, docs: Sequence[Sequence[str]]
+    def fit_transform(self, docs: Sequence[Sequence[str]],
+                      multiplicities: np.ndarray | None = None
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Fit on ``docs`` and vectorize them all as term-major postings.
 
@@ -93,6 +96,13 @@ class TfidfVectorizer:
         without tokens has no entries. Norms are summed by ``bincount``,
         which adds in entry order; a document's entries come in ascending
         term order, so its sum runs as ``transform``'s does.
+
+        ``multiplicities`` (ints >= 1, one per doc) fits a corpus in which
+        each doc occurs that many times, holding one row per distinct doc:
+        a term's df sums the multiplicities of the docs holding it, and N
+        is their total. A doc's weights depend only on its own counts, the
+        idf and its norm, so each row gets the bits every copy would get
+        in the fit over the repeated corpus.
         """
         n_docs = len(docs)
         if n_docs == 0:
@@ -112,11 +122,17 @@ class TfidfVectorizer:
         keys, counts = np.unique(keys, return_counts=True)
         term, doc = np.divmod(keys, n_docs)
 
-        df = np.bincount(term, minlength=n_terms)
+        postings = np.bincount(term, minlength=n_terms)
         indptr = np.zeros(n_terms + 1, dtype=np.int64)
-        np.cumsum(df, out=indptr[1:])
+        np.cumsum(postings, out=indptr[1:])
+        df, n = postings, n_docs
+        if multiplicities is not None:
+            # float sums of ints stay exact far past any store size
+            df = np.bincount(term, weights=multiplicities[doc],
+                             minlength=n_terms).astype(np.int64)
+            n = int(multiplicities.sum())
         self.idf_ = np.array(
-            [math.log((1.0 + n_docs) / (1.0 + d)) + 1.0 for d in df.tolist()],
+            [math.log((1.0 + n) / (1.0 + d)) + 1.0 for d in df.tolist()],
             dtype=np.float64)
         weights = counts.astype(np.float64) * self.idf_[term]
         # tf >= 1 and idf >= 1, so no document with entries has norm 0

@@ -1074,6 +1074,10 @@ BAD_SETTINGS = [
          ("sweep",)),
         (["--sample-fraction", "0"], "sample fraction must lie in (0, 1], "
          "got 0.0", ("sweep",)),
+        (["--values", ","], "sweep needs at least one value and one seed",
+         ("sweep",)),
+        (["--seeds", ","], "sweep needs at least one value and one seed",
+         ("sweep",)),
     ]
     for command in commands]
 

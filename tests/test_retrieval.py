@@ -30,7 +30,14 @@ from gandr.retrieval import (
 from gandr.top_parse import structure_tokens
 
 from conftest import make_random_corpus, random_parse, random_utterance
-from oracles import brute_force_ranking, truncated_geometric_pmf
+from oracles import (
+    brute_force_ranking,
+    fit_tfidf,
+    prediction_label_tokens,
+    sparse_dot,
+    text_tokens,
+    truncated_geometric_pmf,
+)
 
 
 def build_store(exemplars):
@@ -45,6 +52,24 @@ def assert_same_index(index, expected):
     for name in ("post_indptr", "post_doc_ids", "post_weights"):
         assert getattr(index, name).tobytes() == \
             getattr(expected, name).tobytes()
+
+
+def dense_rows(index):
+    """The index's document vectors as one dense (docs, terms) array."""
+    indptr = index.post_indptr
+    rows = np.zeros((index.n_docs, indptr.shape[0] - 1))
+    terms = np.repeat(np.arange(indptr.shape[0] - 1), np.diff(indptr))
+    rows[index.post_doc_ids, terms] = index.post_weights
+    return rows
+
+
+def exemplar_output_sims(store, query, preliminary):
+    """(input_sim, output_sim) per exemplar, the latter gathered from the
+    per-template scores through the store's template ids."""
+    in_sims, out_sims = store.similarities(query, preliminary)
+    if out_sims is None:
+        return in_sims, None
+    return in_sims, out_sims[store._template_of]
 
 
 class TestExemplar:
@@ -112,7 +137,8 @@ class TestStore:
         exemplars.append(Exemplar(30, "nested lower case",
                                   "[in:outer [sl:slot [in:inner x ] ] ]"))
         store = build_store(exemplars)
-        # the output index as fitted from every parse parsed again
+        # the output index as fitted per exemplar from every parse parsed
+        # again
         reparsed = InvertedIndex([structure_tokens(e.parse)
                                   for e in store.exemplars])
 
@@ -122,7 +148,15 @@ class TestStore:
         monkeypatch.setattr(retrieval, "parse_labels", forbidden)
         monkeypatch.setattr(retrieval, "structure_tokens", forbidden)
         store.build()
-        assert_same_index(store._indexes[1], reparsed)
+        outputs = store._indexes[1]
+        assert outputs.vectorizer.vocabulary_ == reparsed.vectorizer.vocabulary_
+        assert outputs.vectorizer.idf_.tobytes() == \
+            reparsed.vectorizer.idf_.tobytes()
+        # each exemplar's row, read through its template id, has the bits
+        # of its own row in the per-exemplar fit
+        assert outputs.n_docs < len(store)
+        assert dense_rows(outputs)[store._template_of].tobytes() == \
+            dense_rows(reparsed).tobytes()
 
     def test_rejected_add_keeps_no_labels(self, tiny_store):
         fresh = build_store(tiny_store.exemplars)
@@ -393,6 +427,93 @@ class TestOracleEquivalence:
             [h.exemplar_id for h in by_output]
 
 
+def _parse_of(intent, slots, nested, lower):
+    """A parse of ``intent`` over ``slots`` in the order given; the slot
+    at position ``nested`` holds an inner intent."""
+    parts = [f"[{slot} {'[IN:INNER w ]' if j == nested else 'v'} ]"
+             for j, slot in enumerate(slots)]
+    text = " ".join([f"[{intent}", *parts, "]"])
+    return text.lower() if lower else text
+
+
+@st.composite
+def template_corpora(draw):
+    """Exemplars over a few label multisets, each written with its slots
+    in any order, in either case, and with the nested intent under any
+    of its slots; plus a query and a preliminary."""
+    bases = draw(st.lists(st.tuples(
+        st.sampled_from(["IN:A", "IN:B"]),
+        st.lists(st.sampled_from(["SL:X", "SL:Y", "SL:Z"]), max_size=3),
+        st.booleans()), min_size=1, max_size=4))
+    exemplars = []
+    for i in range(draw(st.integers(1, 25))):
+        intent, slots, nested = draw(st.sampled_from(bases))
+        slots = draw(st.permutations(slots))
+        at = draw(st.integers(0, len(slots) - 1)) if nested and slots else None
+        exemplars.append(Exemplar(
+            i, " ".join(draw(st.lists(st.sampled_from(_TIE_WORDS),
+                                      min_size=1, max_size=3))),
+            _parse_of(intent, slots, at, draw(st.booleans()))))
+    query = draw(st.sampled_from(_TIE_WORDS + ("zzz",)))
+    intent, slots, nested = draw(st.sampled_from(
+        bases + [("IN:UNSEEN", ["SL:X"], False)]))
+    preliminary = _parse_of(intent, slots, 0 if nested else None,
+                            draw(st.booleans()))
+    return exemplars, query, preliminary
+
+
+class TestTemplateOutputIndex:
+    """The output channel, fitted once per label multiset, against the
+    per-exemplar fit of ``oracles.fit_tfidf`` over each exemplar's labels."""
+
+    @staticmethod
+    def oracle_sims(exemplars, query, preliminary):
+        """(input_sim, output_sim) per exemplar, in id order."""
+        in_transform, in_docs = fit_tfidf(
+            [text_tokens(e.utterance) for e in exemplars])
+        out_transform, out_docs = fit_tfidf([list(e.labels)
+                                             for e in exemplars])
+        q_in = in_transform(text_tokens(query))
+        q_out = out_transform(prediction_label_tokens(preliminary))
+        return [(sparse_dot(q_in, d_in), sparse_dot(q_out, d_out))
+                for d_in, d_out in zip(in_docs, out_docs)]
+
+    def check(self, exemplars, query, preliminary):
+        store = build_store(exemplars)
+        _, out_sims = exemplar_output_sims(store, query, preliminary)
+        assert store._indexes[1].n_docs == \
+            len({tuple(sorted(e.labels)) for e in exemplars})
+        sims = self.oracle_sims(exemplars, query, preliminary)
+        assert out_sims.tobytes() == np.array([s for _, s in sims]).tobytes()
+        for alpha in (0.0, 0.5, 1.0):
+            expected = sorted(
+                ((e.exemplar_id, (1.0 - alpha) * s_in + alpha * s_out, s_in,
+                  s_out) for e, (s_in, s_out) in zip(exemplars, sims)),
+                key=lambda r: (-r[1], r[0]))
+            hits = retrieve_topk(store, query, len(exemplars), alpha=alpha,
+                                 preliminary=preliminary)
+            assert [(h.exemplar_id, h.relevance, h.input_sim, h.output_sim)
+                    for h in hits] == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=template_corpora())
+    def test_matches_per_exemplar_fit(self, case):
+        self.check(*case)
+
+    def test_single_template_store(self):
+        # one multiset in three orders, lower case and nested
+        exemplars = [
+            Exemplar(0, "red", "[IN:A [SL:X v ] [SL:Y [IN:B w ] ] ]"),
+            Exemplar(1, "blue red", "[in:a [sl:y [in:b w ] ] [sl:x v ] ]"),
+            Exemplar(2, "green", "[IN:A [SL:Y v ] [SL:X [in:b w ] ] ]"),
+        ]
+        for preliminary in ("[IN:A [SL:X v ] ]", "[in:b w ]", "[IN:C w ]"):
+            self.check(exemplars, "blue", preliminary)
+        store = build_store(exemplars)
+        store.build()
+        assert store._template_of.tolist() == [0, 0, 0]
+
+
 # few distinct utterances and parses, so relevances tie in large groups
 _TIE_WORDS = ("red", "blue red", "green", "blue blue")
 _TIE_PARSES = ("[IN:A x ]", "[IN:B [SL:S x ] ]", "[IN:A [SL:T y ] ]")
@@ -414,7 +535,7 @@ class TestHeadSelection:
         alpha = data.draw(st.sampled_from([0.0, 0.5, 1.0]))
         preliminary = data.draw(st.sampled_from(
             ["[IN:A [SL:S x ] ]", "[IN:UNSEEN z ]"]))
-        in_sims, out_sims = store.similarities(query, preliminary)
+        in_sims, out_sims = exemplar_output_sims(store, query, preliminary)
         relevance = (1.0 - alpha) * in_sims + alpha * out_sims
         ids = np.array([e.exemplar_id for e in store.exemplars])
         order = np.lexsort((ids, -relevance))
@@ -466,7 +587,7 @@ class TestPrefilteredSelection:
 
     @staticmethod
     def full_order(store, query, preliminary, alpha):
-        in_sims, out_sims = store.similarities(query, preliminary)
+        in_sims, out_sims = exemplar_output_sims(store, query, preliminary)
         if out_sims is None:
             out_sims = np.zeros_like(in_sims)
         relevance = (1.0 - alpha) * in_sims + alpha * out_sims
