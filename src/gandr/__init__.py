@@ -33,7 +33,7 @@ from .retrieval import (
     retrieve_sampled,
     retrieve_topk,
 )
-from .tfidf import TfidfVectorizer, tokenize_text
+from .tfidf import tokenize_text
 from .top_parse import (
     ParseTree,
     Template,
@@ -64,7 +64,6 @@ __all__ = [
     "ScoredExemplar",
     "StaticGenerator",
     "Template",
-    "TfidfVectorizer",
     "build_augmented_input",
     "emit_training_pairs",
     "evaluate",

@@ -1,8 +1,9 @@
 """Scoring kernel over a CSR postings layout.
 
 The kernel accumulates each document's score term by term in the order
-the query terms are given. Callers pass term ids in ascending order, which
-makes any equally ordered reference computation agree bit for bit.
+the query terms are given. Its one caller, ``TfidfVectorizer.scores``,
+passes term ids in ascending order, which makes any equally ordered
+reference computation agree bit for bit.
 """
 
 from __future__ import annotations

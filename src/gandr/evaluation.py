@@ -78,8 +78,13 @@ class EvalReport:
 
 
 def validate_recall_k(k: int | None) -> None:
-    """The rule for a recall cutoff: None (every recorded hit) or >= 1."""
-    if k is not None and k < 1:
+    """The rule for a recall cutoff: None (every recorded hit) or an int,
+    not a bool, >= 1."""
+    if k is None:
+        return
+    if not isinstance(k, int) or isinstance(k, bool):
+        raise ConfigError(f"recall k must be an integer, got {k!r}")
+    if k < 1:
         raise ConfigError(f"recall k must be at least 1, got {k}")
 
 

@@ -1,8 +1,9 @@
 """Exemplar store and hybrid input/output retrieval.
 
 An :class:`ExemplarStore` keeps (utterance, parse) pairs and two TF-IDF
-indexes over them: one over utterance word tokens, one over the intent and
-slot labels of the parse. A query is scored against every exemplar as
+channels over them (each a :class:`gandr.tfidf.TfidfVectorizer`): one
+over utterance word tokens, one over the intent and slot labels of the
+parse. A query is scored against every exemplar as
 
     relevance = (1 - alpha) * input_sim + alpha * output_sim
 
@@ -12,9 +13,9 @@ parses. ``alpha`` is the mixing weight: 0 ranks purely by input text, 1
 purely by parse structure. At alpha 0 the relevance is ``input_sim``
 itself, and without a preliminary the output channel is not scored at
 all; such hits report an ``output_sim`` of 0.0. ``output_sim`` depends on
-an exemplar's parse only through its label multiset, so the output index
-holds one row per distinct multiset (a template), and the channel is
-scored over templates; each exemplar reads its template's score.
+an exemplar's parse only through its label multiset, so the output
+channel holds one row per distinct multiset (a template), and is scored
+over templates; each exemplar reads its template's score.
 
 Candidates are ordered by descending relevance with ties broken by
 ascending exemplar id. ``retrieve_topk_alphas`` is the one selector: it
@@ -34,11 +35,10 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Collection, Iterable, Sequence
+from typing import Collection, Sequence
 
 import numpy as np
 
-from . import _kernels
 from .augment import check_separator_safe
 from .errors import (
     ConfigError,
@@ -71,7 +71,7 @@ class Exemplar:
     (SeparatorCollision for a separator) or MalformedParse. The parse is
     scanned once by ``parse_labels``, and no tree is built; its labels, in
     document order and interned, are kept as ``labels`` for the output
-    index and template matching.
+    channel and template matching.
     """
 
     exemplar_id: int
@@ -127,45 +127,20 @@ def validate_k(k: int, name: str = "k") -> int:
     return k
 
 
-class InvertedIndex:
-    """TF-IDF postings in CSR layout.
-
-    ``post_indptr[t]:post_indptr[t+1]`` slices the (doc, weight) postings of
-    term ``t``; doc ids within a slice ascend. They are kept as the fit
-    returns them; the document vectors themselves are not kept. With
-    ``multiplicities`` each document stands for that many (see
-    ``TfidfVectorizer.fit_transform``), and there is one score per
-    document row.
-    """
-
-    def __init__(self, token_docs: Sequence[Sequence[str]],
-                 multiplicities: np.ndarray | None = None):
-        self.vectorizer = TfidfVectorizer()
-        self.post_indptr, self.post_doc_ids, self.post_weights = \
-            self.vectorizer.fit_transform(token_docs, multiplicities)
-        self.n_docs = len(token_docs)
-
-    def scores(self, tokens: Iterable[str]) -> np.ndarray:
-        """Similarity of the query against every document, dense float64.
-
-        Each document's score accumulates term contributions in ascending
-        term-id order.
-        """
-        q = self.vectorizer.transform(tokens)
-        return _kernels.score_postings(q.term_ids, q.weights,
-                                       self.post_indptr, self.post_doc_ids,
-                                       self.post_weights, self.n_docs)
+# kept for perfbench/spans.py, which reads it; ROADMAP item 1 drops that
+InvertedIndex = TfidfVectorizer
 
 
 class ExemplarStore:
-    """Exemplars plus lazily built input/output indexes.
+    """Exemplars plus lazily fitted input/output channels.
 
     Every :class:`Exemplar` was checked when it was constructed, so the
-    store only refuses a duplicate id, and its output index is fitted from
-    the labels each exemplar kept: one row per distinct label multiset,
-    weighted by how many exemplars share it. Mutation marks the indexes
-    stale; they are rebuilt on first use. Rebuilding is a pure function of the
-    exemplar set, so a store reloaded from disk scores identically.
+    store only refuses a duplicate id, and its output channel is fitted
+    from the labels each exemplar kept: one row per distinct label
+    multiset, weighted by how many exemplars share it. Mutation marks the
+    channels stale; they are refitted on first use. Refitting is a pure
+    function of the exemplar set, so a store reloaded from disk scores
+    identically.
     """
 
     def __init__(self):
@@ -173,7 +148,7 @@ class ExemplarStore:
         self._dirty = True
         self._ids: np.ndarray = np.empty(0, dtype=np.int64)
         self._template_of: np.ndarray = np.empty(0, dtype=np.int64)
-        self._indexes: tuple[InvertedIndex, InvertedIndex] | None = None
+        self._channels: tuple[TfidfVectorizer, TfidfVectorizer] | None = None
 
     def add(self, exemplar: Exemplar) -> None:
         if exemplar.exemplar_id in self._exemplars:
@@ -199,7 +174,7 @@ class ExemplarStore:
         return [self._exemplars[i] for i in sorted(self._exemplars)]
 
     def build(self) -> None:
-        """Fit both indexes now. Implicit on first retrieval."""
+        """Fit both channels now. Implicit on first retrieval."""
         if not self._exemplars:
             raise EmptyCorpus("store has no exemplars")
         ordered = self.exemplars
@@ -217,9 +192,10 @@ class ExemplarStore:
             (templates.setdefault(tuple(sorted(labels)), len(templates))
              for labels in sequences),
             dtype=np.int64, count=len(sequences))[sequence_of]
-        self._indexes = (
-            InvertedIndex([tokenize_text(e.utterance) for e in ordered]),
-            InvertedIndex(list(templates), np.bincount(self._template_of)))
+        inputs, outputs = TfidfVectorizer(), TfidfVectorizer()
+        inputs.fit_transform([tokenize_text(e.utterance) for e in ordered])
+        outputs.fit_transform(list(templates), np.bincount(self._template_of))
+        self._channels = (inputs, outputs)
         self._dirty = False
 
     def ensure_built(self) -> None:
@@ -235,7 +211,7 @@ class ExemplarStore:
         scored and output_sim is None.
         """
         self.ensure_built()
-        inputs, outputs = self._indexes
+        inputs, outputs = self._channels
         in_sims = inputs.scores(tokenize_text(query))
         if preliminary is None:
             return in_sims, None
@@ -411,7 +387,10 @@ def retrieve_topk_alphas(store: ExemplarStore, query: str, k: int,
 
 
 def validate_p(p: float) -> float:
-    """The rule for the geometric decay p of rank sampling: positive."""
+    """The rule for the geometric decay p of rank sampling: a real
+    number, not a bool, that is positive."""
+    if not isinstance(p, (int, float)) or isinstance(p, bool):
+        raise ConfigError(f"sampling decay p must be a number, got {p!r}")
     if not 0.0 < p:
         raise ConfigError(f"sampling decay p must be positive, got {p}")
     return p

@@ -1,8 +1,8 @@
-"""TF-IDF vectors over token sequences, plus the utterance tokenizer.
+"""One TF-IDF retrieval channel, plus the utterance tokenizer.
 
 Utterances are tokenized as lowercase ``\\w+`` runs; parses are tokenized
 as their intent/slot labels (see :func:`gandr.top_parse.structure_tokens`).
-Both feed the same vectorizer.
+Each feeds its own channel, a :class:`TfidfVectorizer`.
 
 Weighting: tf is the raw in-document count, idf is
 ``ln((1 + N) / (1 + df)) + 1``, and vectors are L2-normalized. Retrieval
@@ -13,14 +13,16 @@ it says.
 A corpus is fitted in one sort straight into term-major CSR postings
 (``fit_transform``), optionally with a multiplicity per document, so
 that a corpus of repeated documents is fitted from one row per distinct
-document; a query is vectorized on its own (``transform``).
-Both give the same bits for the same document, because the arithmetic
-order is pinned: idf goes through ``math.log`` one term at a time, each
-weight is ``tf * idf``, and a document's squared norm is summed weight
-by weight in ascending term order, starting from 0.0, before one square
-root and one division per weight. ``np.bincount`` adds in entry order,
-which in term-major postings is each document's ascending term order;
-the pairwise summation of ``np.sum`` or ``np.add.reduceat`` would not.
+document; the channel keeps the postings. A query is vectorized on its
+own (``transform``), and ``scores`` runs its vector over the postings.
+The fit and ``transform`` give the same bits for the same document,
+because the arithmetic order is pinned: idf goes through ``math.log``
+one term at a time, each weight is ``tf * idf``, and a document's
+squared norm is summed weight by weight in ascending term order,
+starting from 0.0, before one square root and one division per
+weight. ``np.bincount`` adds in entry order, which in term-major
+postings is each document's ascending term order; the pairwise
+summation of ``np.sum`` or ``np.add.reduceat`` would not.
 """
 
 from __future__ import annotations
@@ -29,11 +31,11 @@ import itertools
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import _kernels
 from .errors import EmptyCorpus
 
 _WORD_RE = re.compile(r"\w+")
@@ -44,45 +46,44 @@ def tokenize_text(text: str) -> list[str]:
     return _WORD_RE.findall(text.lower())
 
 
-@dataclass(frozen=True)
-class SparseVector:
-    """A sparse vector as parallel arrays; term ids are strictly ascending."""
-
-    term_ids: np.ndarray
-    weights: np.ndarray
-
-
 _EMPTY_IDS = np.empty(0, dtype=np.int64)
 _EMPTY_WEIGHTS = np.empty(0, dtype=np.float64)
 
-EMPTY_VECTOR = SparseVector(_EMPTY_IDS, _EMPTY_WEIGHTS)
-
 
 class TfidfVectorizer:
-    """Fits a vocabulary and idf over token lists, then maps them to vectors.
+    """One channel: fits a vocabulary, idf and postings over token lists,
+    vectorizes a query, and scores it against every fitted document.
 
     Term ids are assigned by sorted term order, so a given corpus always
     produces the same ids regardless of document order. Unknown tokens at
-    transform time are dropped.
+    transform time are dropped. The fit keeps the CSR postings it returns
+    as ``indptr``, ``doc_ids`` and ``weights``, for ``n_docs`` documents;
+    the document vectors themselves are not kept.
     """
 
     def __init__(self):
         self.vocabulary_: dict[str, int] = {}
         self.idf_: np.ndarray = _EMPTY_WEIGHTS
+        self.indptr: np.ndarray = np.zeros(1, dtype=np.int64)
+        self.doc_ids: np.ndarray = _EMPTY_IDS
+        self.weights: np.ndarray = _EMPTY_WEIGHTS
+        self.n_docs = 0
 
-    def transform(self, tokens: Iterable[str]) -> SparseVector:
+    def transform(self, tokens: Iterable[str]
+                  ) -> tuple[np.ndarray, np.ndarray]:
+        """The query vector as ``(term_ids, weights)``; ids ascend."""
         counts = Counter(tokens)
         pairs = sorted((self.vocabulary_[t], c) for t, c in counts.items()
                        if t in self.vocabulary_)
         if not pairs:
-            return EMPTY_VECTOR
+            return _EMPTY_IDS, _EMPTY_WEIGHTS
         ids = np.array([tid for tid, _ in pairs], dtype=np.int64)
         weights = [count * float(self.idf_[tid]) for tid, count in pairs]
         acc = 0.0
         for w in weights:
             acc += w * w
         # tf >= 1 and idf >= 1, so a vector with entries has norm > 0
-        return SparseVector(ids, np.array(weights) / math.sqrt(acc))
+        return ids, np.array(weights) / math.sqrt(acc)
 
     def fit_transform(self, docs: Sequence[Sequence[str]],
                       multiplicities: np.ndarray | None = None
@@ -138,4 +139,17 @@ class TfidfVectorizer:
         # tf >= 1 and idf >= 1, so no document with entries has norm 0
         weights /= np.sqrt(np.bincount(doc, weights=weights * weights,
                                        minlength=n_docs))[doc]
+        self.indptr, self.doc_ids, self.weights = indptr, doc, weights
+        self.n_docs = n_docs
         return indptr, doc, weights
+
+    def scores(self, tokens: Iterable[str]) -> np.ndarray:
+        """Similarity of the query against every document, dense float64.
+
+        Each document's score accumulates term contributions in ascending
+        term-id order.
+        """
+        term_ids, weights = self.transform(tokens)
+        return _kernels.score_postings(term_ids, weights, self.indptr,
+                                       self.doc_ids, self.weights,
+                                       self.n_docs)

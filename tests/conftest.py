@@ -9,6 +9,7 @@ import pytest
 from hypothesis import strategies as st
 
 from gandr import Exemplar, ExemplarStore
+from gandr.tfidf import TfidfVectorizer
 
 
 def pytest_terminal_summary(terminalreporter):
@@ -119,3 +120,10 @@ def make_random_corpus(rng: np.random.Generator, n_docs: int,
         Exemplar(i, random_utterance(rng, vocab_size), random_parse(rng))
         for i in range(n_docs)
     ]
+
+
+def fit_channel(docs) -> TfidfVectorizer:
+    """A channel fitted over ``docs``, holding their postings."""
+    channel = TfidfVectorizer()
+    channel.fit_transform(docs)
+    return channel

@@ -162,6 +162,18 @@ class TestEvaluate:
         with pytest.raises(MissingGold):
             evaluate([fake_record(None, [0], final="x")], trace_store)
 
+    @pytest.mark.parametrize("k, message", [
+        (0, "recall k must be at least 1, got 0"),
+        (True, "recall k must be an integer, got True"),
+        (2.5, "recall k must be an integer, got 2.5"),
+        ("3", "recall k must be an integer, got '3'"),
+    ])
+    def test_bad_recall_k_rejected(self, trace_store, k, message):
+        record = fake_record("[IN:CREATE_CALL [SL:GROUP z ] ]", [4])
+        with pytest.raises(ConfigError) as caught:
+            evaluate([record], trace_store, k=k)
+        assert str(caught.value) == message
+
     def test_recall_non_decreasing_in_k(self, trace_store):
         samples = [Sample(i, e.utterance, gold=e.parse)
                    for i, e in enumerate(trace_store.exemplars)]

@@ -7,10 +7,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gandr import _kernels
-from gandr.retrieval import Exemplar, InvertedIndex
+from gandr.retrieval import Exemplar
 from gandr.tfidf import TfidfVectorizer, tokenize_text
 
-from conftest import make_random_corpus
+from conftest import fit_channel, make_random_corpus
 
 
 def random_csr(rng, n_terms, n_docs, density=0.3):
@@ -51,14 +51,15 @@ def test_empty_query_scores_all_zero():
 
 
 def naive_postings(vectors, n_terms):
-    """Transpose per-document vectors term by term, docs in ascending order."""
+    """Transpose per-document ``(term_ids, weights)`` vectors term by term,
+    docs in ascending order."""
     indptr, doc_ids, weights = [0], [], []
     for t in range(n_terms):
-        for doc, vec in enumerate(vectors):
-            hit = np.flatnonzero(vec.term_ids == t)
+        for doc, (vec_ids, vec_weights) in enumerate(vectors):
+            hit = np.flatnonzero(vec_ids == t)
             if hit.size:
                 doc_ids.append(doc)
-                weights.append(float(vec.weights[hit[0]]))
+                weights.append(float(vec_weights[hit[0]]))
         indptr.append(len(doc_ids))
     return indptr, doc_ids, weights
 
@@ -72,19 +73,17 @@ def test_postings_equal_naive_transposition(empty_at):
     if empty_at is not None:
         corpus.insert(empty_at, Exemplar(99, "?!", "[IN:X ]"))
     docs = [tokenize_text(e.utterance) for e in corpus]
-    index = InvertedIndex(docs)
-    vectorizer = TfidfVectorizer()
-    vectorizer.fit_transform(docs)
-    vectors = [vectorizer.transform(tokens) for tokens in docs]
+    channel = fit_channel(docs)
+    vectors = [channel.transform(tokens) for tokens in docs]
     indptr, doc_ids, weights = naive_postings(
-        vectors, len(index.vectorizer.vocabulary_))
-    assert index.n_docs == len(corpus)
-    assert index.post_indptr.tolist() == indptr
-    assert index.post_doc_ids.tolist() == doc_ids
-    assert index.post_weights.tolist() == weights
-    assert index.post_indptr.dtype == np.int64
-    assert index.post_doc_ids.dtype == np.int64
-    assert index.post_weights.dtype == np.float64
+        vectors, len(channel.vocabulary_))
+    assert channel.n_docs == len(corpus)
+    assert channel.indptr.tolist() == indptr
+    assert channel.doc_ids.tolist() == doc_ids
+    assert channel.weights.tolist() == weights
+    assert channel.indptr.dtype == np.int64
+    assert channel.doc_ids.dtype == np.int64
+    assert channel.weights.dtype == np.float64
 
 
 # short unicode tokens from a small alphabet, so documents repeat tokens
@@ -109,24 +108,23 @@ def test_batched_fit_equals_per_document_transform(docs):
     idf = np.array([math.log((1.0 + len(docs)) / (1.0 + df[t])) + 1.0
                     for t in terms], dtype=np.float64)
 
-    index = InvertedIndex(docs)
-    vectorizer = index.vectorizer
-    assert vectorizer.vocabulary_ == {t: i for i, t in enumerate(terms)}
-    assert vectorizer.idf_.dtype == np.float64
-    assert vectorizer.idf_.tobytes() == idf.tobytes()
+    channel = TfidfVectorizer()
+    fit_indptr, fit_doc_ids, fit_weights = channel.fit_transform(docs)
+    assert channel.vocabulary_ == {t: i for i, t in enumerate(terms)}
+    assert channel.idf_.dtype == np.float64
+    assert channel.idf_.tobytes() == idf.tobytes()
 
-    vectors = [vectorizer.transform(tokens) for tokens in docs]
+    vectors = [channel.transform(tokens) for tokens in docs]
     indptr, doc_ids, weights = naive_postings(vectors, len(terms))
-    assert index.post_indptr.tobytes() == np.array(indptr, np.int64).tobytes()
-    assert index.post_doc_ids.tobytes() == \
-        np.array(doc_ids, np.int64).tobytes()
-    assert index.post_weights.tobytes() == \
+    assert channel.indptr.tobytes() == np.array(indptr, np.int64).tobytes()
+    assert channel.doc_ids.tobytes() == np.array(doc_ids, np.int64).tobytes()
+    assert channel.weights.tobytes() == \
         np.array(weights, np.float64).tobytes()
 
-    fit_indptr, fit_doc_ids, fit_weights = TfidfVectorizer().fit_transform(docs)
-    assert fit_indptr.tobytes() == np.array(indptr, np.int64).tobytes()
-    assert fit_doc_ids.tobytes() == np.array(doc_ids, np.int64).tobytes()
-    assert fit_weights.tobytes() == np.array(weights, np.float64).tobytes()
+    # the channel keeps the arrays the fit returns, not copies
+    assert fit_indptr is channel.indptr
+    assert fit_doc_ids is channel.doc_ids
+    assert fit_weights is channel.weights
 
 
 def test_long_document_norm_is_summed_in_term_order():
@@ -139,10 +137,8 @@ def test_long_document_norm_is_summed_in_term_order():
     docs = [[w for i, w in enumerate(words) for _ in range(1 + i % 5)]]
     docs += [[w for i, w in enumerate(words) if i % j == 0]
              for j in range(1, 13)]
-    indptr, doc_ids, weights = TfidfVectorizer().fit_transform(docs)
-
     vectorizer = TfidfVectorizer()
-    vectorizer.fit_transform(docs)
+    indptr, doc_ids, weights = vectorizer.fit_transform(docs)
     squares = [((1 + i % 5) * float(vectorizer.idf_[i])) ** 2
                for i in range(48)]
     in_order = 0.0
@@ -159,7 +155,7 @@ def test_long_document_norm_is_summed_in_term_order():
 
 
 def test_index_over_only_empty_documents():
-    index = InvertedIndex([[], []])
-    assert index.post_indptr.tolist() == [0]
-    assert index.scores(["anything"]).tolist() == [0.0, 0.0]
+    channel = fit_channel([[], []])
+    assert channel.indptr.tolist() == [0]
+    assert channel.scores(["anything"]).tolist() == [0.0, 0.0]
 

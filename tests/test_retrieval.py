@@ -20,7 +20,6 @@ from gandr.errors import (
 from gandr.retrieval import (
     Exemplar,
     ExemplarStore,
-    InvertedIndex,
     retrieve_sampled,
     retrieve_topk,
     retrieve_topk_alphas,
@@ -29,7 +28,12 @@ from gandr.retrieval import (
 )
 from gandr.top_parse import structure_tokens
 
-from conftest import make_random_corpus, random_parse, random_utterance
+from conftest import (
+    fit_channel,
+    make_random_corpus,
+    random_parse,
+    random_utterance,
+)
 from oracles import (
     brute_force_ranking,
     fit_tfidf,
@@ -47,19 +51,19 @@ def build_store(exemplars):
     return store
 
 
-def assert_same_index(index, expected):
-    assert index.vectorizer.vocabulary_ == expected.vectorizer.vocabulary_
-    for name in ("post_indptr", "post_doc_ids", "post_weights"):
-        assert getattr(index, name).tobytes() == \
+def assert_same_channel(channel, expected):
+    assert channel.vocabulary_ == expected.vocabulary_
+    for name in ("indptr", "doc_ids", "weights"):
+        assert getattr(channel, name).tobytes() == \
             getattr(expected, name).tobytes()
 
 
-def dense_rows(index):
-    """The index's document vectors as one dense (docs, terms) array."""
-    indptr = index.post_indptr
-    rows = np.zeros((index.n_docs, indptr.shape[0] - 1))
+def dense_rows(channel):
+    """The channel's document vectors as one dense (docs, terms) array."""
+    indptr = channel.indptr
+    rows = np.zeros((channel.n_docs, indptr.shape[0] - 1))
     terms = np.repeat(np.arange(indptr.shape[0] - 1), np.diff(indptr))
-    rows[index.post_doc_ids, terms] = index.post_weights
+    rows[channel.doc_ids, terms] = channel.weights
     return rows
 
 
@@ -137,10 +141,10 @@ class TestStore:
         exemplars.append(Exemplar(30, "nested lower case",
                                   "[in:outer [sl:slot [in:inner x ] ] ]"))
         store = build_store(exemplars)
-        # the output index as fitted per exemplar from every parse parsed
+        # the output channel as fitted per exemplar from every parse parsed
         # again
-        reparsed = InvertedIndex([structure_tokens(e.parse)
-                                  for e in store.exemplars])
+        reparsed = fit_channel([structure_tokens(e.parse)
+                                for e in store.exemplars])
 
         def forbidden(*args, **kwargs):
             raise AssertionError("build parsed an exemplar again")
@@ -148,10 +152,9 @@ class TestStore:
         monkeypatch.setattr(retrieval, "parse_labels", forbidden)
         monkeypatch.setattr(retrieval, "structure_tokens", forbidden)
         store.build()
-        outputs = store._indexes[1]
-        assert outputs.vectorizer.vocabulary_ == reparsed.vectorizer.vocabulary_
-        assert outputs.vectorizer.idf_.tobytes() == \
-            reparsed.vectorizer.idf_.tobytes()
+        outputs = store._channels[1]
+        assert outputs.vocabulary_ == reparsed.vocabulary_
+        assert outputs.idf_.tobytes() == reparsed.idf_.tobytes()
         # each exemplar's row, read through its template id, has the bits
         # of its own row in the per-exemplar fit
         assert outputs.n_docs < len(store)
@@ -172,8 +175,8 @@ class TestStore:
         tiny_store.build()
         fresh.build()
         assert tiny_store._ids.tolist() == fresh._ids.tolist()
-        for index, expected in zip(tiny_store._indexes, fresh._indexes):
-            assert_same_index(index, expected)
+        for channel, expected in zip(tiny_store._channels, fresh._channels):
+            assert_same_channel(channel, expected)
 
     def test_mutation_after_build_is_visible(self):
         store = build_store([Exemplar(0, "alpha beta", "[IN:A x ]")])
@@ -481,7 +484,7 @@ class TestTemplateOutputIndex:
     def check(self, exemplars, query, preliminary):
         store = build_store(exemplars)
         _, out_sims = exemplar_output_sims(store, query, preliminary)
-        assert store._indexes[1].n_docs == \
+        assert store._channels[1].n_docs == \
             len({tuple(sorted(e.labels)) for e in exemplars})
         sims = self.oracle_sims(exemplars, query, preliminary)
         assert out_sims.tobytes() == np.array([s for _, s in sims]).tobytes()
@@ -664,10 +667,9 @@ class TestGeometricSampling:
 
     def test_bad_p(self):
         rng = np.random.default_rng(2)
-        with pytest.raises(ConfigError):
-            sample_geometric_ranks(5, 1, 0.0, rng)
-        with pytest.raises(ConfigError):
-            sample_geometric_ranks(5, 1, -0.5, rng)
+        for p in (0.0, -0.5, float("nan"), True, "0.5"):
+            with pytest.raises(ConfigError):
+                sample_geometric_ranks(5, 1, p, rng)
 
     def test_too_many_draws(self):
         rng = np.random.default_rng(3)

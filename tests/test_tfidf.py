@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from gandr.errors import EmptyCorpus
-from gandr.retrieval import InvertedIndex
 from gandr.tfidf import TfidfVectorizer, tokenize_text
+
+from conftest import fit_channel
 
 
 def test_tokenize_lowercases_and_drops_punctuation():
@@ -19,8 +20,8 @@ CORPUS = [["a", "b"], ["a", "c"], ["a", "b", "b"]]
 
 
 def fitted_vectors(vectorizer, docs):
-    """Fit, then vectorize each document alone: the reference the batched
-    ``fit_transform`` must equal bit for bit."""
+    """Fit, then vectorize each document alone, as ``(term_ids, weights)``:
+    the reference the batched ``fit_transform`` must equal bit for bit."""
     vectorizer.fit_transform(docs)
     return [vectorizer.transform(tokens) for tokens in docs]
 
@@ -52,12 +53,8 @@ def test_three_doc_corpus_against_hand_computation():
     ]
     # bitwise agreement with the reference arithmetic is intentional: the
     # retrieval oracle tests depend on it
-    assert vectors[0].weights.tolist() == expected[0]
-    assert vectors[1].weights.tolist() == expected[1]
-    assert vectors[2].weights.tolist() == expected[2]
-    assert vectors[0].term_ids.tolist() == [0, 1]
-    assert vectors[1].term_ids.tolist() == [0, 2]
-    assert vectors[2].term_ids.tolist() == [0, 1]
+    assert [w.tolist() for _, w in vectors] == expected
+    assert [ids.tolist() for ids, _ in vectors] == [[0, 1], [0, 2], [0, 1]]
 
     # term-major postings: a in docs 0, 1, 2; b in 0, 2; c in 1
     indptr, doc_ids, weights = TfidfVectorizer().fit_transform(CORPUS)
@@ -66,7 +63,7 @@ def test_three_doc_corpus_against_hand_computation():
     assert weights.tolist() == [expected[0][0], expected[1][0], expected[2][0],
                                 expected[0][1], expected[2][1], expected[1][1]]
     assert weights.tobytes() == np.array(
-        [vectors[d].weights[i] for i, d in
+        [vectors[d][1][i] for i, d in
          [(0, 0), (0, 1), (0, 2), (1, 0), (1, 2), (1, 1)]]).tobytes()
 
 
@@ -75,7 +72,7 @@ def test_cosine_matches_hand_computation():
     n1 = math.sqrt(1 + idf_b ** 2)
     n3 = math.sqrt(1 + (2 * idf_b) ** 2)
     expected = (1 / n1) * (1 / n3) + (idf_b / n1) * (2 * idf_b / n3)
-    scores = InvertedIndex(CORPUS).scores(CORPUS[0])
+    scores = fit_channel(CORPUS).scores(CORPUS[0])
     assert scores[2] == pytest.approx(expected, rel=1e-15)
     # doc1 vs doc2 share only the zero-idf term 'a'
     assert scores[1] == pytest.approx(
@@ -83,24 +80,24 @@ def test_cosine_matches_hand_computation():
 
 
 def test_normalized_vectors_have_unit_norm():
-    index = InvertedIndex(CORPUS)
-    for i, vec in enumerate(fitted_vectors(TfidfVectorizer(), CORPUS)):
-        assert float(np.sum(vec.weights ** 2)) == pytest.approx(1.0, abs=1e-12)
-        assert index.scores(CORPUS[i])[i] == pytest.approx(1.0, abs=1e-12)
+    channel = TfidfVectorizer()
+    for i, (_, weights) in enumerate(fitted_vectors(channel, CORPUS)):
+        assert float(np.sum(weights ** 2)) == pytest.approx(1.0, abs=1e-12)
+        assert channel.scores(CORPUS[i])[i] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_unknown_tokens_are_dropped():
     vectorizer = TfidfVectorizer()
     vectorizer.fit_transform(CORPUS)
-    assert vectorizer.transform(["zzz", "qqq"]).term_ids.size == 0
-    mixed = vectorizer.transform(["a", "zzz"])
-    assert mixed.term_ids.tolist() == [0]
+    assert vectorizer.transform(["zzz", "qqq"])[0].size == 0
+    mixed_ids, _ = vectorizer.transform(["a", "zzz"])
+    assert mixed_ids.tolist() == [0]
 
 
 def test_zero_vector_cosine_is_zero():
-    index = InvertedIndex(CORPUS + [[]])
-    assert index.scores([]).tolist() == [0.0] * 4
-    assert index.scores(["a", "b"])[3] == 0.0
+    channel = fit_channel(CORPUS + [[]])
+    assert channel.scores([]).tolist() == [0.0] * 4
+    assert channel.scores(["a", "b"])[3] == 0.0
 
 
 def test_fit_empty_corpus_raises():
