@@ -35,8 +35,7 @@ from .retrieval import (
 )
 from .tfidf import tokenize_text
 from .top_parse import (
-    ParseTree,
-    Template,
+    ParseNode,
     parse_top,
     serialize,
     structure_tokens,
@@ -53,7 +52,7 @@ __all__ = [
     "GandrError",
     "Generator",
     "OracleLookupGenerator",
-    "ParseTree",
+    "ParseNode",
     "PipelineConfig",
     "PipelineMode",
     "PredictionRecord",
@@ -63,7 +62,6 @@ __all__ = [
     "Sample",
     "ScoredExemplar",
     "StaticGenerator",
-    "Template",
     "build_augmented_input",
     "emit_training_pairs",
     "evaluate",

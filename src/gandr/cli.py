@@ -92,12 +92,15 @@ from .retrieval import (
 # value other than None must pass.
 Setting = namedtuple("Setting", "env default cast rule", defaults=[None])
 
+_PIPELINE = PipelineConfig()
+
 SETTINGS = {
-    "alpha": Setting(None, 0.75, float, validate_alpha),
-    "k": Setting(None, 4, int, validate_k),
-    "budget": Setting(None, None, int, lambda v: validate_k(v, "budget")),
-    "mode": Setting(None, PipelineMode.GANDR, PipelineMode),
-    "failure_policy": Setting(None, FailurePolicy.SKIP_SAMPLE, FailurePolicy),
+    "alpha": Setting(None, _PIPELINE.alpha, float, validate_alpha),
+    "k": Setting(None, _PIPELINE.k, int, validate_k),
+    "budget": Setting(None, _PIPELINE.budget, int,
+                      lambda v: validate_k(v, "budget")),
+    "mode": Setting(None, _PIPELINE.mode, PipelineMode),
+    "failure_policy": Setting(None, _PIPELINE.failure_policy, FailurePolicy),
     "timeout": Setting("GANDR_TIMEOUT", 30.0, float,
                        lambda v: validate_request_limits(v, None)),
     "preliminary_endpoint": Setting("GANDR_PRELIMINARY_URL", None, None),
@@ -463,8 +466,8 @@ def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
                         help="exemplars per prompt")
     parser.add_argument("--budget", type=int, default=None,
                         help="whitespace-token cap for augmented prompts")
-    parser.add_argument("--failure-policy", choices=["skip", "abort"],
-                        default=None)
+    parser.add_argument("--failure-policy",
+                        choices=[p.value for p in FailurePolicy], default=None)
 
 
 def _add_endpoint_flags(parser: argparse.ArgumentParser) -> None:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 import tempfile
 from dataclasses import dataclass
@@ -210,6 +211,15 @@ class Fraction:
 SplitSpec = Full | FixedCount | Fraction
 
 
+def validate_fraction(fraction: float, name: str) -> float:
+    """The rule for a fraction of items: a real, not a bool, in (0, 1]."""
+    if not isinstance(fraction, numbers.Real) or isinstance(fraction, bool):
+        raise ConfigError(f"{name} must be a number, got {fraction!r}")
+    if not 0.0 < fraction <= 1.0:
+        raise ConfigError(f"{name} must lie in (0, 1], got {fraction}")
+    return fraction
+
+
 def apply_split(items: Sequence, spec: SplitSpec, seed: int = 0) -> list:
     """Subsample items per the spec; selection order follows the input order."""
     n_total = len(items)
@@ -217,15 +227,15 @@ def apply_split(items: Sequence, spec: SplitSpec, seed: int = 0) -> list:
         return list(items)
     if isinstance(spec, FixedCount):
         n = spec.n
+        if not isinstance(n, numbers.Integral) or isinstance(n, bool):
+            raise ConfigError(f"split count must be an integer, got {n!r}")
         if n < 1:
             raise ConfigError(f"split count must be positive, got {n}")
         if n > n_total:
             raise CountExceedsCorpus(
                 f"split asks for {n} of {n_total} exemplars")
     elif isinstance(spec, Fraction):
-        if not 0.0 < spec.fraction <= 1.0:
-            raise ConfigError(
-                f"split fraction must lie in (0, 1], got {spec.fraction}")
+        validate_fraction(spec.fraction, "split fraction")
         n = math.floor(spec.fraction * n_total)
         if n < 1:
             raise ConfigError(

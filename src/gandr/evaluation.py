@@ -3,8 +3,9 @@
 Two metrics: exact match (whitespace-normalized string equality between
 final prediction and gold parse) and template recall at K (did any of the
 top-K retrieved exemplars share the gold parse's template, i.e. its
-multiset of intent/slot labels). Failed samples count against both
-denominators; a pipeline that skips half its inputs scores accordingly.
+multiset of intent/slot labels, as :func:`gandr.top_parse.template` gives
+it). Failed samples count against both denominators; a pipeline that
+skips half its inputs scores accordingly.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Mapping, Sequence
 
-from .data_io import Fraction, apply_split
+from .data_io import Fraction, apply_split, validate_fraction
 from .errors import ConfigError, MissingGold
 from .pipeline import (
     PipelineConfig,
@@ -24,7 +25,7 @@ from .pipeline import (
     run_pipeline_alphas,
 )
 from .retrieval import ExemplarStore, _check_k, validate_k
-from .top_parse import Template, parse_labels
+from .top_parse import parse_labels, template
 
 
 def normalize_for_match(text: str) -> str:
@@ -42,23 +43,21 @@ def exact_match(prediction: str | None, gold: str, casefold: bool = False) -> bo
     return a == b
 
 
-def _gold_template(gold: str) -> Template:
-    return Template.from_labels(parse_labels(gold))
+def _gold_template(gold: str) -> tuple[str, ...]:
+    return template(parse_labels(gold))
 
 
-def _template_hit(record: PredictionRecord, gold_template: Template,
+def _template_hit(record: PredictionRecord, gold_template: tuple[str, ...],
                   store: ExemplarStore, k: int | None, multiset: bool) -> bool:
-    """Did any top-k exemplar feeding the final pass match gold's template?"""
+    """Did any top-k exemplar feeding the final pass match gold's template?
+    Multiset matching compares templates, set matching their label sets."""
     hits = record.pass2_retrievals
     if hits is None:
         hits = record.pass1_retrievals
-    if k is not None:
-        hits = hits[:k]
-    for hit in hits:
-        template = Template.from_labels(store.get(hit.exemplar_id).labels)
-        if gold_template.matches(template, multiset=multiset):
-            return True
-    return False
+    key = template if multiset else set
+    gold = key(gold_template)
+    return any(key(store.get(hit.exemplar_id).labels) == gold
+               for hit in hits[:k])
 
 
 @dataclass(frozen=True)
@@ -89,10 +88,9 @@ def validate_recall_k(k: int | None) -> None:
 
 
 def validate_sample_fraction(fraction: float | None) -> None:
-    """The rule for a sweep's sample fraction: None (all) or in (0, 1]."""
-    if fraction is not None and not 0.0 < fraction <= 1.0:
-        raise ConfigError(
-            f"sample fraction must lie in (0, 1], got {fraction}")
+    """The rule for a sweep's sample fraction: None (all) or a fraction."""
+    if fraction is not None:
+        validate_fraction(fraction, "sample fraction")
 
 
 def validate_sweep_lists(values: Sequence, seeds: Sequence) -> None:
@@ -104,7 +102,7 @@ def validate_sweep_lists(values: Sequence, seeds: Sequence) -> None:
 def evaluate(records: Sequence[PredictionRecord], store: ExemplarStore,
              k: int | None = None, multiset: bool = True,
              casefold: bool = False, *,
-             _gold_template: Callable[[str], Template] = _gold_template
+             _gold_template: Callable[[str], tuple[str, ...]] = _gold_template
              ) -> EvalReport:
     """Aggregate exact match and template recall, overall and per domain.
 

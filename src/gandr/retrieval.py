@@ -49,7 +49,7 @@ from .errors import (
     StoreTooSmall,
 )
 from .tfidf import TfidfVectorizer, tokenize_text
-from .top_parse import parse_labels, structure_tokens
+from .top_parse import parse_labels, structure_tokens, template
 
 
 def is_int64(value) -> bool:
@@ -179,7 +179,7 @@ class ExemplarStore:
             raise EmptyCorpus("store has no exemplars")
         ordered = self.exemplars
         self._ids = np.array([e.exemplar_id for e in ordered], dtype=np.int64)
-        # template ids in order of first use, keyed as Template.from_labels.
+        # template ids in order of first use, keyed by top_parse.template.
         # Each distinct label sequence is sorted once: the seed-1 perfbench
         # stores hold 872, 5,374 and 13,411 of them in 2k, 30k and 100k
         # exemplars, and hashing a raw sequence costs less than sorting it
@@ -189,7 +189,7 @@ class ExemplarStore:
             dtype=np.int64, count=len(ordered))
         templates: dict[tuple[str, ...], int] = {}
         self._template_of = np.fromiter(
-            (templates.setdefault(tuple(sorted(labels)), len(templates))
+            (templates.setdefault(template(labels), len(templates))
              for labels in sequences),
             dtype=np.int64, count=len(sequences))[sequence_of]
         inputs, outputs = TfidfVectorizer(), TfidfVectorizer()

@@ -1,4 +1,4 @@
-"""Bracketed intent/slot parse trees: parsing, serialization, templates.
+"""Bracketed intent/slot parses: validation, trees, serialization, templates.
 
 The serialized form is a single line of space-delimited tokens where
 ``[IN:LABEL`` / ``[SL:LABEL`` open a node, ``]`` closes it, and any other
@@ -7,14 +7,16 @@ token is utterance text attached to the enclosing node, e.g.::
     [IN:CREATE_CALL [SL:GROUP Musicals ] ]
 
 :func:`parse_labels` is the one grammar: it validates a string and returns
-its labels without building a tree. :func:`parse_top` runs it, then builds.
+its labels without building a tree. :func:`parse_top` runs it, then builds
+a tree of :class:`ParseNode` whose text spans are plain strings.
+:func:`template` is the one definition of a template; template recall and
+the store's output channel both key on it.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from enum import Enum
 
 from .errors import MalformedParse
 
@@ -28,67 +30,28 @@ _FALLBACK_RE = re.compile(
     re.IGNORECASE)
 
 
-class NodeKind(Enum):
-    INTENT = "intent"
-    SLOT = "slot"
-
-
-@dataclass(frozen=True)
-class TextSpan:
-    """Raw utterance tokens covered by one leaf of the parse."""
-
-    text: str
-
-    def __post_init__(self):
-        if "[" in self.text or "]" in self.text:
-            raise MalformedParse(f"bracket character inside text span: {self.text!r}")
-
-
 @dataclass(frozen=True)
 class ParseNode:
-    """One intent or slot node; children are nodes and text spans in order."""
+    """One intent or slot node. ``children`` holds its child nodes and its
+    text spans in order; a text span is a ``str`` of consecutive words
+    joined by one space. Equality is structural."""
 
     label: str
-    kind: NodeKind
-    children: tuple["ParseNode | TextSpan", ...] = ()
+    children: tuple["ParseNode | str", ...] = ()
 
 
-@dataclass(frozen=True)
-class ParseTree:
-    """A parsed intent/slot tree; equality is structural."""
-
-    root: ParseNode
-
-
-@dataclass(frozen=True, order=True)
-class Template:
-    """The multiset of intent/slot labels of a parse, slot values discarded.
-
-    ``labels`` is stored sorted, so dataclass equality is multiset equality.
-    """
-
-    labels: tuple[str, ...]
-
-    @classmethod
-    def from_labels(cls, labels) -> "Template":
-        return cls(tuple(sorted(labels)))
-
-    def matches(self, other: "Template", multiset: bool = True) -> bool:
-        """Compare templates; ``multiset=False`` relaxes to set equality."""
-        if multiset:
-            return self.labels == other.labels
-        return set(self.labels) == set(other.labels)
+def template(labels) -> tuple[str, ...]:
+    """The template of a parse: its labels sorted, slot values discarded,
+    so two templates are equal exactly when their label multisets are."""
+    return tuple(sorted(labels))
 
 
-def _classify(label: str) -> NodeKind:
-    if label.startswith(INTENT_PREFIX):
-        if len(label) == len(INTENT_PREFIX):
-            raise MalformedParse(f"empty intent name: {label!r}")
-        return NodeKind.INTENT
-    if label.startswith(SLOT_PREFIX):
-        if len(label) == len(SLOT_PREFIX):
-            raise MalformedParse(f"empty slot name: {label!r}")
-        return NodeKind.SLOT
+def _check_label(label: str) -> None:
+    for prefix, kind in ((INTENT_PREFIX, "intent"), (SLOT_PREFIX, "slot")):
+        if label.startswith(prefix):
+            if len(label) == len(prefix):
+                raise MalformedParse(f"empty {kind} name: {label!r}")
+            return
     raise MalformedParse(f"label {label!r} matches neither prefix "
                          f"{INTENT_PREFIX!r} nor {SLOT_PREFIX!r}")
 
@@ -113,11 +76,11 @@ def parse_labels(text: str) -> list[str]:
             if label in ("[", "]"):
                 raise MalformedParse("missing label after '['")
             label = label.upper()
-            kind = _classify(label)
+            _check_label(label)
             if not depth:
                 if labels:
                     raise MalformedParse("more than one top-level node")
-                if kind is not NodeKind.INTENT:
+                if not label.startswith(INTENT_PREFIX):
                     raise MalformedParse(f"root must be an intent, got {label!r}")
             depth += 1
             labels.append(label)
@@ -132,8 +95,8 @@ def parse_labels(text: str) -> list[str]:
     return labels
 
 
-def parse_top(text: str) -> ParseTree:
-    """Parse a bracketed intent/slot string into a ParseTree.
+def parse_top(text: str) -> ParseNode:
+    """Parse a bracketed intent/slot string into its root ParseNode.
 
     The string is validated by :func:`parse_labels`, which raises the same
     MalformedParse; the tree is then built over the same tokens.
@@ -147,31 +110,29 @@ def parse_top(text: str) -> ParseTree:
             words.append(tok)
             continue
         if words:
-            stack[-1][1].append(TextSpan(" ".join(words)))
+            stack[-1][1].append(" ".join(words))
             words.clear()
         if tok == "[":
             stack.append((next(tokens).upper(), []))
         else:
             label, children = stack.pop()
-            stack[-1][1].append(
-                ParseNode(label, _classify(label), tuple(children)))
-    return ParseTree(root=stack[0][1][0])
+            stack[-1][1].append(ParseNode(label, tuple(children)))
+    return stack[0][1][0]
 
 
-def serialize(tree: ParseTree) -> str:
+def serialize(node: ParseNode) -> str:
     """Render a tree back to canonical single-spaced bracketed form."""
     parts: list[str] = []
-
-    def emit(node: ParseNode):
-        parts.append("[" + node.label)
-        for child in node.children:
-            if isinstance(child, TextSpan):
-                parts.append(child.text)
-            else:
-                emit(child)
-        parts.append("]")
-
-    emit(tree.root)
+    # a stack rather than recursion, so any tree parse_top builds renders
+    stack: list[ParseNode | str] = [node]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            parts.append(item)
+        else:
+            parts.append("[" + item.label)
+            stack.append("]")
+            stack.extend(reversed(item.children))
     return " ".join(parts)
 
 

@@ -7,6 +7,7 @@ from gandr import cli, data_io, evaluation, retrieval, top_parse
 from gandr.cli import main
 from gandr.data_io import load_store, read_records
 from gandr.generator import StaticGenerator
+from gandr.pipeline import PipelineConfig
 from oracles import split_augmented
 
 
@@ -217,6 +218,19 @@ class TestRun:
         assert sidecar["final_endpoint"] == f"oracle:{dataset}"
         assert sidecar["preliminary_endpoint"] == f"oracle:{dataset}"
         assert "jobs" not in sidecar
+
+    def test_unset_pipeline_settings_take_the_config_defaults(
+            self, tmp_path, store, dataset):
+        out = tmp_path / "r.jsonl"
+        assert main(["run", "--store", str(store), "--data", str(dataset),
+                     "--final-endpoint", f"oracle:{dataset}",
+                     "--out", str(out)]) == 0
+        sidecar = json.loads((tmp_path / "r.jsonl.config.json").read_text())
+        defaults = PipelineConfig()
+        assert (sidecar["alpha"], sidecar["k"], sidecar["mode"],
+                sidecar["failure_policy"]) == (
+            defaults.alpha, defaults.k, defaults.mode.value,
+            defaults.failure_policy.value)
 
     @pytest.mark.parametrize("flags, key", [
         (["--timeout", "-1"], "timeout"), (["--timeout", "0"], "timeout"),

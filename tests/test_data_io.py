@@ -3,6 +3,7 @@ import os
 import re
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -213,6 +214,28 @@ class TestSplits:
             apply_split([1, 2], Fraction(1.5))
         with pytest.raises(ConfigError):
             apply_split(list(range(10)), Fraction(0.05))  # floors to zero
+
+    @pytest.mark.parametrize("spec, message", [
+        (FixedCount(True), "split count must be an integer, got True"),
+        (FixedCount(2.5), "split count must be an integer, got 2.5"),
+        (FixedCount("2"), "split count must be an integer, got '2'"),
+        (Fraction("0.5"), "split fraction must be a number, got '0.5'"),
+        (Fraction(True), "split fraction must be a number, got True"),
+        (FixedCount(0), "split count must be positive, got 0"),
+        (Fraction(1.5), "split fraction must lie in (0, 1], got 1.5"),
+        (Fraction(0.05), "fraction 0.05 of 10 items selects nothing"),
+    ])
+    def test_bad_spec_messages(self, spec, message):
+        with pytest.raises(ConfigError) as caught:
+            apply_split(list(range(10)), spec)
+        assert str(caught.value) == message
+
+    def test_numpy_numbers_are_numbers(self):
+        items = list(range(10))
+        assert apply_split(items, FixedCount(np.int64(3)), seed=1) == \
+            apply_split(items, FixedCount(3), seed=1)
+        assert apply_split(items, Fraction(np.float64(0.5)), seed=1) == \
+            apply_split(items, Fraction(0.5), seed=1)
 
 
 class TestParseSplitSpec:

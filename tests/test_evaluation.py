@@ -38,8 +38,8 @@ from gandr.pipeline import (
     run_pipeline,
     run_pipeline_alphas,
 )
-from gandr.retrieval import ExemplarStore, ScoredExemplar
-from gandr.top_parse import Template, parse_labels
+from gandr.retrieval import Exemplar, ExemplarStore, ScoredExemplar
+from gandr.top_parse import parse_labels, template
 from oracles import label_tokens
 
 
@@ -113,6 +113,24 @@ class TestTemplateHit:
             "[IN:SEND_MESSAGE [SL:GROUP a ] [SL:GROUP b ] ]", [5, 6, 7])
         assert not template_hit(record, trace_store)
         assert template_hit(record, trace_store, multiset=False)
+
+    @pytest.mark.parametrize("gold, parse, as_multiset, as_set", [
+        ("[IN:SEND_MESSAGE [SL:GROUP a ] [SL:GROUP b ] ]",
+         "[IN:SEND_MESSAGE [SL:GROUP c ] ]", False, True),
+        ("[IN:SEND_MESSAGE [SL:GROUP a ] ]",
+         "[IN:SEND_MESSAGE [SL:GROUP c ] [SL:GROUP d ] ]", False, True),
+        ("[IN:SEND_MESSAGE [SL:GROUP a ] [SL:GROUP b ] ]",
+         "[IN:SEND_MESSAGE ]", False, False),
+        ("[IN:SEND_MESSAGE [SL:GROUP a ] [SL:GROUP b ] ]",
+         "[IN:SEND_MESSAGE [SL:GROUP c ] [SL:GROUP d ] ]", True, True),
+    ])
+    def test_multiset_and_set_match_either_way(self, gold, parse,
+                                               as_multiset, as_set):
+        store = ExemplarStore()
+        store.add(Exemplar(0, "send it", parse))
+        record = fake_record(gold, [0])
+        assert template_hit(record, store) is as_multiset
+        assert template_hit(record, store, multiset=False) is as_set
 
     def test_pass1_used_when_single_pass(self, trace_store):
         record = fake_record("[IN:SEND_MESSAGE [SL:GROUP books ] ]", [6],
@@ -199,11 +217,14 @@ class TestEvaluate:
             """Template recall with every exemplar parse parsed again."""
             hits = 0
             for record in records:
-                gold = Template.from_labels(label_tokens(record.gold))
-                hits += any(
-                    gold.matches(Template.from_labels(label_tokens(
-                        trace_store.get(h.exemplar_id).parse)), multiset)
-                    for h in record.pass2_retrievals[:k])
+                gold = template(label_tokens(record.gold))
+                for h in record.pass2_retrievals[:k]:
+                    found = template(label_tokens(
+                        trace_store.get(h.exemplar_id).parse))
+                    if (found == gold if multiset
+                            else set(found) == set(gold)):
+                        hits += 1
+                        break
             return hits / len(records)
 
         calls = []
@@ -248,6 +269,21 @@ class TestSweep:
         b = self.run(trace_store, SweepAxis.ALPHA, [0.0], [7],
                      sample_fraction=0.5)
         assert a == b
+
+    @pytest.mark.parametrize("fraction, message", [
+        (True, "sample fraction must be a number, got True"),
+        ("0.5", "sample fraction must be a number, got '0.5'"),
+        ([0.5], "sample fraction must be a number, got [0.5]"),
+        (0, "sample fraction must lie in (0, 1], got 0"),
+        (1.5, "sample fraction must lie in (0, 1], got 1.5"),
+        (float("nan"), "sample fraction must lie in (0, 1], got nan"),
+    ])
+    def test_bad_sample_fraction_rejected(self, trace_store, fraction,
+                                          message):
+        with pytest.raises(ConfigError) as caught:
+            self.run(trace_store, SweepAxis.ALPHA, [0.0], [0],
+                     sample_fraction=fraction)
+        assert str(caught.value) == message
 
     def test_empty_grid_rejected(self, trace_store):
         with pytest.raises(ConfigError):

@@ -22,7 +22,7 @@ from gandr.pipeline import (
     run_pipeline,
 )
 from gandr.retrieval import retrieve_topk
-from gandr.top_parse import Template, parse_labels
+from gandr.top_parse import parse_labels, template
 
 import numpy as np
 
@@ -298,5 +298,5 @@ def test_oracle_preliminary_feeds_pass2(tiny_store):
         # with alpha=1 and the gold parse as preliminary, the top hit
         # shares the gold template (here: the sample's own store entry)
         top = tiny_store.get(record.pass2_retrievals[0].exemplar_id)
-        assert Template.from_labels(parse_labels(top.parse)) == \
-            Template.from_labels(parse_labels(sample.gold))
+        assert template(parse_labels(top.parse)) == \
+            template(parse_labels(sample.gold))

@@ -5,47 +5,44 @@ from hypothesis import strategies as st
 
 from gandr.errors import MalformedParse
 from gandr.top_parse import (
-    NodeKind,
     ParseNode,
-    Template,
-    TextSpan,
     parse_labels,
     parse_top,
     serialize,
     structure_tokens,
+    template,
 )
 
 
 def test_parse_simple_call():
     tree = parse_top("[IN:CREATE_CALL [SL:GROUP Musicals ] ]")
-    assert tree.root.label == "IN:CREATE_CALL"
-    assert tree.root.kind is NodeKind.INTENT
-    (slot,) = tree.root.children
+    assert tree == ParseNode("IN:CREATE_CALL",
+                             (ParseNode("SL:GROUP", ("Musicals",)),))
+    assert tree.label == "IN:CREATE_CALL"
+    (slot,) = tree.children
     assert slot.label == "SL:GROUP"
-    assert slot.kind is NodeKind.SLOT
-    assert slot.children == (TextSpan("Musicals"),)
+    assert slot.children == ("Musicals",)
 
 
 def test_parse_uppercases_labels():
     tree = parse_top("[in:create_call [sl:group Musicals ] ]")
-    assert tree.root.label == "IN:CREATE_CALL"
-    assert tree.root.children[0].label == "SL:GROUP"
+    assert tree.label == "IN:CREATE_CALL"
+    assert tree.children[0].label == "SL:GROUP"
 
 
 def test_nested_slots_and_text_interleaving():
     tree = parse_top(
         "[IN:GET_EVENT find [SL:CATEGORY_EVENT concerts ] near "
         "[SL:LOCATION [IN:GET_LOCATION home ] ] today ]")
-    root = tree.root
-    assert [type(c).__name__ for c in root.children] == [
-        "TextSpan", "ParseNode", "TextSpan", "ParseNode", "TextSpan"]
-    location = root.children[3]
+    assert [type(c).__name__ for c in tree.children] == [
+        "str", "ParseNode", "str", "ParseNode", "str"]
+    location = tree.children[3]
     assert location.children[0].label == "IN:GET_LOCATION"
 
 
 def test_consecutive_words_merge_into_one_span():
     tree = parse_top("[IN:CREATE_CALL [SL:GROUP preferred friends ] ]")
-    assert tree.root.children[0].children == (TextSpan("preferred friends"),)
+    assert tree.children[0].children == ("preferred friends",)
 
 
 def test_serialize_round_trip_is_canonical():
@@ -137,43 +134,50 @@ def test_one_grammar_for_tree_and_labels():
             return
         reached.add(None)
         labels = parse_labels(text)
-        assert labels == _labels_by_walk(tree.root, [])
+        assert labels == _labels_by_walk(tree, [])
         assert structure_tokens(text) == labels
 
     same_grammar()
     assert reached == {None, *_GRAMMAR_MESSAGES}
 
 
-def test_text_span_rejects_brackets():
-    with pytest.raises(MalformedParse):
-        TextSpan("a]b")
+def _text_spans(node, out):
+    for child in node.children:
+        if isinstance(child, ParseNode):
+            _text_spans(child, out)
+        else:
+            out.append(child)
+    return out
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(_GRAMMAR_TEXT)
+def test_text_spans_are_single_spaced_words(text):
+    """Every text child of a parsed tree is a non-empty str of words joined
+    by one space, with no bracket, and the tree survives a round trip."""
+    try:
+        tree = parse_top(text)
+    except MalformedParse:
+        return
+    for span in _text_spans(tree, []):
+        assert isinstance(span, str)
+        assert span and span == " ".join(span.split())
+        assert "[" not in span and "]" not in span
+    assert parse_top(serialize(tree)) == tree
 
 
 def test_template_is_label_multiset():
-    template = Template.from_labels(parse_labels(
-        "[IN:SEND_MESSAGE [SL:GROUP anime ] [SL:GROUP manga ] ]"))
-    assert template.labels == ("IN:SEND_MESSAGE", "SL:GROUP", "SL:GROUP")
-
-
-def test_template_multiset_vs_set_matching():
-    double = Template.from_labels(
-        parse_labels("[IN:SEND_MESSAGE [SL:GROUP a ] [SL:GROUP b ] ]"))
-    single = Template.from_labels(
-        parse_labels("[IN:SEND_MESSAGE [SL:GROUP a ] ]"))
-    other = Template.from_labels(parse_labels("[IN:SEND_MESSAGE ]"))
-    assert not double.matches(single)
-    assert double.matches(single, multiset=False)
-    assert single.matches(double, multiset=False)
-    assert not double.matches(other, multiset=False)
+    assert template(parse_labels(
+        "[IN:SEND_MESSAGE [SL:GROUP anime ] [SL:GROUP manga ] ]")) == (
+        "IN:SEND_MESSAGE", "SL:GROUP", "SL:GROUP")
 
 
 def test_template_ignores_slot_values_and_order():
-    a = Template.from_labels(parse_labels(
+    a = template(parse_labels(
         "[IN:GET_EVENT [SL:LOCATION paris ] [SL:DATE_TIME friday ] ]"))
-    b = Template.from_labels(parse_labels(
+    b = template(parse_labels(
         "[IN:GET_EVENT [SL:DATE_TIME never ] [SL:LOCATION moon ] ]"))
-    assert a == b
-    assert a.matches(b)
+    assert a == b == ("IN:GET_EVENT", "SL:DATE_TIME", "SL:LOCATION")
 
 
 def test_structure_tokens_document_order():
@@ -235,6 +239,12 @@ def test_round_trip_many_random_trees():
         tree = parse_top(text)
         assert serialize(tree) == text
         assert parse_top(serialize(tree)) == tree
+
+
+def test_deep_tree_round_trips():
+    """parse_top builds trees of any depth, and serialize renders them."""
+    text = " ".join(["[IN:A"] * 3000 + ["x"] + ["]"] * 3000)
+    assert serialize(parse_top(text)) == text
 
 
 @settings(max_examples=300, deadline=None)
