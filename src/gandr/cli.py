@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import json
 import os
 import sys
@@ -92,7 +93,9 @@ from .retrieval import (
 # value other than None must pass.
 Setting = namedtuple("Setting", "env default cast rule", defaults=[None])
 
+# the defaults a setting shares with the library, read from the library
 _PIPELINE = PipelineConfig()
+_REMOTE = inspect.signature(RemoteGenerator).parameters
 
 SETTINGS = {
     "alpha": Setting(None, _PIPELINE.alpha, float, validate_alpha),
@@ -101,7 +104,7 @@ SETTINGS = {
                       lambda v: validate_k(v, "budget")),
     "mode": Setting(None, _PIPELINE.mode, PipelineMode),
     "failure_policy": Setting(None, _PIPELINE.failure_policy, FailurePolicy),
-    "timeout": Setting("GANDR_TIMEOUT", 30.0, float,
+    "timeout": Setting("GANDR_TIMEOUT", _REMOTE["timeout"].default, float,
                        lambda v: validate_request_limits(v, None)),
     "preliminary_endpoint": Setting("GANDR_PRELIMINARY_URL", None, None),
     "final_endpoint": Setting("GANDR_FINAL_URL", None, None),

@@ -209,7 +209,9 @@ class RemoteGenerator(Generator):
                 status=response.status_code)
         try:
             outputs = response.json()["outputs"]
-        except (ValueError, KeyError) as exc:
+        except (ValueError, KeyError, RecursionError) as exc:
+            # a body nested past the decoder's recursion limit is malformed
+            # too, not a crash
             raise RemoteError(f"{self.url} sent a malformed body: {exc}") from exc
         if not isinstance(outputs, list) or len(outputs) != len(chunk) \
                 or not all(isinstance(o, str) for o in outputs):

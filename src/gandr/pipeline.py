@@ -15,9 +15,12 @@ one first pass; its second pass scores each sample once and mixes the
 scores per alpha. Retrieval runs on one thread. What is left
 of a query's cost is mostly its dense passes over the store: the
 postings kernel of each channel it scores (the first pass scores only
-the input channel) and, above alpha 0, their mix; selection orders only
-the candidates its prefilter keeps. A second thread was measured slower
-than one at every store size from 20k to 100k exemplars.
+the input channel). From 20k exemplars up, a second-pass query mixes and
+orders only the members of the templates that an exact per-template
+bound lets reach its head; elsewhere the mix is a dense pass too, and
+selection orders only the candidates its grid prefilter keeps. A second
+thread was measured slower than one at every store size from 20k to 100k
+exemplars.
 
 Generation runs in batches. When a batch fails and the failure policy is
 SKIP_SAMPLE, the batch is replayed item by item so one bad sample cannot

@@ -34,10 +34,31 @@ _FALLBACK_RE = re.compile(
 class ParseNode:
     """One intent or slot node. ``children`` holds its child nodes and its
     text spans in order; a text span is a ``str`` of consecutive words
-    joined by one space. Equality is structural."""
+    joined by one space. Equality is structural. It and the hash walk the
+    tree with a stack rather than recursion, so any tree parse_top builds
+    compares and hashes."""
 
     label: str
     children: tuple["ParseNode | str", ...] = ()
+
+    def __eq__(self, other):
+        if not isinstance(other, ParseNode):
+            return NotImplemented
+        pairs = [(self, other)]
+        while pairs:
+            a, b = pairs.pop()
+            if a.label != b.label or len(a.children) != len(b.children):
+                return False
+            for x, y in zip(a.children, b.children):
+                if isinstance(x, str) or isinstance(y, str):
+                    if x != y:
+                        return False
+                else:
+                    pairs.append((x, y))
+        return True
+
+    def __hash__(self):
+        return hash(serialize(self))
 
 
 def template(labels) -> tuple[str, ...]:

@@ -165,6 +165,12 @@ class StubHandler(BaseHTTPRequestHandler):
             self.send_header("Content-Length", str(len(raw)))
             self.end_headers()
             self.wfile.write(raw)
+        elif behavior == "deep":
+            raw = b'{"outputs": ' + b"[" * 5000 + b"]" * 5000 + b"}"
+            self.send_response(200)
+            self.send_header("Content-Length", str(len(raw)))
+            self.end_headers()
+            self.wfile.write(raw)
         elif behavior == "short":
             raw = json.dumps({"outputs": ["only one"]}).encode()
             self.send_response(200)
@@ -280,6 +286,13 @@ class TestRemote:
         gen = RemoteGenerator(stub_server.url, timeout=5.0, retries=0)
         with pytest.raises(RemoteError):
             gen.generate(["a"])
+
+    def test_deeply_nested_body_is_malformed(self, stub_server):
+        stub_server.script[:] = ["deep"]
+        gen = RemoteGenerator(stub_server.url, timeout=5.0, retries=0)
+        with pytest.raises(RemoteError, match="malformed body"):
+            gen.generate(["a"])
+        assert len(stub_server.requests) == 1
 
     def test_wrong_output_count(self, stub_server):
         stub_server.script[:] = ["short"]

@@ -3,7 +3,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gandr import retrieval
@@ -299,11 +299,14 @@ class TestTopK:
 
 # Above the size from which selection prefilters its candidates: a few
 # colours tie in large groups, tags narrow a query's head, and three parses
-# make the output channel tie almost everywhere.
+# make the output channel tie almost everywhere. One exemplar in ten has
+# one of forty rare templates that share no label, so a preliminary of one
+# of them bounds the head to its members.
 _BIG_COLOURS = ("red", "blue", "green", "gold")
 _BIG_TAGS = tuple(f"tag{i}" for i in range(300))
 _BIG_PARSES = ("[IN:PAINT [SL:COLOUR x ] ]", "[IN:PAINT ]",
                "[IN:SHOW [SL:TAG y ] [SL:COLOUR x ] ]")
+_RARE_PRELIMINARY = "[IN:FIND7 [SL:TAG7 y ] ]"
 
 
 @pytest.fixture(scope="module")
@@ -318,24 +321,27 @@ def big_corpus():
         if i >= n - 3:
             # past the grid of column maxima: the head of "violet tag7"
             words = ["violet", "tag7", "red"]
+        parse = str(rng.choice(_BIG_PARSES))
+        if rng.random() < 0.1:
+            rare = int(rng.integers(40))
+            parse = f"[IN:FIND{rare} [SL:TAG{rare} y ] ]"
         # odd ids, so the even ones lie between the store's ids
-        corpus.append(Exemplar(2 * i + 1, " ".join(words),
-                               str(rng.choice(_BIG_PARSES))))
+        corpus.append(Exemplar(2 * i + 1, " ".join(words), parse))
     return corpus, build_store(corpus)
 
 
 @pytest.fixture
 def prefilter_spy(monkeypatch):
-    """How often selection took the prefiltered path and how often not."""
-    taken = {True: 0, False: 0}
-    reaching = retrieval._reaching
+    """How often each prefilter narrowed the candidates and how often
+    not: ``"grid"`` counts ``_reaching``, ``"bound"`` ``_template_reach``."""
+    taken = {"grid": {True: 0, False: 0}, "bound": {True: 0, False: 0}}
+    for name, attr in (("grid", "_reaching"), ("bound", "_template_reach")):
+        def spy(*args, _prefilter=getattr(retrieval, attr), _taken=taken[name]):
+            candidates = _prefilter(*args)
+            _taken[candidates is not None] += 1
+            return candidates
 
-    def spy(relevance, need):
-        candidates = reaching(relevance, need)
-        taken[candidates is not None] += 1
-        return candidates
-
-    monkeypatch.setattr(retrieval, "_reaching", spy)
+        monkeypatch.setattr(retrieval, attr, spy)
     return taken
 
 
@@ -343,9 +349,10 @@ class TestOracleEquivalence:
     def test_against_brute_force_above_the_prefilter_size(self, big_corpus,
                                                           prefilter_spy):
         corpus, store = big_corpus
-        query, preliminary = "tag7 red", "[IN:SHOW [SL:TAG y ] ]"
+        query, preliminary = "tag7 red blue", _RARE_PRELIMINARY
         exclude = {corpus[3].exemplar_id, 0, -5}
-        for alpha in (0.0, 0.5):
+        # the grid narrows the head at alpha 0, the template bound at 0.5
+        for alpha, grid, bound in ((0.0, 1, 0), (0.5, 1, 1)):
             expected = [r for r in brute_force_ranking(
                 corpus, query, alpha, preliminary) if r[0] not in exclude]
             hits = retrieve_topk(store, query, 10, alpha=alpha,
@@ -353,7 +360,8 @@ class TestOracleEquivalence:
             assert [(h.exemplar_id, h.relevance, h.input_sim, h.output_sim,
                      h.rank) for h in hits] == \
                 [(*r, rank) for rank, r in enumerate(expected[:10])]
-        assert prefilter_spy[True] == 2
+            assert prefilter_spy["grid"][True] == grid
+            assert prefilter_spy["bound"][True] == bound
 
     @pytest.mark.parametrize("alpha", [0.0, 0.25, 0.5, 0.75, 1.0])
     def test_against_brute_force(self, alpha):
@@ -604,7 +612,9 @@ class TestPrefilteredSelection:
         rng = np.random.default_rng(3)
         for query in self.QUERIES:
             for preliminary, alphas in (("[IN:SHOW [SL:TAG y ] ]",
-                                         self.ALPHAS), (None, [0.0])):
+                                         self.ALPHAS),
+                                        (_RARE_PRELIMINARY, self.ALPHAS),
+                                        (None, [0.0])):
                 orders = [self.full_order(store, query, preliminary, alpha)
                           for alpha in alphas]
                 for k in (1, 2, 3, 5, 17, 64, columns - 3, columns,
@@ -623,9 +633,141 @@ class TestPrefilteredSelection:
                             assert [(h.exemplar_id, h.relevance, h.input_sim,
                                      h.output_sim, h.rank) for h in hits] == \
                                 [(*r, rank) for rank, r in enumerate(kept[:k])]
-        # both paths ran: narrow heads prefilter; broad ties, the all-zero
-        # query and k past the column count order every candidate
-        assert prefilter_spy[True] > 0 and prefilter_spy[False] > 0
+        # each prefilter narrowed some heads and not others: broad ties,
+        # the all-zero query and k past the column count defeat the grid;
+        # alpha 0 and the common templates defeat the template bound
+        for taken in prefilter_spy.values():
+            assert taken[True] > 0 and taken[False] > 0
+
+
+def as_bits(hits):
+    """Hits as rows whose floats compare bit for bit."""
+    return [(h.exemplar_id, h.relevance.hex(), h.input_sim.hex(),
+             h.output_sim.hex(), h.rank) for h in hits]
+
+
+# templates that share some labels and not others
+_BOUND_PARSES = tuple(
+    " ".join([f"[{intent}", *(f"[{slot} v ]" for slot in slots), "]"])
+    for intent in ("IN:A", "IN:B", "IN:C")
+    for slots in ((), ("SL:X",), ("SL:Y",), ("SL:X", "SL:Y"), ("SL:Z",)))
+
+
+@st.composite
+def bound_cases(draw):
+    """A store whose utterances tie in large groups, over one common
+    template and a few rare ones with ids interleaved, a query (``zzz``
+    matches nothing), a preliminary (``IN:UNSEEN`` shares no label), up
+    to three alphas, exclusions of ids the store holds and lacks, k
+    (mostly below 5, so the bound can narrow the head), and a seed for
+    ``retrieve_sampled``."""
+    parses = draw(st.lists(st.sampled_from(_BOUND_PARSES), min_size=1,
+                           max_size=12, unique=True))
+    sizes = [draw(st.integers(12, 60) | st.integers(1, 11))] + \
+        [draw(st.integers(1, 4)) for _ in parses[1:]]
+    by_id = draw(st.permutations(
+        [parse for parse, size in zip(parses, sizes) for _ in range(size)]))
+    exemplars = [Exemplar(2 * i + 1, draw(st.sampled_from(_TIE_WORDS)), parse)
+                 for i, parse in enumerate(by_id)]
+    query = draw(st.sampled_from(("zzz",) + _TIE_WORDS))
+    preliminary = draw(st.sampled_from(
+        [*parses[1:], "[IN:UNSEEN x ]", "[IN:A [SL:Z v ] [SL:X v ] ]",
+         parses[0]]))
+    alphas = draw(st.lists(st.sampled_from([1.0, 0.75, 0.5, 0.25, 0.0]),
+                           min_size=1, max_size=3))
+    ids = [e.exemplar_id for e in exemplars]
+    exclude = draw(st.sets(st.sampled_from(ids + [0, 2, -3, 10**12]),
+                           max_size=4))
+    available = len(ids) - len(exclude & set(ids))
+    assume(available > 0)
+    k = draw(st.integers(1, min(available, 4)) | st.integers(1, available))
+    return (exemplars, query, preliminary, alphas, exclude, k,
+            draw(st.integers(0, 2**32 - 1)))
+
+
+class TestTemplateBound:
+    """Selection through the template bound, bit for bit against the dense
+    ``_mix`` and ``_candidate_order`` over the whole store. The stores are
+    small, so ``_PREFILTER_MIN_STORE`` is lowered for the bound to apply."""
+
+    @staticmethod
+    def dense(store, query, preliminary, alpha, exclude, depth):
+        in_sims, out_sims = store.similarities(query, preliminary)
+        ids, template_of = store._ids, store._template_of
+        relevance = retrieval._mix(in_sims, out_sims, template_of, alpha)
+        head = retrieval._candidate_order(ids, relevance, exclude, depth)
+        return [(int(ids[i]), float(relevance[i]).hex(),
+                 float(in_sims[i]).hex(),
+                 float(out_sims[template_of[i]]).hex(), rank)
+                for rank, i in enumerate(head)]
+
+    def check(self, exemplars, query, preliminary, alphas, exclude, k, seed):
+        """Compare both selectors; return the path each alpha took."""
+        store = build_store(exemplars)
+        store.build()
+        available = len(store) - sum(i in store for i in exclude)
+        full = [self.dense(store, query, preliminary, alpha, exclude,
+                           available) for alpha in alphas]
+        paths = []
+        reach = retrieval._template_reach
+
+        def spy(*args):
+            members = reach(*args)
+            paths.append("dense" if members is None else "bounded")
+            return members
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(retrieval, "_PREFILTER_MIN_STORE", 1)
+            mp.setattr(retrieval, "_template_reach", spy)
+            got = retrieve_topk_alphas(store, query, k, alphas, preliminary,
+                                       exclude)
+            assert [as_bits(hits) for hits in got] == \
+                [order[:k] for order in full]
+            # a small p sends draws deep into the ordering
+            picks = sample_geometric_ranks(available, k, 0.1,
+                                           np.random.default_rng(seed))
+            sampled = retrieve_sampled(store, query, k, 0.1,
+                                       np.random.default_rng(seed), alphas[-1],
+                                       preliminary, exclude)
+            assert as_bits(sampled) == [full[-1][rank] for rank in picks]
+        return paths[:len(alphas)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=bound_cases())
+    def test_matches_dense_selection(self, case):
+        self.check(*case)
+
+    # forty exemplars: five templates with IN:A, two exemplars each, their
+    # ids interleaved and their utterances tying across templates, then
+    # thirty of IN:B. SL:X and SL:Y are equally frequent, so "[IN:A ]"
+    # ties the templates that add one of them.
+    PATH_STORE = [Exemplar(2 * i + 1, _TIE_WORDS[i % 3],
+                           _BOUND_PARSES[i % 5 if i < 10 else 5])
+                  for i in range(40)]
+
+    @pytest.mark.parametrize("query, preliminary, alpha, k, exclude, path", [
+        # only the best template reaches its own low
+        ("red", "[IN:A [SL:X v ] ]", 1.0, 2, set(), "bounded"),
+        # k deeper than the best template: the threshold is the need-th
+        # largest low, need counting k and the excluded ids the store
+        # holds; SL:X and SL:Y tie at the boundary across templates
+        ("red", "[IN:A ]", 1.0, 4, set(), "bounded"),
+        ("red", "[IN:A [SL:X v ] ]", 1.0, 3, {13, 4}, "bounded"),
+        # an all-zero input query
+        ("zzz", "[IN:A [SL:Y v ] ]", 0.75, 1, {1, 0}, "bounded"),
+        # alpha 0
+        ("red", "[IN:A [SL:X v ] ]", 0.0, 2, set(), "dense"),
+        # a preliminary sharing no label with the store: the threshold is 0
+        ("red", "[IN:UNSEEN v ]", 0.5, 2, set(), "dense"),
+        # the best template holds fewer than k, and k exceeds the templates
+        ("red", "[IN:A [SL:X v ] ]", 1.0, 7, set(), "dense"),
+        # the reached template holds more than a quarter of the store
+        ("red", "[IN:B v ]", 0.5, 2, set(), "dense"),
+    ])
+    def test_each_path_is_taken(self, query, preliminary, alpha, k, exclude,
+                                path):
+        assert self.check(self.PATH_STORE, query, preliminary, [alpha], exclude,
+                          k, 0) == [path]
 
 
 class TestAlphaZeroAliasing:

@@ -257,3 +257,16 @@ def test_fuzz_never_crashes(text):
     # the salvaging tokenizer must be total on arbitrary strings
     tokens = structure_tokens(text)
     assert all(t.startswith(("IN:", "SL:")) for t in tokens)
+
+
+def test_deep_trees_compare_and_hash():
+    """Equality and the hash walk trees of any depth parse_top builds."""
+    text = " ".join(["[IN:A"] * 3000 + ["x"] + ["]"] * 3000)
+    tree, again = parse_top(text), parse_top(text)
+    assert tree == again and hash(tree) == hash(again)
+    assert tree != parse_top(text.replace(" x ", " y "))
+    assert tree != parse_top(text.replace("[IN:A x", "[IN:B x"))
+    assert tree != parse_top(text.replace("[IN:A x", "[IN:A [SL:B x ]"))
+    # a text span never equals a node, nor a node anything but a node
+    assert ParseNode("IN:A", ("x",)) != ParseNode("IN:A", (ParseNode("x"),))
+    assert ParseNode("IN:A") != "IN:A"
