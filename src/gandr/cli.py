@@ -39,6 +39,7 @@ from .augment import check_separator_safe
 from .data_io import (
     LoadResult,
     apply_split,
+    decode_json,
     load_dataset,
     load_store,
     parse_split_spec,
@@ -115,11 +116,11 @@ SETTINGS = {
 def _load_config_file(path: str | None) -> dict:
     if path is None:
         return {}
-    with open(path, encoding="utf-8") as fh:
-        try:
-            config = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
+    try:
+        with open(path, encoding="utf-8") as fh:
+            config = decode_json(fh.read())
+    except ValueError as exc:
+        raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(config, dict):
         raise ConfigError(f"{path} must hold a JSON object")
     return config

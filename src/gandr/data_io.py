@@ -33,7 +33,7 @@ from .errors import (
     VersionMismatch,
 )
 from .pipeline import PredictionRecord, Sample, TrainingPair
-from .retrieval import Exemplar, ExemplarStore
+from .retrieval import Exemplar, ExemplarStore, collector_paused
 
 STORE_FORMAT = "gandr-store"
 STORE_VERSION = 1
@@ -82,6 +82,19 @@ def numbered_lines(path: str | Path) -> Iterator[tuple[int, bytes]]:
             for raw in chunk.splitlines(keepends=True):
                 lineno += 1
                 yield lineno, raw
+
+
+def decode_json(text: str):
+    """``json.loads``, where every decode failure is a ValueError.
+
+    json raises RecursionError for a value nested past the interpreter's
+    recursion limit, even under a key gandr ignores; every reader reports
+    that line like any other line that is not JSON.
+    """
+    try:
+        return json.loads(text)
+    except RecursionError as exc:
+        raise ValueError(f"nested too deeply: {exc}") from exc
 
 
 def _decoded_row(raw: bytes, lineno: int) -> str:
@@ -153,8 +166,8 @@ def read_jsonl(path: str | Path, strict: bool = False) -> LoadResult:
         if not line:
             return None
         try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
+            obj = decode_json(line)
+        except ValueError as exc:
             raise MalformedRow(f"not JSON: {exc}", lineno) from exc
         if not isinstance(obj, dict) or "utterance" not in obj \
                 or "parse" not in obj:
@@ -287,8 +300,18 @@ def save_store(store: ExemplarStore, path: str | Path) -> None:
     atomic_write_text(path, "\n".join([header] + rows) + "\n")
 
 
+@collector_paused()
 def load_store(path: str | Path) -> ExemplarStore:
-    """Rebuild a store from disk; indexes are refit from the rows."""
+    """Rebuild a store from disk; indexes are refit from the rows.
+
+    The cyclic garbage collector is paused while the rows load, as it is
+    while ``ExemplarStore.build`` fits the indexes: everything they make
+    outlives the load. The caller's collector state is restored on every
+    exit. Each parse is checked through its cached bracket skeleton (see
+    ``top_parse.parse_labels``), so rows of one kind share one label
+    tuple. A line that does not decode, however deeply it nests, is a
+    CorruptFile naming its line.
+    """
     # rows keep U+0085, U+2028 and the like unescaped; the lines are split
     # before decoding, so only ASCII line breaks end a row
     lines = numbered_lines(path)
@@ -296,7 +319,7 @@ def load_store(path: str | Path) -> ExemplarStore:
     if first is None:
         raise CorruptFile(f"{path}: empty store file")
     try:
-        header = json.loads(first[1].decode("utf-8"))
+        header = decode_json(first[1].decode("utf-8"))
     except ValueError as exc:
         raise CorruptFile(f"{path}: bad header line: {exc}") from exc
     if not isinstance(header, dict) or header.get("format") != STORE_FORMAT:
@@ -322,13 +345,13 @@ def load_store(path: str | Path) -> ExemplarStore:
             line = raw.decode("utf-8")
             if not line.strip():
                 continue
-            row = json.loads(line)
+            row = decode_json(line)
             exemplar = Exemplar(
                 exemplar_id=row["exemplar_id"],
                 utterance=row["utterance"], parse=row["parse"],
                 domain=row.get("domain"))
             store.add(exemplar)
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise CorruptFile(f"{path}: line {lineno}: {exc}") from exc
         count += 1
     promised = header.get("count")
@@ -351,7 +374,7 @@ def read_records(path: str | Path) -> list[PredictionRecord]:
             line = raw.decode("utf-8").strip()
             if not line:
                 continue
-            records.append(PredictionRecord.from_dict(json.loads(line)))
+            records.append(PredictionRecord.from_dict(decode_json(line)))
         except (ValueError, KeyError, TypeError) as exc:
             raise CorruptFile(f"{path}: line {lineno}: {exc}") from exc
     return records

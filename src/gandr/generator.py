@@ -25,7 +25,7 @@ from typing import Iterable, Mapping, Sequence
 import requests
 
 from .augment import EXEMPLAR_SEP
-from .data_io import numbered_lines
+from .data_io import decode_json, numbered_lines
 from .errors import (
     ConfigError,
     CorruptFile,
@@ -101,7 +101,7 @@ class ReplayGenerator(Generator):
                 line = raw.decode("utf-8").strip()
                 if not line:
                     continue
-                entry = json.loads(line)
+                entry = decode_json(line)
                 text, output = entry["input"], entry["output"]
                 if not (isinstance(text, str) and isinstance(output, str)):
                     raise TypeError("input and output must be strings")

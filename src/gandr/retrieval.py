@@ -36,8 +36,9 @@ deep as its deepest draw.
 
 from __future__ import annotations
 
+import gc
 import math
-import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Collection, Sequence
@@ -74,9 +75,10 @@ class Exemplar:
     blank, neither text field may collide with a prompt separator, and
     the parse must be well formed. Otherwise it raises MalformedRow
     (SeparatorCollision for a separator) or MalformedParse. The parse is
-    scanned once by ``parse_labels``, and no tree is built; its labels, in
-    document order and interned, are kept as ``labels`` for the output
-    channel and template matching.
+    checked once by ``parse_labels``, and no tree is built; the tuple of
+    labels it returns, in document order and interned, is kept as
+    ``labels`` for the output channel and template matching. Exemplars
+    whose parses share a bracket skeleton share that tuple.
     """
 
     exemplar_id: int
@@ -101,8 +103,7 @@ class Exemplar:
             raise MalformedRow("empty utterance")
         check_separator_safe(self.utterance)
         check_separator_safe(self.parse)
-        labels = parse_labels(self.parse)
-        object.__setattr__(self, "labels", tuple(map(sys.intern, labels)))
+        object.__setattr__(self, "labels", parse_labels(self.parse))
 
 
 @dataclass(frozen=True)
@@ -114,6 +115,25 @@ class ScoredExemplar:
     input_sim: float
     output_sim: float
     rank: int
+
+
+@contextmanager
+def collector_paused():
+    """Run the body with the cyclic garbage collector off.
+
+    Loading and fitting a store allocate objects that all outlive the
+    command, so collections during them find nothing to free, yet each
+    full one walks the whole store. The caller's state is restored on
+    every exit, errors included: a collector that was off stays off. It
+    also decorates a function.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def validate_alpha(alpha: float) -> float:
@@ -183,8 +203,10 @@ class ExemplarStore:
         """All exemplars in ascending id order."""
         return [self._exemplars[i] for i in sorted(self._exemplars)]
 
+    @collector_paused()
     def build(self) -> None:
-        """Fit both channels now. Implicit on first retrieval."""
+        """Fit both channels now, with the collector paused. Implicit on
+        first retrieval."""
         if not self._exemplars:
             raise EmptyCorpus("store has no exemplars")
         ordered = self.exemplars

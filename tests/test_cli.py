@@ -988,6 +988,22 @@ class TestConfigResolution:
         assert code == 2
         assert "JSON object" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("content, reason", [
+        (b'{"k": 2, "x": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+         "nested too deeply"),
+        (b'{"k": 2, "x": "\xff"}', "'utf-8' codec can't decode byte 0xff"),
+    ], ids=["deeply-nested", "not-utf-8"])
+    def test_undecodable_config_file_exits_2(self, tmp_path, store, capsys,
+                                             content, reason):
+        config = tmp_path / "config.json"
+        config.write_bytes(content)
+        code = main(["--config", str(config), "retrieve", "--store",
+                     str(store), "--query", "hello"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"error: {config} is not valid JSON: {reason}" in err
+        assert "Traceback" not in err
+
 
 BAD_REQUEST_LIMITS = [
     (["--timeout", "-5"],

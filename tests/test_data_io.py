@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import re
@@ -17,6 +18,7 @@ from gandr.data_io import (
     LoadResult,
     apply_split,
     atomic_write_text,
+    decode_json,
     load_dataset,
     load_store,
     parse_split_spec,
@@ -623,6 +625,108 @@ class TestUndecodableBytes:
                          b'{"input": "\xff", "output": "2"}\n')
         with pytest.raises(CorruptFile, match="line 2"):
             ReplayGenerator.from_path(path)
+
+
+class TestDeeplyNestedJson:
+    """A line nested past the recursion limit, even under a key gandr
+    ignores, is reported with its line like any line that is not JSON,
+    never as a RecursionError."""
+
+    DEEP = "[" * 100_000 + "]" * 100_000
+
+    def test_dataset_row_is_an_issue(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        row = json.dumps({"utterance": "hi there", "parse": GOOD_PARSE})
+        write(path, row + "\n" + row[:-1] + ', "extra": ' + self.DEEP
+              + "}\n" + row + "\n")
+        result = load_dataset(path)
+        assert [e.exemplar_id for e in result.exemplars] == [0, 1]
+        assert [i.line for i in result.issues] == [2]
+        assert result.issues[0].message.startswith(
+            "line 2: not JSON: nested too deeply")
+        with pytest.raises(MalformedRow, match="line 2: not JSON"):
+            load_dataset(path, strict=True)
+
+    def test_store_row_and_header_are_corrupt(self, tmp_path):
+        path = tmp_path / "s.store"
+        store = ExemplarStore()
+        store.add(Exemplar(0, "a b", GOOD_PARSE))
+        store.add(Exemplar(1, "c d", GOOD_PARSE))
+        save_store(store, path)
+        header, first, second = path.read_text(encoding="utf-8").splitlines()
+        write(path, "\n".join([header, first, second[:-1] + ', "extra": '
+                               + self.DEEP + "}"]) + "\n")
+        with pytest.raises(CorruptFile, match="line 3: nested too deeply"):
+            load_store(path)
+        write(path, "\n".join([header[:-1] + ', "extra": ' + self.DEEP + "}",
+                               first, second]) + "\n")
+        with pytest.raises(CorruptFile, match="bad header line: nested too"):
+            load_store(path)
+
+    def test_records_file_is_corrupt(self, tmp_path):
+        path = write(tmp_path / "r.jsonl", "\n" + self.DEEP + "\n")
+        with pytest.raises(CorruptFile, match="line 2: nested too deeply"):
+            read_records(path)
+
+    def test_replay_log_is_corrupt(self, tmp_path):
+        path = write(tmp_path / "log.jsonl",
+                     '{"input": "a", "output": "1"}\n'
+                     '{"input": "b", "output": "2", "x": ' + self.DEEP + "}\n")
+        with pytest.raises(CorruptFile,
+                           match="line 2 is not a replay entry: nested too"):
+            ReplayGenerator.from_path(path)
+
+
+class TestCollectorPaused:
+    """Loading and fitting a store pause the cyclic garbage collector and
+    leave it as they found it, on errors too."""
+
+    def store_file(self, tmp_path, broken_row=False):
+        store = ExemplarStore()
+        for i in range(3):
+            store.add(Exemplar(i, f"row {i}", GOOD_PARSE))
+        path = tmp_path / "s.store"
+        save_store(store, path)
+        if broken_row:
+            lines = path.read_text(encoding="utf-8").splitlines()
+            lines[2] = "{broken"
+            write(path, "\n".join(lines) + "\n")
+        return path
+
+    @pytest.fixture
+    def seen(self, monkeypatch):
+        """The collector's state at each line decoded."""
+        states = []
+
+        def spy(text):
+            states.append(gc.isenabled())
+            return decode_json(text)
+
+        monkeypatch.setattr("gandr.data_io.decode_json", spy)
+        return states
+
+    def test_corrupt_file_mid_load_restores_the_collector(self, tmp_path,
+                                                           seen):
+        path = self.store_file(tmp_path, broken_row=True)
+        assert gc.isenabled()
+        with pytest.raises(CorruptFile, match="line 3"):
+            load_store(path)
+        assert gc.isenabled()
+        assert seen == [False, False, False]
+
+    def test_a_collector_turned_off_stays_off(self, tmp_path):
+        path = self.store_file(tmp_path)
+        gc.disable()
+        try:
+            store = load_store(path)
+            assert not gc.isenabled()
+            store.build()
+            assert not gc.isenabled()
+            with pytest.raises(CorruptFile):
+                load_store(self.store_file(tmp_path, broken_row=True))
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
 
 
 def test_write_training_pairs_is_replay_compatible(tmp_path):

@@ -1,3 +1,4 @@
+import gc
 import math
 import sys
 
@@ -177,6 +178,30 @@ class TestStore:
         assert tiny_store._ids.tolist() == fresh._ids.tolist()
         for channel, expected in zip(tiny_store._channels, fresh._channels):
             assert_same_channel(channel, expected)
+
+    def test_failing_build_restores_the_collector(self, tiny_store,
+                                                  monkeypatch):
+        seen = []
+
+        def failing(text):
+            seen.append(gc.isenabled())
+            raise RuntimeError("tokenizer failed")
+
+        monkeypatch.setattr(retrieval, "tokenize_text", failing)
+        assert gc.isenabled()
+        with pytest.raises(RuntimeError, match="tokenizer failed"):
+            tiny_store.build()
+        assert seen == [False] and gc.isenabled()
+        with pytest.raises(EmptyCorpus):
+            ExemplarStore().build()
+        assert gc.isenabled()
+        gc.disable()
+        try:
+            with pytest.raises(RuntimeError):
+                tiny_store.build()
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
 
     def test_mutation_after_build_is_visible(self):
         store = build_store([Exemplar(0, "alpha beta", "[IN:A x ]")])

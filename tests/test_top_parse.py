@@ -1,8 +1,13 @@
+import pickle
+import re
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gandr import top_parse
 from gandr.errors import MalformedParse
 from gandr.top_parse import (
     ParseNode,
@@ -134,11 +139,116 @@ def test_one_grammar_for_tree_and_labels():
             return
         reached.add(None)
         labels = parse_labels(text)
-        assert labels == _labels_by_walk(tree, [])
-        assert structure_tokens(text) == labels
+        assert list(labels) == _labels_by_walk(tree, [])
+        assert structure_tokens(text) == list(labels)
 
     same_grammar()
     assert reached == {None, *_GRAMMAR_MESSAGES}
+
+
+# whitespace that str.strip and the scan both skip, beyond the ASCII kind
+_SKELETON_GAPS = st.sampled_from(
+    ["", " ", "  ", "\t", "\n", "\x1c", "\x1d", "\x1e", "\x1f", "\x85",
+     "\xa0", "\u2028"])
+_SKELETON_WORDS = st.builds(
+    lambda gap, word: gap + word, _SKELETON_GAPS,
+    st.sampled_from(["play", "café", "x9", "play", "[", "]"]))
+
+
+def _skeleton_node(gap, open_gap, label, children, close):
+    return gap + "[" + open_gap + label + "".join(children) + close
+
+
+# nodes whose labels may be upper or lower case, empty or unprefixed, with
+# whitespace of every kind before and after a label, closed, closed right
+# after the last child (adjacent brackets) or not at all; the text is one
+# or more of them, so that a root, words or a node after the root, and
+# leading and trailing whitespace are all common
+_SKELETON_NODES = st.recursive(
+    _SKELETON_WORDS,
+    lambda inner: st.builds(
+        _skeleton_node, _SKELETON_GAPS, st.sampled_from(["", "", " ", "\u2028"]),
+        st.sampled_from(["IN:A", "in:b", "SL:X", "sl:y", "IN:", "SL:",
+                         "XX:Z", ""]),
+        st.lists(inner, max_size=3), st.sampled_from([" ]", "]", "\x85]", ""])),
+    max_leaves=8)
+_SKELETON_TEXT = st.one_of(
+    st.builds(lambda nodes, gap: "".join(nodes) + gap,
+              st.lists(_SKELETON_NODES, min_size=1, max_size=3),
+              _SKELETON_GAPS),
+    st.text(alphabet="[] \x1c\x85\xa0\u2028INSL:abx", max_size=30))
+
+
+def _outcome(parse, text):
+    try:
+        return list(parse(text))
+    except MalformedParse as exc:
+        return str(exc)
+
+
+def test_skeleton_cache_agrees_with_the_scan():
+    """parse_labels, cold and then from its skeleton cache, gives what the
+    uncached scan gives on the text itself: the same labels, or the same
+    MalformedParse message. Labels it returns are interned, and a second
+    call returns the very tuple of the first."""
+    top_parse._skeleton_labels.cache_clear()
+    reached = set()
+
+    @settings(max_examples=1500, deadline=None, derandomize=True)
+    @given(_SKELETON_TEXT)
+    def same_verdict(text):
+        want = _outcome(top_parse._scan_labels, text)
+        assert _outcome(parse_labels, text) == want
+        assert _outcome(parse_labels, text) == want
+        if isinstance(want, str):
+            reached.add("rejected")
+            return
+        reached.add("whitespace after '['" if re.search(r"\[\s", text)
+                    else "parsed")
+        labels = parse_labels(text)
+        assert labels is parse_labels(text)
+        assert all(label is sys.intern(label) for label in labels)
+
+    same_verdict()
+    assert reached == {"rejected", "parsed", "whitespace after '['"}
+    assert top_parse._skeleton_labels.cache_info().hits > 0
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[IN:A ] x [IN:B ]", "text outside brackets: 'x'"),
+    ("[IN:A x ] y ]", "text outside brackets: 'y'"),
+    ("x [IN:A ]", "text outside brackets: 'x'"),
+    ("[IN:A ] x", "text outside brackets: 'x'"),
+    ("\u2028[IN:A [ ] ]\x1c", "missing label after '['"),
+])
+def test_skeleton_rejects_keep_the_texts_message(text, message):
+    for _ in range(2):
+        with pytest.raises(MalformedParse) as exc:
+            parse_labels(text)
+        assert str(exc.value) == message
+
+
+def test_only_accepted_row_skeletons_are_cached():
+    """A rejected skeleton leaves the cache as it was, and so do parse_top
+    and structure_tokens, which see model predictions."""
+    top_parse._skeleton_labels.cache_clear()
+    with pytest.raises(MalformedParse):
+        parse_labels("[IN:A [ ] ]")
+    assert top_parse._skeleton_labels.cache_info().currsize == 0
+    assert structure_tokens("[IN:A [SL:B x ] ]") == ["IN:A", "SL:B"]
+    assert structure_tokens("[IN:A [SL:B x ]") == ["IN:A", "SL:B"]
+    parse_top("[IN:C [SL:D y ] ]")
+    assert top_parse._skeleton_labels.cache_info().currsize == 0
+    parse_labels("[IN:A [SL:B x ] ]")
+    assert top_parse._skeleton_labels.cache_info().currsize == 1
+
+
+def test_one_skeleton_one_label_tuple():
+    """Parses that differ only in their words share one label tuple."""
+    first = parse_labels("[IN:PLAY [SL:SONG jazz ] now ]")
+    assert parse_labels(" [IN:PLAY  [SL:SONG blues please ]]\n") is first
+    assert first == ("IN:PLAY", "SL:SONG")
+    assert structure_tokens("[IN:PLAY [SL:SONG x ] ]") == ["IN:PLAY", "SL:SONG"]
 
 
 def _text_spans(node, out):
@@ -270,3 +380,27 @@ def test_deep_trees_compare_and_hash():
     # a text span never equals a node, nor a node anything but a node
     assert ParseNode("IN:A", ("x",)) != ParseNode("IN:A", (ParseNode("x"),))
     assert ParseNode("IN:A") != "IN:A"
+
+
+def test_deep_trees_repr_and_pickle():
+    """repr and pickle walk trees of any depth parse_top builds, and
+    pickle round-trips any tree, hand-built ones included."""
+    text = " ".join(["[IN:A"] * 3000 + ["x"] + ["]"] * 3000)
+    tree = parse_top(text)
+    assert repr(tree) == "ParseNode(label='IN:A', children=(" * 3000 \
+        + "'x',)" + "),)" * 2999 + ")"
+    assert pickle.loads(pickle.dumps(tree)) == tree
+    hand_built = [
+        ParseNode("x"),
+        ParseNode("IN:A", ("", ParseNode("y"), "two  words", ParseNode("z"))),
+        ParseNode("IN:A", (ParseNode("SL:B", (ParseNode("IN:C"), "w")),
+                           ParseNode("SL:D", ("v",)))),
+    ]
+    for node in hand_built:
+        again = pickle.loads(pickle.dumps(node))
+        assert again == node and serialize(again) == serialize(node)
+    # the dataclass form, byte for byte
+    assert repr(hand_built[1]) == (
+        "ParseNode(label='IN:A', children=('', ParseNode(label='y', "
+        "children=()), 'two  words', ParseNode(label='z', children=())))")
+    assert repr(hand_built[0]) == "ParseNode(label='x', children=())"
