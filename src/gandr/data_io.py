@@ -104,11 +104,13 @@ def _decoded_row(raw: bytes, lineno: int) -> str:
         raise MalformedRow(f"not UTF-8: {exc}", lineno) from exc
 
 
-def _exemplar(exemplar_id: int, utterance, parse, domain: str | None,
+def _exemplar(exemplar_id: int, utterance, parse, domain,
               line: int) -> Exemplar:
-    """The row as an exemplar; the type's error gains the line number."""
+    """The row as an exemplar; the type's error gains the line number. An
+    empty domain is no domain; any other value goes to the type's check."""
     try:
-        return Exemplar(exemplar_id, utterance, parse, domain or None)
+        return Exemplar(exemplar_id, utterance, parse,
+                        None if domain == "" else domain)
     except MalformedParse as exc:
         raise MalformedRow(f"bad parse: {exc}", line) from exc
     except MalformedRow as exc:
@@ -173,9 +175,7 @@ def read_jsonl(path: str | Path, strict: bool = False) -> LoadResult:
                 or "parse" not in obj:
             raise MalformedRow(
                 "object needs 'utterance' and 'parse' keys", lineno)
-        domain = obj.get("domain")
-        return obj["utterance"], obj["parse"], \
-            (str(domain) if domain is not None else None)
+        return obj["utterance"], obj["parse"], obj.get("domain")
 
     return _load(path, parse_line, skip_first=False, strict=strict)
 

@@ -24,7 +24,7 @@ from .pipeline import (
     run_pipeline,
     run_pipeline_alphas,
 )
-from .retrieval import ExemplarStore, _check_k, validate_k
+from .retrieval import ExemplarStore, _check_k, validate_alpha, validate_k
 from .top_parse import parse_labels, template
 
 
@@ -166,8 +166,9 @@ def run_sweep(store: ExemplarStore, samples: Sequence[Sample],
     """Score the pipeline at each axis value for each seed; one row per
     (value, seed), values outer.
 
-    The axis value overrides alpha or k in the base config; every value,
-    and every k against the store, is checked before any sample runs.
+    The axis value overrides alpha or k in the base config; every value
+    is checked as given, by the rule for alpha or k, and every k against
+    the store, before any sample runs.
     The seed subsamples the evaluation set when ``sample_fraction`` is
     given; otherwise the seed is a row label only. The pipeline runs over
     the union of the seeds' subsets, once through ``run_pipeline_alphas``
@@ -182,8 +183,10 @@ def run_sweep(store: ExemplarStore, samples: Sequence[Sample],
     validate_recall_k(recall_k)
     validate_sample_fraction(sample_fraction)
     if axis is SweepAxis.K:
-        ks = [validate_k(int(v)) for v in values]
+        ks = [validate_k(v) for v in values]
         _check_k(max(ks), store, ())
+    else:
+        alphas = [validate_alpha(v) for v in values]
     positions = range(len(samples))
     subsets = [positions if sample_fraction is None
                else apply_split(positions, Fraction(sample_fraction), seed)
@@ -193,8 +196,7 @@ def run_sweep(store: ExemplarStore, samples: Sequence[Sample],
     chosen = [samples[i] for i in union]
     if axis is SweepAxis.ALPHA:
         runs = run_pipeline_alphas(store, chosen, preliminary_generator,
-                                   final_generator, base_config,
-                                   [float(v) for v in values])
+                                   final_generator, base_config, alphas)
     else:
         by_k = {k: run_pipeline(store, chosen, preliminary_generator,
                                 final_generator, replace(base_config, k=k))

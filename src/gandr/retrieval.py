@@ -228,8 +228,8 @@ class ExemplarStore:
         self._by_template = np.argsort(self._template_of, kind="stable")
         self._template_starts = np.concatenate(([0], np.cumsum(counts)))
         inputs, outputs = TfidfVectorizer(), TfidfVectorizer()
-        inputs.fit_transform([tokenize_text(e.utterance) for e in ordered])
-        outputs.fit_transform(list(templates), counts)
+        inputs.fit_transform(tokenize_text(e.utterance) for e in ordered)
+        outputs.fit_transform(templates, counts)
         self._channels = (inputs, outputs)
         self._dirty = False
 

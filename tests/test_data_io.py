@@ -148,6 +148,31 @@ class TestReadJsonl:
                            match="line 1: utterance must be a string"):
             read_jsonl(path, strict=True)
 
+    @pytest.mark.parametrize("domain, kind", [
+        (5, "int"), (0, "int"), (2.5, "float"), (float("nan"), "float"),
+        (True, "bool"), (False, "bool"), (["weather"], "list"),
+        ({"a": 1}, "dict")])
+    def test_domain_that_is_not_a_string_is_an_issue(self, tmp_path,
+                                                      domain, kind):
+        # the store's rule: a bad row, not the text "5", "nan" or "{'a': 1}"
+        rows = [{"utterance": "hi", "parse": GOOD_PARSE, "domain": domain},
+                {"utterance": "ok", "parse": GOOD_PARSE, "domain": "weather"}]
+        path = write(tmp_path / "d.jsonl",
+                     "".join(json.dumps(r) + "\n" for r in rows))
+        result = read_jsonl(path)
+        assert [e.utterance for e in result.exemplars] == ["ok"]
+        message = f"line 1: domain must be a string or null, got {kind}"
+        assert [(i.line, i.message) for i in result.issues] == [(1, message)]
+        with pytest.raises(MalformedRow, match=re.escape(message)):
+            read_jsonl(path, strict=True)
+
+    def test_empty_or_null_domain_is_no_domain(self, tmp_path):
+        rows = [{"utterance": "a", "parse": GOOD_PARSE, "domain": ""},
+                {"utterance": "b", "parse": GOOD_PARSE, "domain": None}]
+        path = write(tmp_path / "d.jsonl",
+                     "".join(json.dumps(r) + "\n" for r in rows))
+        assert [e.domain for e in read_jsonl(path).exemplars] == [None, None]
+
 
 class TestLoadDataset:
     def test_dispatch_by_extension(self, tmp_path):

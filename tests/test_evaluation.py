@@ -4,7 +4,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import make_random_corpus, random_parse, random_utterance
+from conftest import (
+    TRACE_GOLD,
+    TRACE_QUERY,
+    make_random_corpus,
+    random_parse,
+    random_utterance,
+)
 from gandr import evaluation, retrieval
 from gandr.augment import AugmentedInput
 from gandr.data_io import Fraction, apply_split
@@ -284,6 +290,37 @@ class TestSweep:
             self.run(trace_store, SweepAxis.ALPHA, [0.0], [0],
                      sample_fraction=fraction)
         assert str(caught.value) == message
+
+    @pytest.mark.parametrize("axis, value, message", [
+        (SweepAxis.K, 2.5, "k must be a positive integer, got 2.5"),
+        (SweepAxis.K, True, "k must be a positive integer, got True"),
+        (SweepAxis.K, "3", "k must be a positive integer, got '3'"),
+        (SweepAxis.K, np.int64(3),
+         "k must be a positive integer, got np.int64(3)"),
+        (SweepAxis.ALPHA, True, "alpha must be a number, got True"),
+        (SweepAxis.ALPHA, "0.5", "alpha must be a number, got '0.5'"),
+    ])
+    def test_axis_values_checked_as_given(self, trace_store, axis, value,
+                                          message):
+        """A value is checked as given, not converted first, and before
+        any sample runs."""
+        class Counting(StaticGenerator):
+            def generate(self, inputs):
+                calls.append(len(inputs))
+                return super().generate(inputs)
+
+        calls = []
+        endpoint = Counting(TRACE_GOLD)
+        samples = [Sample(0, TRACE_QUERY, gold=TRACE_GOLD)]
+        with pytest.raises(ConfigError) as caught:
+            run_sweep(trace_store, samples, endpoint, endpoint,
+                      PipelineConfig(k=2), axis, [1, value], [0])
+        assert str(caught.value) == message
+        assert calls == []
+
+    def test_numpy_float_alpha_runs(self, trace_store):
+        rows = self.run(trace_store, SweepAxis.ALPHA, [np.float64(0.5)], [0])
+        assert [r.value for r in rows] == [0.5]
 
     def test_empty_grid_rejected(self, trace_store):
         with pytest.raises(ConfigError):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gandr import _kernels
+from gandr import _kernels, tfidf
 from gandr.retrieval import Exemplar
 from gandr.tfidf import TfidfVectorizer, tokenize_text
 
@@ -127,6 +127,43 @@ def test_batched_fit_equals_per_document_transform(docs):
     assert fit_weights is channel.weights
 
 
+def fitted_bytes(docs, multiplicities=None):
+    channel = TfidfVectorizer()
+    channel.fit_transform(docs, multiplicities)
+    return (list(channel.vocabulary_.items()), channel.idf_.tobytes(),
+            channel.indptr.tobytes(), channel.doc_ids.tobytes(),
+            channel.weights.tobytes(), channel.n_docs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(docs=_docs, data=st.data())
+@example(docs=[[], []], data=None)
+def test_fit_reads_any_iterable_once(docs, data):
+    """A fit over a one-pass iterator of documents, each itself a one-pass
+    iterator, equals the fit over the lists byte for byte, with and
+    without multiplicities."""
+    multiplicities = np.arange(1, len(docs) + 1, dtype=np.int64)
+    if data is not None:
+        multiplicities = np.array(data.draw(st.lists(
+            st.integers(1, 6), min_size=len(docs), max_size=len(docs))),
+            dtype=np.int64)
+    for counts in (None, multiplicities):
+        expected = fitted_bytes(docs, counts)
+        assert fitted_bytes(iter(docs), counts) == expected
+        assert fitted_bytes((iter(tokens) for tokens in docs),
+                            counts) == expected
+
+
+def test_fit_across_id_chunks_is_the_same_fit(monkeypatch):
+    """Term ids move from a list into int64 chunks as they are read; a
+    chunk boundary inside or between documents changes no byte."""
+    docs = [tokenize_text(e.utterance)
+            for e in make_random_corpus(np.random.default_rng(7), 200)]
+    expected = fitted_bytes(docs)
+    monkeypatch.setattr(tfidf, "_ID_CHUNK", 5)
+    assert fitted_bytes(iter(docs)) == expected
+
+
 def test_long_document_norm_is_summed_in_term_order():
     """A document of 48 distinct terms with varied idf, where pairwise
     summation gives other bits than adding in term order, still fits to
@@ -158,4 +195,11 @@ def test_index_over_only_empty_documents():
     channel = fit_channel([[], []])
     assert channel.indptr.tolist() == [0]
     assert channel.scores(["anything"]).tolist() == [0.0, 0.0]
+    assert channel.vocabulary_ == {}
+    assert channel.n_docs == 2
+    for name, dtype in (("idf_", np.float64), ("indptr", np.int64),
+                        ("doc_ids", np.int64), ("weights", np.float64)):
+        assert getattr(channel, name).dtype == dtype
+    assert channel.idf_.size == channel.doc_ids.size == \
+        channel.weights.size == 0
 

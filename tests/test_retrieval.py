@@ -1,6 +1,7 @@
 import gc
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -161,6 +162,25 @@ class TestStore:
         assert outputs.n_docs < len(store)
         assert dense_rows(outputs)[store._template_of].tobytes() == \
             dense_rows(reparsed).tobytes()
+
+    def test_build_peak_memory_stays_near_what_it_keeps(self):
+        """The input channel's fit reads each utterance's tokens once and
+        drops them, so the build's traced peak above its starting memory
+        stays within 4x the postings both channels keep (about 9x when
+        every token list was held until the fit ended)."""
+        store = build_store(
+            make_random_corpus(np.random.default_rng(0), 5000))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            store.build()
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        kept = sum(array.nbytes for channel in store._channels
+                   for array in (channel.indptr, channel.doc_ids,
+                                 channel.weights))
+        assert peak <= 4 * kept, (peak, kept)
 
     def test_rejected_add_keeps_no_labels(self, tiny_store):
         fresh = build_store(tiny_store.exemplars)

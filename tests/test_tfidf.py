@@ -105,6 +105,13 @@ def test_fit_empty_corpus_raises():
         TfidfVectorizer().fit_transform([])
 
 
+@pytest.mark.parametrize("docs", [iter([]), (d for d in [])])
+def test_fit_empty_iterator_raises(docs):
+    with pytest.raises(EmptyCorpus) as caught:
+        TfidfVectorizer().fit_transform(docs)
+    assert str(caught.value) == "cannot fit a vectorizer on zero documents"
+
+
 def test_vocabulary_independent_of_document_order():
     a, b = TfidfVectorizer(), TfidfVectorizer()
     a.fit_transform(CORPUS)
