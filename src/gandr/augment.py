@@ -11,7 +11,10 @@ space the join puts beside it (``"play it ||"``, ``"& co"``), which
 :func:`check_separator_safe` enforces, so the format parses back
 unambiguously. Exemplar fields are checked once, when the
 :class:`~gandr.retrieval.Exemplar` is constructed, so
-:func:`build_augmented_input` checks only the query.
+:func:`build_augmented_input` checks only the query. Each exemplar's
+pair text and its cost in tokens are derived once, on its first prompt,
+so a prompt adds the cached costs and joins the cached texts
+(``Exemplar._prompt_pair``).
 """
 
 from __future__ import annotations
@@ -48,8 +51,11 @@ def check_separator_safe(text: str) -> None:
                 f"field contains the separator {sep!r}: {text!r}")
 
 
-def _token_count(text: str) -> int:
-    return len(text.split())
+def _prompt_pair(utterance: str, parse: str) -> tuple[str, int]:
+    """An exemplar's part of a prompt and its cost in tokens: "&" and the
+    "||" before it are whitespace-delimited, one token each."""
+    return (utterance + PAIR_SEP + parse,
+            2 + len(utterance.split()) + len(parse.split()))
 
 
 def build_augmented_input(query: str, exemplars: Sequence[Exemplar],
@@ -62,7 +68,7 @@ def build_augmented_input(query: str, exemplars: Sequence[Exemplar],
     the budget raises QueryExceedsBudget.
     """
     check_separator_safe(query)
-    used = _token_count(query)
+    used = len(query.split())
     if budget is not None and used > budget:
         raise QueryExceedsBudget(
             f"query is {used} tokens, budget is {budget}")
@@ -71,12 +77,11 @@ def build_augmented_input(query: str, exemplars: Sequence[Exemplar],
     ids: list[int] = []
     truncated = False
     for exemplar in exemplars:
-        # "||" and "&" are whitespace-delimited, so each costs one token
-        cost = 2 + _token_count(exemplar.utterance) + _token_count(exemplar.parse)
+        pair, cost = exemplar._prompt_pair
         if budget is not None and used + cost > budget:
             truncated = True
             break
-        parts.append(exemplar.utterance + PAIR_SEP + exemplar.parse)
+        parts.append(pair)
         ids.append(exemplar.exemplar_id)
         used += cost
     return AugmentedInput(

@@ -50,13 +50,16 @@ def _gold_template(gold: str) -> tuple[str, ...]:
 def _template_hit(record: PredictionRecord, gold_template: tuple[str, ...],
                   store: ExemplarStore, k: int | None, multiset: bool) -> bool:
     """Did any top-k exemplar feeding the final pass match gold's template?
-    Multiset matching compares templates, set matching their label sets."""
+    Multiset matching compares templates, each exemplar's derived once;
+    set matching compares label sets."""
     hits = record.pass2_retrievals
     if hits is None:
         hits = record.pass1_retrievals
-    key = template if multiset else set
-    gold = key(gold_template)
-    return any(key(store.get(hit.exemplar_id).labels) == gold
+    if multiset:
+        return any(store.get(hit.exemplar_id)._template == gold_template
+                   for hit in hits[:k])
+    gold = set(gold_template)
+    return any(set(store.get(hit.exemplar_id).labels) == gold
                for hit in hits[:k])
 
 

@@ -18,9 +18,12 @@ postings kernel of each channel it scores (the first pass scores only
 the input channel). From 20k exemplars up, a second-pass query mixes and
 orders only the members of the templates that an exact per-template
 bound lets reach its head; elsewhere the mix is a dense pass too, and
-selection orders only the candidates its grid prefilter keeps. A second
-thread was measured slower than one at every store size from 20k to 100k
-exemplars.
+selection orders only the candidates its grid prefilter keeps. A head at
+most 12 deep is taken by ``argmin`` rounds rather than a partition. A
+prompt adds each exemplar's token cost and joins its pair text, and
+template recall compares its template; all three are derived once per
+exemplar, on first use. A second thread was measured slower than one at
+every store size from 20k to 100k exemplars.
 
 Generation runs in batches. When a batch fails and the failure policy is
 SKIP_SAMPLE, the batch is replayed item by item so one bad sample cannot

@@ -26,12 +26,14 @@ reach the head. Above alpha 0 it bounds the relevances of each template
 from its output term and the best input term, and only the members of the
 templates that can reach the head are mixed and ordered. At alpha 0, or
 where that bound does not narrow the store, the mixed scores are narrowed
-by the maxima of strided groups of them. The head is then found by a
-partition instead of a full sort. ``retrieve_topk`` is its one-alpha
-case, and both pipeline passes select through it. ``retrieve_sampled``
-draws ranks with geometrically decaying probabilities (used to diversify
-training data, not at inference) and reads them from the top-k head as
-deep as its deepest draw.
+by the maxima of strided groups of them. A head at most 12 deep (the
+default k is 4) is then taken by ``argmin`` rounds, one pass over the
+candidates per rank, and a deeper one by a partition; neither sorts the
+whole store. ``retrieve_topk`` is its one-alpha case, and both pipeline
+passes select through it. ``retrieve_sampled`` draws ranks with
+geometrically decaying probabilities (used to diversify training data,
+not at inference) and reads them from the top-k head as deep as its
+deepest draw.
 """
 
 from __future__ import annotations
@@ -40,12 +42,13 @@ import gc
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import repeat
+from functools import cached_property
+from itertools import count, repeat
 from typing import Collection, Sequence
 
 import numpy as np
 
-from .augment import check_separator_safe
+from .augment import _prompt_pair, check_separator_safe
 from .errors import (
     ConfigError,
     DuplicateId,
@@ -79,6 +82,11 @@ class Exemplar:
     labels it returns, in document order and interned, is kept as
     ``labels`` for the output channel and template matching. Exemplars
     whose parses share a bracket skeleton share that tuple.
+
+    Two facts that prompts and template recall read for every hit are
+    derived on first use and cached in the instance ``__dict__``, never at
+    load or build: ``_prompt_pair`` and ``_template``. They are not
+    fields, so equality, hashing, repr and ``asdict`` ignore them.
     """
 
     exemplar_id: int
@@ -105,6 +113,14 @@ class Exemplar:
         check_separator_safe(self.parse)
         object.__setattr__(self, "labels", parse_labels(self.parse))
 
+    @cached_property
+    def _prompt_pair(self) -> tuple[str, int]:
+        return _prompt_pair(self.utterance, self.parse)
+
+    @cached_property
+    def _template(self) -> tuple[str, ...]:
+        return template(self.labels)
+
 
 @dataclass(frozen=True)
 class ScoredExemplar:
@@ -115,6 +131,18 @@ class ScoredExemplar:
     input_sim: float
     output_sim: float
     rank: int
+
+
+def _scored(exemplar_id: int, relevance: float, input_sim: float,
+            output_sim: float, rank: int) -> ScoredExemplar:
+    """``ScoredExemplar(...)`` without the five ``object.__setattr__``
+    calls of a frozen dataclass's ``__init__``: half the cost per hit. The
+    fields go in in field order, which ``vars()`` and so the records keep.
+    """
+    hit = object.__new__(ScoredExemplar)
+    hit.__dict__.update(exemplar_id=exemplar_id, relevance=relevance,
+                        input_sim=input_sim, output_sim=output_sim, rank=rank)
+    return hit
 
 
 @contextmanager
@@ -368,6 +396,11 @@ def _template_reach(store: ExemplarStore, in_sims: np.ndarray,
     return members
 
 
+# heads at most this deep are taken by argmin rounds, deeper ones by a
+# partition (see _candidate_order)
+_ROUNDS_MAX_DEPTH = 12
+
+
 def _positions(ascending: np.ndarray, wanted: np.ndarray) -> np.ndarray:
     """Positions in ``ascending`` of the ``wanted`` values it holds.
 
@@ -404,9 +437,18 @@ def _candidate_order(ids: np.ndarray, relevance: np.ndarray,
     keep more than a quarter of them (an all-zero query at 100k orders
     in 528 µs so, in 1117 µs through the prefilter).
 
-    Only candidates strictly better than the depth-th key are sorted; the
-    tie group at that key follows in index order, which is id order, so a
-    query that scores every exemplar alike costs O(n), not a sort.
+    The head is read from keys, the negated relevances with the excluded
+    positions at +inf. A head at most _ROUNDS_MAX_DEPTH deep is taken by
+    ``argmin`` rounds, a deeper one by a partition (``_head_by_rounds``,
+    ``_head_by_partition``); both break ties by position, which is id
+    order, and neither sorts a query that scores every exemplar alike.
+    Most relevances of a small store are 0.0, and on that many ties
+    ``np.partition`` is slow. On the inputs of perfbench units and stream
+    queries (one pinned CPU of a 2-vCPU x86-64 host) rounds took a 2k
+    selection from 17 to 6.5 µs at depth 4. Each round is a pass over the
+    candidates, so the partition wins deeper down: rounds beat or tied it
+    up to depth 12 on every input measured (2k, 30k and 100k candidates),
+    and lost from depth 16 or 20 on all but all-zero arrays.
     """
     held = np.empty(0, dtype=np.int64)
     if len(exclude_ids):
@@ -418,20 +460,45 @@ def _candidate_order(ids: np.ndarray, relevance: np.ndarray,
     keys = np.negative(relevance)
     if held.shape[0]:
         keys[held] = np.inf
+    order = _head_by_rounds(keys, depth) if depth <= _ROUNDS_MAX_DEPTH \
+        else _head_by_partition(keys, ids, depth)
+    return order if candidates is None else candidates[order]
+
+
+def _head_by_rounds(keys: np.ndarray, depth: int) -> np.ndarray:
+    """Positions of the ``depth`` smallest keys, smallest first, ties by
+    position: each round takes the first smallest and overwrites it with
+    +inf, so ``keys`` must be the caller's own."""
+    order = np.empty(depth, dtype=np.int64)
+    for rank in range(depth):
+        order[rank] = best = keys.argmin()
+        keys[best] = np.inf
+    return order
+
+
+def _head_by_partition(keys: np.ndarray, ids: np.ndarray,
+                       depth: int) -> np.ndarray:
+    """Positions of the ``depth`` smallest keys, smallest first, ties by
+    ascending id: only the keys strictly below the depth-th are sorted, and
+    the ties at it follow in position order, which is id order."""
     boundary = np.partition(keys, depth - 1)[depth - 1]
     better = np.flatnonzero(keys < boundary)
     head = better[np.lexsort((ids[better], keys[better]))]
     ties = np.flatnonzero(keys == boundary)[:depth - head.shape[0]]
-    order = np.concatenate((head, ties))
-    return order if candidates is None else candidates[order]
+    return np.concatenate((head, ties))
 
 
 def _check_k(k: int, store: ExemplarStore,
              exclude_ids: Collection[int]) -> int:
-    """Build the store, then validate k against the exemplars left after
-    exclusions; returns how many are left."""
+    """Build the store, then validate k, every excluded id (by the id
+    rule, so ``True`` never stands for exemplar 1), and k against the
+    exemplars left after exclusions; returns how many are left."""
     store.ensure_built()
     validate_k(k)
+    for exemplar_id in exclude_ids:
+        if not is_int64(exemplar_id):
+            raise ConfigError(f"excluded id must be a 64-bit integer, "
+                              f"got {exemplar_id!r}")
     available = len(store) - sum(i in store for i in set(exclude_ids))
     if k > available:
         raise StoreTooSmall(
@@ -477,11 +544,9 @@ def retrieve_topk_alphas(store: ExemplarStore, query: str, k: int,
         # the hits' fields one numpy scalar at a time
         outputs = repeat(0.0) if out_sims is None \
             else out_sims[template_of[head]].tolist()
-        hits.append([ScoredExemplar(
-            exemplar_id=i, relevance=r, input_sim=s, output_sim=o, rank=rank)
-            for rank, (i, r, s, o) in enumerate(zip(
-                ids[head].tolist(), relevance[order].tolist(),
-                in_sims[head].tolist(), outputs))])
+        hits.append(list(map(_scored, ids[head].tolist(),
+                             relevance[order].tolist(),
+                             in_sims[head].tolist(), outputs, count())))
     return hits
 
 

@@ -151,3 +151,47 @@ def test_round_trip_arbitrary_fields(query, utterances, parses):
     got_query, got_pairs = split_augmented(aug.text)
     assert got_query == query
     assert got_pairs == [(e.utterance, e.parse) for e in exemplars]
+
+
+# whitespace to str.split() that a plain space split would not see
+_UNICODE_SPACES = ("\x85", "\u2028", "\u3000", "\xa0")
+
+
+def reference_prompt(query, exemplars, budget):
+    """The prompt with every field's tokens counted by its own split."""
+    used, parts, ids = len(query.split()), [query], []
+    for exemplar in exemplars:
+        cost = 2 + len(exemplar.utterance.split()) + len(exemplar.parse.split())
+        if budget is not None and used + cost > budget:
+            return EXEMPLAR_SEP.join(parts), tuple(ids), True
+        parts.append(exemplar.utterance + PAIR_SEP + exemplar.parse)
+        ids.append(exemplar.exemplar_id)
+        used += cost
+    return EXEMPLAR_SEP.join(parts), tuple(ids), False
+
+
+@pytest.mark.parametrize("space", _UNICODE_SPACES)
+def test_cached_costs_count_unicode_whitespace(space):
+    exemplars = [
+        Exemplar(1, f"play{space}some jazz", f"[IN:PLAY [SL:GENRE jazz{space}"
+                                            f"fusion ] ]"),
+        Exemplar(2, f"call{space}{space}mum", "[IN:CALL ]"),
+        Exemplar(3, f"wake me{space}at six{space}",
+                 f"[IN:ALARM{space}[SL:TIME six ] ]"),
+    ]
+    query = f"play{space}it"
+    whole = len(reference_prompt(query, exemplars, None)[0].split())
+    cuts = [len(query.split())]
+    for exemplar in exemplars:
+        cuts.append(cuts[-1] + 2 + len(exemplar.utterance.split())
+                    + len(exemplar.parse.split()))
+    assert cuts[-1] == whole
+    # twice over, so the second pass reads the costs the first cached
+    for _ in range(2):
+        for budget in sorted({b for cut in cuts for b in (cut - 1, cut,
+                                                            cut + 1)}):
+            if budget < cuts[0]:
+                continue
+            aug = build_augmented_input(query, exemplars, budget)
+            assert (aug.text, aug.exemplar_ids, aug.truncated) == \
+                reference_prompt(query, exemplars, budget)

@@ -1,5 +1,7 @@
+import dataclasses
 import gc
 import math
+import re
 import sys
 import tracemalloc
 
@@ -9,6 +11,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gandr import retrieval
+from gandr.augment import build_augmented_input
+from gandr.data_io import load_store, save_store
 from gandr.errors import (
     ConfigError,
     DuplicateId,
@@ -22,13 +26,14 @@ from gandr.errors import (
 from gandr.retrieval import (
     Exemplar,
     ExemplarStore,
+    ScoredExemplar,
     retrieve_sampled,
     retrieve_topk,
     retrieve_topk_alphas,
     sample_geometric_ranks,
     validate_alpha,
 )
-from gandr.top_parse import structure_tokens
+from gandr.top_parse import structure_tokens, template
 
 from conftest import (
     fit_channel,
@@ -110,6 +115,32 @@ class TestExemplar:
         assert exemplar.labels == ("IN:B", "SL:Z", "SL:A")
         assert all(label is sys.intern(label) for label in exemplar.labels)
         assert exemplar == Exemplar(0, "hi", "[in:b [sl:z x ] [sl:a y ] ]")
+
+    def test_facts_wait_for_first_use(self, tmp_path):
+        """Loading and fitting a store derive no prompt or template fact,
+        so neither set-up time nor its memory pays for them."""
+        store = build_store(make_random_corpus(np.random.default_rng(4), 30))
+        save_store(store, tmp_path / "store.jsonl")
+        loaded = load_store(tmp_path / "store.jsonl")
+        loaded.build()
+        fields = {f.name for f in dataclasses.fields(Exemplar)}
+        assert all(vars(e).keys() == fields for e in loaded.exemplars)
+        build_augmented_input("a query", loaded.exemplars)
+        assert all(e._template == template(e.labels)
+                   for e in loaded.exemplars)
+        assert all(vars(e).keys() == fields | {"_prompt_pair", "_template"}
+                   for e in loaded.exemplars)
+
+    def test_prompted_exemplar_still_equals_a_fresh_one(self):
+        args = (7, "call my mother", "[IN:CREATE_CALL [SL:CONTACT mother ] ]",
+                "calling")
+        used, fresh = Exemplar(*args), Exemplar(*args)
+        build_augmented_input("call mum", [used])
+        assert used._template == ("IN:CREATE_CALL", "SL:CONTACT")
+        assert used == fresh and fresh == used
+        assert hash(used) == hash(fresh)
+        assert repr(used) == repr(fresh)
+        assert dataclasses.asdict(used) == dataclasses.asdict(fresh)
 
 
 class TestStore:
@@ -296,6 +327,18 @@ class TestValidation:
         with pytest.raises(EmptyCorpus):
             retrieve_topk(ExemplarStore(), "play jazz", 0)
 
+    # True and 1.0 equal exemplar 1's id without being an id; "a" and 2**70
+    # are no int64 at all
+    @pytest.mark.parametrize("bad", [True, 1.0, "a", 2**70])
+    def test_excluded_ids_follow_the_id_rule(self, tiny_store, bad):
+        message = "^" + re.escape(
+            f"excluded id must be a 64-bit integer, got {bad!r}") + "$"
+        with pytest.raises(ConfigError, match=message):
+            retrieve_topk(tiny_store, "play jazz", 1, exclude_ids={0, bad})
+        with pytest.raises(ConfigError, match=message):
+            retrieve_sampled(tiny_store, "play jazz", 1, 0.5,
+                             np.random.default_rng(0), exclude_ids=[bad])
+
 
 class TestTopK:
     def test_ranks_are_consecutive_and_sorted(self, trace_store):
@@ -332,6 +375,21 @@ class TestTopK:
                                      preliminary=TRACE_PRELIMINARY):
                 mixed = (1 - alpha) * hit.input_sim + alpha * hit.output_sim
                 assert abs(hit.relevance - mixed) <= 1e-12
+
+    def test_hits_are_plain_frozen_dataclasses(self, trace_store):
+        """Hits are built without the dataclass ``__init__``, yet equal,
+        hash, repr and list their fields like ones built through it."""
+        hits = retrieve_topk(trace_store, "send a message to the group", 3)
+        names = [f.name for f in dataclasses.fields(ScoredExemplar)]
+        for hit in hits:
+            assert list(vars(hit)) == names
+            normal = ScoredExemplar(**vars(hit))
+            assert hit == normal and normal == hit
+            assert hash(hit) == hash(normal)
+            assert repr(hit) == repr(normal)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                hit.rank = 9
+        assert [h.rank for h in hits] == [0, 1, 2]
 
     def test_deterministic_across_rebuilds(self, trace_store):
         first = retrieve_topk(trace_store, "send a message to the group", 8)
@@ -576,15 +634,20 @@ _TIE_PARSES = ("[IN:A x ]", "[IN:B [SL:S x ] ]", "[IN:A [SL:T y ] ]")
 
 
 class TestHeadSelection:
-    """Partial selection against the full sort it replaces."""
+    """Partial selection, by rounds and by partition, against the full
+    sort it replaces."""
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_matches_full_sort(self, data):
         n = data.draw(st.integers(1, 40))
+        # one utterance and one parse throughout: every relevance ties
+        tied = data.draw(st.booleans())
+        words = _TIE_WORDS[:1] if tied else _TIE_WORDS
+        parses = _TIE_PARSES[:1] if tied else _TIE_PARSES
         store = build_store([
-            Exemplar(2 * i + 1, data.draw(st.sampled_from(_TIE_WORDS)),
-                     data.draw(st.sampled_from(_TIE_PARSES)))
+            Exemplar(2 * i + 1, data.draw(st.sampled_from(words)),
+                     data.draw(st.sampled_from(parses)))
             for i in range(n)])
         # "zzz" and IN:UNSEEN are out of vocabulary: every relevance is 0
         query = data.draw(st.sampled_from(["red", "blue green", "zzz"]))
@@ -596,7 +659,10 @@ class TestHeadSelection:
         ids = np.array([e.exemplar_id for e in store.exemplars])
         order = np.lexsort((ids, -relevance))
 
-        k = data.draw(st.integers(1, n))
+        # depths below, at and above the deepest head taken by rounds
+        rounds = retrieval._ROUNDS_MAX_DEPTH
+        k = min(n, data.draw(st.integers(rounds - 1, rounds + 1)
+                             | st.integers(1, n)))
         # exclusions inside, at and just past the k-th place, elsewhere,
         # and ids the store does not hold
         near = data.draw(st.sets(st.integers(-2, 2)))
@@ -632,6 +698,43 @@ class TestHeadSelection:
                                alpha=alpha, preliminary=preliminary,
                                exclude_ids=exclude)
         assert as_rows(got) == [reference(r) for r in picks]
+
+
+    @pytest.mark.parametrize("narrowing, query, preliminary, alpha", [
+        # an all-zero query: neither prefilter narrows
+        (None, "zzz", None, 0.0),
+        ("grid", "tag7 red", None, 0.0),
+        ("bound", "tag7 red blue", _RARE_PRELIMINARY, 0.5),
+    ])
+    @pytest.mark.parametrize("extra, path", [
+        (-9, "_head_by_rounds"), (0, "_head_by_rounds"),
+        (1, "_head_by_partition")])
+    def test_each_path_is_taken(self, big_corpus, prefilter_spy, monkeypatch,
+                                narrowing, query, preliminary, alpha, extra,
+                                path):
+        """Rounds take a head at most _ROUNDS_MAX_DEPTH deep, the partition
+        a deeper one, after either prefilter or none."""
+        taken = []
+        for name in ("_head_by_rounds", "_head_by_partition"):
+            def spy(*args, _head=getattr(retrieval, name), _name=name):
+                taken.append(_name)
+                return _head(*args)
+
+            monkeypatch.setattr(retrieval, name, spy)
+        store = big_corpus[1]
+        k = retrieval._ROUNDS_MAX_DEPTH + extra
+        full = TestPrefilteredSelection.full_order(store, query, preliminary,
+                                                   alpha)
+        # the k-th id and one just past it
+        exclude = {full[k - 1][0], full[k][0]}
+        hits = retrieve_topk(store, query, k, alpha, preliminary, exclude)
+        kept = [r for r in full if r[0] not in exclude]
+        assert [(h.exemplar_id, h.relevance, h.input_sim, h.output_sim,
+                 h.rank) for h in hits] == \
+            [(*r, rank) for rank, r in enumerate(kept[:k])]
+        assert taken == [path]
+        assert {name for name, counts in prefilter_spy.items()
+                if counts[True]} == ({narrowing} if narrowing else set())
 
 
 class TestPrefilteredSelection:
