@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from .errors import QueryExceedsBudget, SeparatorCollision
+from .errors import GandrError, SeparatorCollision
 
 if TYPE_CHECKING:
     from .retrieval import Exemplar
@@ -65,13 +65,12 @@ def build_augmented_input(query: str, exemplars: Sequence[Exemplar],
     ``budget`` caps the whitespace token count of the final text (the
     separators count; they are tokens). Exemplars that do not fit whole
     are dropped from the tail, never split. A query that alone exceeds
-    the budget raises QueryExceedsBudget.
+    the budget raises GandrError.
     """
     check_separator_safe(query)
     used = len(query.split())
     if budget is not None and used > budget:
-        raise QueryExceedsBudget(
-            f"query is {used} tokens, budget is {budget}")
+        raise GandrError(f"query is {used} tokens, budget is {budget}")
 
     parts = [query]
     ids: list[int] = []

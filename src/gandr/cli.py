@@ -50,7 +50,7 @@ from .data_io import (
     write_training_pairs,
     atomic_write_text,
 )
-from .errors import ConfigError, EmptyCorpus, GandrError, SeparatorCollision
+from .errors import ConfigError, GandrError, SeparatorCollision
 from .evaluation import (
     SweepAxis,
     evaluate,
@@ -74,6 +74,7 @@ from .pipeline import (
     FailurePolicy,
     PipelineConfig,
     PipelineMode,
+    PredictionRecord,
     Sample,
     emit_training_pairs,
     generate_preliminaries,
@@ -287,7 +288,7 @@ def cmd_index(args, settings: _Settings) -> int:
     exemplars = apply_split(loaded.exemplars, parse_split_spec(args.split),
                             seed=seed)
     if not exemplars:
-        raise EmptyCorpus("store has no exemplars")
+        raise GandrError("store has no exemplars")
     store = ExemplarStore()
     for exemplar in exemplars:
         store.add(exemplar)
@@ -385,10 +386,28 @@ def cmd_sweep(args, settings: _Settings) -> int:
     return 0
 
 
+def _matched_preliminaries(records: list[PredictionRecord],
+                           samples: list[Sample], path: str) -> dict[int, str]:
+    """The preliminaries of ``records`` by sample id. A record matches a
+    sample by id; one that holds another query came from other data, so
+    pairing the two files is a usage error."""
+    by_id = {r.sample_id: r for r in records}
+    for sample in samples:
+        record = by_id.get(sample.sample_id)
+        if record is not None and record.query != sample.utterance:
+            raise ConfigError(
+                f"{path}: the record for sample {sample.sample_id} has "
+                f"query {record.query!r}, but the sample's utterance is "
+                f"{sample.utterance!r}; pass the --data the records came "
+                f"from")
+    return {i: r.preliminary for i, r in by_id.items()
+            if r.preliminary is not None}
+
+
 def cmd_emit_train(args, settings: _Settings) -> int:
     rng = np.random.default_rng(_checked_seed(args.seed, "--seed"))
     k, p, budget, timeout = map(settings, ("k", "p", "budget", "timeout"))
-    alpha, endpoint, preliminaries = 0.0, None, None
+    alpha, endpoint, preliminaries, records = 0.0, None, None, None
     if args.stage == 1:
         _unused(args, ("alpha", "preliminary_from", "preliminary_endpoint"),
                 "at stage 1")
@@ -396,9 +415,7 @@ def cmd_emit_train(args, settings: _Settings) -> int:
         alpha = settings("alpha")
         if args.preliminary_from:
             _unused(args, ("preliminary_endpoint",), "with --preliminary-from")
-            preliminaries = {r.sample_id: r.preliminary
-                             for r in read_records(args.preliminary_from)
-                             if r.preliminary is not None}
+            records = read_records(args.preliminary_from)
         else:
             spec = settings("preliminary_endpoint")
             if spec is None:
@@ -410,6 +427,9 @@ def cmd_emit_train(args, settings: _Settings) -> int:
     samples = (_load_samples(args.data, args.format, args.has_header,
                              args.strict) if args.data
                else samples_from_exemplars(store.exemplars))
+    if records is not None:
+        preliminaries = _matched_preliminaries(records, samples,
+                                               args.preliminary_from)
     if endpoint is not None:
         preliminaries = generate_preliminaries(
             store, samples, endpoint, k, budget, not args.keep_self)

@@ -27,7 +27,7 @@ import numpy as np
 from .errors import (
     ConfigError,
     CorruptFile,
-    CountExceedsCorpus,
+    GandrError,
     MalformedParse,
     MalformedRow,
     VersionMismatch,
@@ -245,8 +245,7 @@ def apply_split(items: Sequence, spec: SplitSpec, seed: int = 0) -> list:
         if n < 1:
             raise ConfigError(f"split count must be positive, got {n}")
         if n > n_total:
-            raise CountExceedsCorpus(
-                f"split asks for {n} of {n_total} exemplars")
+            raise GandrError(f"split asks for {n} of {n_total} exemplars")
     elif isinstance(spec, Fraction):
         validate_fraction(spec.fraction, "split fraction")
         n = math.floor(spec.fraction * n_total)

@@ -1,7 +1,9 @@
 """Exception taxonomy shared across the package.
 
 Every error raised on purpose derives from GandrError so callers (and the
-CLI) can distinguish expected failures from bugs.
+CLI) can distinguish expected failures from bugs. A failure that no caller
+handles apart from the others (an empty store, a k larger than the store,
+a missing gold parse) is a plain GandrError; its message says which.
 """
 
 
@@ -17,32 +19,10 @@ class MalformedParse(GandrError, ValueError):
     """A bracketed parse string is not well-formed."""
 
 
-class EmptyCorpus(GandrError, ValueError):
-    """An index or store was built from zero documents."""
-
-
-class DuplicateId(GandrError, ValueError):
-    """Two exemplars share the same id."""
-
-
-class MissingPrediction(GandrError, ValueError):
-    """Output-weighted scoring requested without a query prediction."""
-
-
-class StoreTooSmall(GandrError, ValueError):
-    """Retrieval asked for more exemplars than are left after exclusions."""
-
-
-class QueryExceedsBudget(GandrError, ValueError):
-    """The bare query is already longer than the token budget."""
-
-
-class MissingGold(GandrError, ValueError):
-    """A metric that needs gold parses was given records without them."""
-
-
 class GenerationError(GandrError):
-    """Base class for generator endpoint failures."""
+    """A generator endpoint failed: no answer for a prompt, a wrong number
+    of outputs, or every retry used up. The pipeline's skip policy
+    catches it."""
 
 
 class GenerationTimeout(GenerationError):
@@ -57,24 +37,9 @@ class RemoteError(GenerationError):
         self.status = status
 
 
-class RetriesExhausted(GenerationError):
-    """All retry attempts against the remote generator failed."""
-
-
-class ReplayMiss(GenerationError):
-    """A replay endpoint saw an input absent from its log."""
-
-
-class ReplayConflict(GenerationError):
-    """A replay log maps the same input to two different outputs."""
-
-
-class OracleMiss(GenerationError):
-    """An oracle-lookup endpoint saw a query it has no gold parse for."""
-
-
 class MalformedRow(GandrError, ValueError):
-    """A dataset row could not be turned into an exemplar."""
+    """A row could not be turned into an exemplar, or its id is already in
+    the store."""
 
     def __init__(self, message: str, line: int | None = None):
         super().__init__(message if line is None else f"line {line}: {message}")
@@ -85,17 +50,10 @@ class SeparatorCollision(MalformedRow):
     """A row contains one of the augmentation separator literals."""
 
 
-class CountExceedsCorpus(GandrError, ValueError):
-    """A fixed-count split asked for more exemplars than exist."""
-
-
 class VersionMismatch(GandrError):
     """A persisted artifact carries an unknown format or version."""
 
 
 class CorruptFile(GandrError):
-    """A persisted artifact is truncated or fails to parse."""
-
-
-class RecordNotFound(GandrError, LookupError):
-    """An unknown exemplar id: the store has no exemplar with it."""
+    """A persisted artifact is truncated, fails to parse, or contradicts
+    itself."""

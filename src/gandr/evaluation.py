@@ -16,7 +16,7 @@ from enum import Enum
 from typing import Callable, Mapping, Sequence
 
 from .data_io import Fraction, apply_split, validate_fraction
-from .errors import ConfigError, MissingGold
+from .errors import ConfigError, GandrError
 from .pipeline import (
     PipelineConfig,
     PredictionRecord,
@@ -122,7 +122,7 @@ def evaluate(records: Sequence[PredictionRecord], store: ExemplarStore,
     n_failed = 0
     for i, record in enumerate(records):
         if record.gold is None:
-            raise MissingGold(f"sample {record.sample_id} has no gold parse")
+            raise GandrError(f"sample {record.sample_id} has no gold parse")
         if record.final is None:
             n_failed += 1
         em_flags.append(exact_match(record.final, record.gold, casefold))

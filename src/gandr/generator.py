@@ -29,12 +29,9 @@ from .data_io import decode_json, numbered_lines
 from .errors import (
     ConfigError,
     CorruptFile,
+    GenerationError,
     GenerationTimeout,
-    OracleMiss,
     RemoteError,
-    ReplayConflict,
-    ReplayMiss,
-    RetriesExhausted,
 )
 from .retrieval import Exemplar, validate_k
 
@@ -62,7 +59,7 @@ class OracleLookupGenerator(Generator):
 
     The query is everything before the first exemplar separator, so the
     same lookup works for bare and augmented prompts. Unknown queries
-    raise OracleMiss.
+    raise GenerationError.
     """
 
     def __init__(self, gold_by_query: Mapping[str, str]):
@@ -77,7 +74,7 @@ class OracleLookupGenerator(Generator):
         for text in inputs:
             query = text.split(EXEMPLAR_SEP, 1)[0]
             if query not in self._gold:
-                raise OracleMiss(f"no gold output for query {query!r}")
+                raise GenerationError(f"no gold output for query {query!r}")
             outputs.append(self._gold[query])
         return outputs
 
@@ -86,8 +83,8 @@ class ReplayGenerator(Generator):
     """Replays input -> output pairs from a JSONL log.
 
     Repeated identical pairs are fine; the same input with two different
-    outputs is a ReplayConflict at load time. Prompts absent from the log
-    raise ReplayMiss.
+    outputs is a CorruptFile at load time. Prompts absent from the log
+    raise GenerationError.
     """
 
     def __init__(self, mapping: Mapping[str, str]):
@@ -110,7 +107,7 @@ class ReplayGenerator(Generator):
                     f"{path}: line {lineno} is not a replay entry: {exc}"
                 ) from exc
             if text in mapping and mapping[text] != output:
-                raise ReplayConflict(
+                raise CorruptFile(
                     f"{path}: line {lineno} repeats an input with a "
                     f"different output: {text!r}")
             mapping[text] = output
@@ -123,7 +120,7 @@ class ReplayGenerator(Generator):
         outputs = []
         for text in inputs:
             if text not in self._mapping:
-                raise ReplayMiss(f"prompt not in replay log: {text!r}")
+                raise GenerationError(f"prompt not in replay log: {text!r}")
             outputs.append(self._mapping[text])
         return outputs
 
@@ -169,7 +166,7 @@ class RemoteGenerator(Generator):
     Timeouts, connection failures, and 5xx responses are retried up to
     ``retries`` extra attempts with exponential backoff; 4xx responses
     fail immediately. Exhaustion raises GenerationTimeout when the last
-    failure was a timeout, RetriesExhausted otherwise (RemoteError when
+    failure was a timeout, GenerationError otherwise (RemoteError when
     no retries were configured). ``timeout`` must be a positive finite
     number of seconds, ``max_batch`` a positive int or None (no limit),
     ``retries`` a non-negative int and ``backoff`` a non-negative finite
@@ -221,24 +218,23 @@ class RemoteGenerator(Generator):
         return outputs
 
     def _post_with_retry(self, chunk: Sequence[str]) -> list[str]:
-        last: Exception | None = None
-        attempts = self.retries + 1
-        for attempt in range(attempts):
+        for attempt in range(self.retries + 1):
             try:
                 return self._post_once(chunk)
             except RemoteError as exc:
-                if exc.status is not None and 400 <= exc.status < 500:
+                if self.retries == 0 \
+                        or exc.status is not None and 400 <= exc.status < 500:
                     raise
                 last = exc
-            except GenerationTimeout as exc:
-                last = exc
-            if attempt + 1 < attempts:
+            except GenerationTimeout:
+                if attempt == self.retries:
+                    raise
+            if attempt < self.retries:
                 time.sleep(self.backoff * (2 ** attempt))
-        assert last is not None
-        if isinstance(last, GenerationTimeout) or self.retries == 0:
-            raise last
-        raise RetriesExhausted(
-            f"{attempts} attempts against {self.url} all failed") from last
+        # a 4xx, a lone attempt's failure and a last timeout were raised as
+        # they are; a 5xx or lost connection on the last retry ends here
+        raise GenerationError(f"{self.retries + 1} attempts against "
+                              f"{self.url} all failed") from last
 
     def generate(self, inputs: Sequence[str]) -> list[str]:
         if not inputs:

@@ -43,7 +43,7 @@ from typing import Collection, Mapping, Sequence
 import numpy as np
 
 from .augment import AugmentedInput, build_augmented_input
-from .errors import GenerationError, MissingGold, MissingPrediction
+from .errors import GandrError, GenerationError
 from .retrieval import (
     ExemplarStore,
     ScoredExemplar,
@@ -215,20 +215,30 @@ class TrainingPair:
     exemplar_ids: tuple[int, ...]
 
 
+def _generate(generator, prompts: list[str]) -> list[str]:
+    """``generator``'s outputs for ``prompts``; a GenerationError unless
+    there is one per prompt."""
+    outputs = list(generator.generate(prompts))
+    if len(outputs) != len(prompts):
+        raise GenerationError(f"generator returned {len(outputs)} outputs "
+                              f"for {len(prompts)} prompts")
+    return outputs
+
+
 def _bulk_generate(generator, prompts: Sequence[str],
                    policy: FailurePolicy) -> list[str | None]:
     """Generate for all prompts; None marks items that failed under SKIP."""
     if not prompts:
         return []
     try:
-        return list(generator.generate(list(prompts)))
+        return _generate(generator, list(prompts))
     except GenerationError:
         if policy is FailurePolicy.ABORT:
             raise
     outputs: list[str | None] = []
     for prompt in prompts:
         try:
-            outputs.append(generator.generate([prompt])[0])
+            outputs.extend(_generate(generator, [prompt]))
         except GenerationError:
             outputs.append(None)
     return outputs
@@ -373,11 +383,11 @@ def emit_training_pairs(store: ExemplarStore, samples: Sequence[Sample],
     pairs: list[TrainingPair] = []
     for sample in samples:
         if sample.gold is None:
-            raise MissingGold(f"sample {sample.sample_id} has no gold parse")
+            raise GandrError(f"sample {sample.sample_id} has no gold parse")
         preliminary = None
         if alpha > 0.0:
             if preliminaries is None or sample.sample_id not in preliminaries:
-                raise MissingPrediction(
+                raise GandrError(
                     f"sample {sample.sample_id} has no preliminary parse "
                     f"but alpha={alpha} needs one")
             preliminary = preliminaries[sample.sample_id]

@@ -49,14 +49,7 @@ from typing import Collection, Sequence
 import numpy as np
 
 from .augment import _prompt_pair, check_separator_safe
-from .errors import (
-    ConfigError,
-    DuplicateId,
-    EmptyCorpus,
-    MalformedRow,
-    RecordNotFound,
-    StoreTooSmall,
-)
+from .errors import ConfigError, GandrError, MalformedRow
 from .tfidf import TfidfVectorizer, tokenize_text
 from .top_parse import parse_labels, structure_tokens, template
 
@@ -210,7 +203,7 @@ class ExemplarStore:
 
     def add(self, exemplar: Exemplar) -> None:
         if exemplar.exemplar_id in self._exemplars:
-            raise DuplicateId(f"exemplar id {exemplar.exemplar_id} already present")
+            raise MalformedRow(f"exemplar id {exemplar.exemplar_id} already present")
         self._exemplars[exemplar.exemplar_id] = exemplar
         self._dirty = True
 
@@ -224,7 +217,7 @@ class ExemplarStore:
         try:
             return self._exemplars[exemplar_id]
         except KeyError:
-            raise RecordNotFound(f"no exemplar with id {exemplar_id}") from None
+            raise GandrError(f"no exemplar with id {exemplar_id}") from None
 
     @property
     def exemplars(self) -> list[Exemplar]:
@@ -236,7 +229,7 @@ class ExemplarStore:
         """Fit both channels now, with the collector paused. Implicit on
         first retrieval."""
         if not self._exemplars:
-            raise EmptyCorpus("store has no exemplars")
+            raise GandrError("store has no exemplars")
         ordered = self.exemplars
         self._ids = np.array([e.exemplar_id for e in ordered], dtype=np.int64)
         # template ids in order of first use, keyed by top_parse.template.
@@ -501,7 +494,7 @@ def _check_k(k: int, store: ExemplarStore,
                               f"got {exemplar_id!r}")
     available = len(store) - sum(i in store for i in set(exclude_ids))
     if k > available:
-        raise StoreTooSmall(
+        raise GandrError(
             f"requested {k} exemplars but only {available} are available")
     return available
 
@@ -573,7 +566,7 @@ def sample_geometric_ranks(n: int, k: int, p: float,
     """
     validate_p(p)
     if k > n:
-        raise StoreTooSmall(f"requested {k} draws from {n} candidates")
+        raise GandrError(f"requested {k} draws from {n} candidates")
     picks: list[int] = []
     for m in range(n, n - k, -1):
         if p >= 1.0:

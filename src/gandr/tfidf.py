@@ -38,7 +38,7 @@ from typing import Iterable
 import numpy as np
 
 from . import _kernels
-from .errors import EmptyCorpus
+from .errors import GandrError
 
 _WORD_RE = re.compile(r"\w+")
 
@@ -132,7 +132,7 @@ class TfidfVectorizer:
         del ids
         n_docs = len(lengths)
         if n_docs == 0:
-            raise EmptyCorpus("cannot fit a vectorizer on zero documents")
+            raise GandrError("cannot fit a vectorizer on zero documents")
         vocabulary = {t: i for i, t in enumerate(sorted(first_seen))}
         self.vocabulary_ = vocabulary
         n_terms = len(vocabulary)

@@ -8,7 +8,7 @@ from gandr.augment import (
     build_augmented_input,
     check_separator_safe,
 )
-from gandr.errors import QueryExceedsBudget, SeparatorCollision
+from gandr.errors import GandrError, SeparatorCollision
 from gandr.retrieval import Exemplar
 
 from oracles import split_augmented
@@ -71,7 +71,7 @@ def test_tail_truncation_never_reorders():
 
 
 def test_query_over_budget_raises():
-    with pytest.raises(QueryExceedsBudget):
+    with pytest.raises(GandrError, match="^query is 3 tokens, budget is 2$"):
         build_augmented_input("one two three", [], budget=2)
 
 

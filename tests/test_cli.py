@@ -6,6 +6,7 @@ from conftest import TRACE_EXEMPLARS, TRACE_GOLD, TRACE_PRELIMINARY, TRACE_QUERY
 from gandr import cli, data_io, evaluation, retrieval, top_parse
 from gandr.cli import main
 from gandr.data_io import load_store, read_records
+from gandr.errors import CorruptFile
 from gandr.generator import StaticGenerator
 from gandr.pipeline import PipelineConfig
 from oracles import split_augmented
@@ -192,6 +193,19 @@ class TestRetrieve:
         assert code == 1
         assert f"{store}: TF-IDF " in err
         assert "Traceback" not in err
+
+    def test_store_with_a_repeated_id_exits_1(self, store, capsys):
+        lines = store.read_text(encoding="utf-8").splitlines(keepends=True)
+        # line 3 takes line 2's id; the header's row count stays true
+        lines[2] = json.dumps(dict(json.loads(lines[2]), exemplar_id=0)) + "\n"
+        store.write_text("".join(lines), encoding="utf-8")
+        message = f"{store}: line 3: exemplar id 0 already present"
+        with pytest.raises(CorruptFile) as info:
+            load_store(store)
+        assert str(info.value) == message
+        assert main(["retrieve", "--store", str(store), "--query",
+                     TRACE_QUERY, "--k", "1"]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_bad_query_exits_2(self, store, capsys):
         assert main(["retrieve", "--store", str(store), "--query",
@@ -778,6 +792,33 @@ class TestEmitTrain:
                      "--out", str(out)])
         assert code == 0
         assert len(out.read_text().splitlines()) == 8
+
+    def test_stage2_records_of_other_data_exit_2(self, tmp_path, capsys):
+        rows = [f"{e.utterance}\t{e.parse}\n" for e in TRACE_EXEMPLARS[:4]]
+        train, dev = tmp_path / "train.tsv", tmp_path / "dev.tsv"
+        train.write_text("".join(rows), encoding="utf-8")
+        # the same rows in another order: sample i of dev.tsv is not
+        # exemplar i of the store
+        dev.write_text("".join(reversed(rows)), encoding="utf-8")
+        store, records = tmp_path / "s.store", tmp_path / "records.jsonl"
+        assert main(["index", "--data", str(train), "--out", str(store)]) == 0
+        assert main(["run", "--store", str(store), "--data", str(dev),
+                     "--final-endpoint", f"oracle:{dev}",
+                     "--out", str(records)]) == 0
+        out = tmp_path / "s2.jsonl"
+        stage2 = ["emit-train", "--store", str(store), "--stage", "2",
+                  "--preliminary-from", str(records), "--alpha", "0.75",
+                  "--k", "2", "--out", str(out)]
+        capsys.readouterr()
+        assert main(stage2) == 2
+        first, last = TRACE_EXEMPLARS[0].utterance, TRACE_EXEMPLARS[3].utterance
+        assert capsys.readouterr().err == (
+            f"error: {records}: the record for sample 0 has query {last!r}, "
+            f"but the sample's utterance is {first!r}; pass the --data the "
+            f"records came from\n")
+        assert not out.exists()
+        assert main(stage2 + ["--data", str(dev)]) == 0
+        assert len(out.read_text(encoding="utf-8").splitlines()) == 4
 
     def test_stage2_non_string_preliminary_exits_1(self, tmp_path, store,
                                                    dataset, capsys):

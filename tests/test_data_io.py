@@ -33,7 +33,7 @@ from gandr.data_io import (
 from gandr.errors import (
     ConfigError,
     CorruptFile,
-    CountExceedsCorpus,
+    GandrError,
     MalformedRow,
     VersionMismatch,
 )
@@ -229,8 +229,10 @@ class TestSplits:
         assert a != b
 
     def test_count_exceeds_corpus(self):
-        with pytest.raises(CountExceedsCorpus):
+        with pytest.raises(GandrError,
+                           match="^split asks for 4 of 3 exemplars$") as info:
             apply_split([1, 2, 3], FixedCount(4))
+        assert not isinstance(info.value, ConfigError)
 
     def test_bad_specs(self):
         with pytest.raises(ConfigError):

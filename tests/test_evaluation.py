@@ -14,12 +14,7 @@ from conftest import (
 from gandr import evaluation, retrieval
 from gandr.augment import AugmentedInput
 from gandr.data_io import Fraction, apply_split
-from gandr.errors import (
-    ConfigError,
-    GenerationError,
-    MissingGold,
-    StoreTooSmall,
-)
+from gandr.errors import ConfigError, GandrError, GenerationError
 from gandr.evaluation import (
     SweepAxis,
     SweepRow,
@@ -145,7 +140,7 @@ class TestTemplateHit:
 
     def test_missing_gold(self, trace_store):
         record = fake_record(None, [4])
-        with pytest.raises(MissingGold):
+        with pytest.raises(GandrError, match="^sample 0 has no gold parse$"):
             evaluate([record], trace_store)
 
 
@@ -183,8 +178,10 @@ class TestEvaluate:
             evaluate([], trace_store)
 
     def test_missing_gold_rejected(self, trace_store):
-        with pytest.raises(MissingGold):
+        with pytest.raises(GandrError,
+                           match="^sample 0 has no gold parse$") as info:
             evaluate([fake_record(None, [0], final="x")], trace_store)
+        assert not isinstance(info.value, ConfigError)
 
     @pytest.mark.parametrize("k, message", [
         (0, "recall k must be at least 1, got 0"),
@@ -609,7 +606,7 @@ class TestRunPipelineAlphas:
                                                                   world):
         store, samples, parses, gold, scored = world
         preliminary = PromptHash(parses, gold)
-        with pytest.raises(StoreTooSmall, match="requested 31 exemplars "
+        with pytest.raises(GandrError, match="requested 31 exemplars "
                                                 "but only 30 are available"):
             run_sweep(store, samples, preliminary, preliminary,
                       PipelineConfig(), SweepAxis.K, [2, 31], [0])

@@ -13,12 +13,9 @@ from conftest import any_text
 from gandr.errors import (
     ConfigError,
     CorruptFile,
+    GenerationError,
     GenerationTimeout,
-    OracleMiss,
     RemoteError,
-    ReplayConflict,
-    ReplayMiss,
-    RetriesExhausted,
 )
 from gandr.generator import (
     OracleLookupGenerator,
@@ -49,7 +46,8 @@ class TestOracleLookup:
 
     def test_miss(self):
         gen = OracleLookupGenerator({"known": "[IN:A x ]"})
-        with pytest.raises(OracleMiss):
+        with pytest.raises(GenerationError, match="^no gold output for "
+                                                  "query 'unknown query'$"):
             gen.generate(["unknown query"])
 
 
@@ -76,13 +74,15 @@ class TestReplay:
         log = tmp_path / "log.jsonl"
         self.write_log(log, [{"input": "a", "output": "1"},
                              {"input": "a", "output": "2"}])
-        with pytest.raises(ReplayConflict):
+        with pytest.raises(CorruptFile, match="line 2 repeats an input with "
+                                              "a different output: 'a'$"):
             ReplayGenerator.from_path(log)
 
     def test_miss(self, tmp_path):
         log = tmp_path / "log.jsonl"
         self.write_log(log, [{"input": "a", "output": "1"}])
-        with pytest.raises(ReplayMiss):
+        with pytest.raises(GenerationError,
+                           match="^prompt not in replay log: 'b'$"):
             ReplayGenerator.from_path(log).generate(["b"])
 
     def test_corrupt_line(self, tmp_path):
@@ -264,8 +264,11 @@ class TestRemote:
         stub_server.script[:] = [500, 502, 503]
         gen = RemoteGenerator(stub_server.url, timeout=5.0, retries=2,
                               backoff=0.01)
-        with pytest.raises(RetriesExhausted):
+        with pytest.raises(GenerationError, match=r"^3 attempts against "
+                           r"http://\S+ all failed$") as info:
             gen.generate(["a"])
+        assert type(info.value) is GenerationError
+        assert info.value.__cause__.status == 503
         assert len(stub_server.requests) == 3
 
     def test_single_attempt_server_error_is_remote_error(self, stub_server):

@@ -2,12 +2,7 @@ import re
 
 import pytest
 
-from gandr.errors import (
-    ConfigError,
-    GenerationError,
-    MissingGold,
-    MissingPrediction,
-)
+from gandr.errors import ConfigError, GandrError, GenerationError
 from gandr.generator import Generator, OracleLookupGenerator, StaticGenerator
 from gandr.pipeline import (
     STATUS_OK,
@@ -50,6 +45,16 @@ class FailOnMarker(Generator):
             if self.marker in text.split(" || ", 1)[0]:
                 raise GenerationError(f"refusing prompt with {self.marker!r}")
         return ["[IN:OK fine ]" for _ in inputs]
+
+
+class Miscounting(Generator):
+    """Answers ``extra`` more (or, below 0, fewer) outputs than prompts."""
+
+    def __init__(self, extra):
+        self.extra = extra
+
+    def generate(self, inputs):
+        return ["[IN:OK fine ]"] * (len(inputs) + self.extra)
 
 
 def samples_for(store):
@@ -174,6 +179,22 @@ class TestFailurePolicy:
             run_pipeline(tiny_store, samples, FailOnMarker("jazz"),
                          StaticGenerator("x"), config)
 
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_a_miscounting_generator_is_a_generation_error(self, tiny_store,
+                                                           extra):
+        samples = samples_for(tiny_store)
+        config = PipelineConfig(k=2, failure_policy=FailurePolicy.ABORT)
+        with pytest.raises(GenerationError, match=f"^generator returned "
+                           f"{4 + extra} outputs for 4 prompts$"):
+            run_pipeline(tiny_store, samples, Miscounting(extra),
+                         StaticGenerator("x"), config)
+        # skipped: the batch fails, then each prompt alone
+        final = CapturingGenerator()
+        records = run_pipeline(tiny_store, samples, Miscounting(extra), final,
+                               PipelineConfig(k=2))
+        assert [r.status for r in records] == [STATUS_PASS1_FAILED] * 4
+        assert final.batches == []
+
 
 class TestConfigValidation:
     def test_bad_alpha(self):
@@ -250,17 +271,19 @@ class TestEmitTraining:
 
     def test_missing_gold(self, tiny_store):
         rng = np.random.default_rng(14)
-        with pytest.raises(MissingGold):
+        with pytest.raises(GandrError, match="^sample 0 has no gold parse$"):
             emit_training_pairs(tiny_store, [Sample(0, "no gold here")],
                                 k=2, p=0.5, rng=rng)
 
     def test_stage2_requires_preliminaries(self, tiny_store):
         samples = [Sample(0, "play jazz", gold="[IN:PLAY_MUSIC x ]")]
         rng = np.random.default_rng(15)
-        with pytest.raises(MissingPrediction):
+        message = "^sample 0 has no preliminary parse but alpha=0.75 needs one$"
+        with pytest.raises(GandrError, match=message) as info:
             emit_training_pairs(tiny_store, samples, k=2, p=0.5, rng=rng,
                                 alpha=0.75)
-        with pytest.raises(MissingPrediction):
+        assert not isinstance(info.value, ConfigError)
+        with pytest.raises(GandrError, match=message):
             emit_training_pairs(tiny_store, samples, k=2, p=0.5, rng=rng,
                                 alpha=0.75, preliminaries={99: "[IN:A x ]"})
 

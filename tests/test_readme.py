@@ -8,7 +8,7 @@ import shlex
 from pathlib import Path
 
 import gandr
-from gandr import cli
+from gandr import cli, errors
 from gandr.cli import main
 
 from conftest import TRACE_EXEMPLARS
@@ -68,6 +68,28 @@ def test_every_exported_name_has_a_user():
         if not (word.search(uses) or word.search(readme)):
             unused.append(name)
     assert unused == []
+
+
+def test_every_error_class_is_told_apart():
+    """Each exception class in ``gandr.errors`` is caught by type in the
+    package, by an ``except`` clause or an ``isinstance``, or is named in
+    the README: a class that only tests tell apart is dead code."""
+    package = Path(gandr.__file__).parent
+    code = "\n".join(path.read_text(encoding="utf-8")
+                     for path in sorted(package.glob("*.py")))
+    caught = set()
+    for types in re.findall(r"\bexcept\s+(\([^)]*\)|[\w.]+)"
+                            r"|\bisinstance\([^,]+,\s*(\([^)]*\)|[\w.]+)\)",
+                            code):
+        caught.update(re.findall(r"\w+", " ".join(types)))
+    readme = README.read_text(encoding="utf-8")
+    classes = [name for name, value in vars(errors).items()
+               if isinstance(value, type) and issubclass(value, Exception)
+               and value.__module__ == errors.__name__]
+    assert classes
+    untold = [name for name in classes if name not in caught
+              and not re.search(rf"`{name}`", readme)]
+    assert untold == []
 
 
 def test_every_dotted_name_resolves():

@@ -15,13 +15,10 @@ from gandr.augment import build_augmented_input
 from gandr.data_io import load_store, save_store
 from gandr.errors import (
     ConfigError,
-    DuplicateId,
-    EmptyCorpus,
+    GandrError,
     MalformedParse,
     MalformedRow,
-    RecordNotFound,
     SeparatorCollision,
-    StoreTooSmall,
 )
 from gandr.retrieval import (
     Exemplar,
@@ -145,7 +142,9 @@ class TestExemplar:
 
 class TestStore:
     def test_duplicate_id_rejected(self, tiny_store):
-        with pytest.raises(DuplicateId):
+        # a ValueError, which load_store reports as a corrupt line
+        with pytest.raises(MalformedRow,
+                           match="^exemplar id 0 already present$"):
             tiny_store.add(Exemplar(0, "again", "[IN:X y ]"))
 
     def test_bad_parse_rejected_on_add(self, tiny_store):
@@ -154,11 +153,11 @@ class TestStore:
         assert 99 not in tiny_store
 
     def test_get_unknown_id(self, tiny_store):
-        with pytest.raises(RecordNotFound):
+        with pytest.raises(GandrError, match="^no exemplar with id 42$"):
             tiny_store.get(42)
 
     def test_empty_store_cannot_build(self):
-        with pytest.raises(EmptyCorpus):
+        with pytest.raises(GandrError, match="^store has no exemplars$"):
             ExemplarStore().build()
 
     def test_exemplars_listed_by_ascending_id(self):
@@ -216,13 +215,14 @@ class TestStore:
     def test_rejected_add_keeps_no_labels(self, tiny_store):
         fresh = build_store(tiny_store.exemplars)
         labels = tiny_store.get(0).labels
-        with pytest.raises(DuplicateId):
+        with pytest.raises(MalformedRow,
+                           match="^exemplar id 0 already present$"):
             tiny_store.add(Exemplar(0, "again", "[IN:OTHER [SL:X y ] ]"))
         with pytest.raises(MalformedParse):
             tiny_store.add(Exemplar(99, "text", "[IN:OPEN [SL:X no close"))
         assert tiny_store.get(0).labels == labels == ("IN:PLAY_MUSIC",
                                                       "SL:MUSIC_GENRE")
-        with pytest.raises(RecordNotFound):
+        with pytest.raises(GandrError, match="^no exemplar with id 99$"):
             tiny_store.get(99)
         tiny_store.build()
         fresh.build()
@@ -243,7 +243,7 @@ class TestStore:
         with pytest.raises(RuntimeError, match="tokenizer failed"):
             tiny_store.build()
         assert seen == [False] and gc.isenabled()
-        with pytest.raises(EmptyCorpus):
+        with pytest.raises(GandrError, match="^store has no exemplars$"):
             ExemplarStore().build()
         assert gc.isenabled()
         gc.disable()
@@ -283,11 +283,14 @@ class TestValidation:
             retrieve_topk(tiny_store, "play jazz", k)
 
     def test_k_larger_than_store(self, tiny_store):
-        with pytest.raises(StoreTooSmall):
+        with pytest.raises(GandrError, match="^requested 5 exemplars but "
+                                             "only 4 are available$") as info:
             retrieve_topk(tiny_store, "play jazz", 5)
+        assert not isinstance(info.value, ConfigError)
 
     def test_exclusions_shrink_the_pool(self, tiny_store):
-        with pytest.raises(StoreTooSmall):
+        with pytest.raises(GandrError, match="^requested 4 exemplars but "
+                                             "only 3 are available$"):
             retrieve_topk(tiny_store, "play jazz", 4, exclude_ids={0})
 
     @pytest.mark.parametrize("retrieve", [
@@ -300,32 +303,38 @@ class TestValidation:
     def test_too_small_message_counts_excluded_ids_present(self, tiny_store,
                                                           retrieve):
         # a repeated id counts once and an id the store lacks not at all
-        with pytest.raises(StoreTooSmall,
+        with pytest.raises(GandrError,
                            match="^requested 3 exemplars but only 2 are "
                                  "available$"):
             retrieve(tiny_store, 3, [0, 2, 0, 99])
 
 
-    @pytest.mark.parametrize("empty, settings, error", [
-        (True, {}, EmptyCorpus),
-        (True, {"k": 0}, EmptyCorpus),
-        (True, {"k": 0, "p": 0.0}, EmptyCorpus),
-        (True, {"alpha": 2.0}, ConfigError),
-        (True, {"alpha": 0.5}, ConfigError),
-        (False, {"k": 5, "p": 0.0}, StoreTooSmall),
-        (False, {"alpha": 0.5, "k": 5}, ConfigError),
+    @pytest.mark.parametrize("empty, settings, error, message", [
+        (True, {}, GandrError, "store has no exemplars"),
+        (True, {"k": 0}, GandrError, "store has no exemplars"),
+        (True, {"k": 0, "p": 0.0}, GandrError, "store has no exemplars"),
+        (True, {"alpha": 2.0}, ConfigError, "alpha must lie in"),
+        (True, {"alpha": 0.5}, ConfigError, "requires a preliminary parse"),
+        (False, {"k": 5, "p": 0.0}, GandrError,
+         "requested 5 exemplars but only 4 are available"),
+        (False, {"alpha": 0.5, "k": 5}, ConfigError,
+         "requires a preliminary parse"),
     ])
     def test_sampled_checks_mix_then_store_then_k_then_p(
-            self, tiny_store, empty, settings, error):
+            self, tiny_store, empty, settings, error, message):
         settings = {"k": 1, "p": 0.5, **settings}
-        with pytest.raises(error):
+        with pytest.raises(error, match=message) as info:
             retrieve_sampled(ExemplarStore() if empty else tiny_store,
                              "play jazz", rng=np.random.default_rng(0),
                              **settings)
+        # a GandrError row exits 1, a ConfigError row 2
+        assert type(info.value) is error
 
     def test_empty_store_comes_before_k(self):
-        with pytest.raises(EmptyCorpus):
+        with pytest.raises(GandrError,
+                           match="^store has no exemplars$") as info:
             retrieve_topk(ExemplarStore(), "play jazz", 0)
+        assert not isinstance(info.value, ConfigError)
 
     # True and 1.0 equal exemplar 1's id without being an id; "a" and 2**70
     # are no int64 at all
@@ -963,7 +972,8 @@ class TestGeometricSampling:
 
     def test_too_many_draws(self):
         rng = np.random.default_rng(3)
-        with pytest.raises(StoreTooSmall):
+        with pytest.raises(GandrError,
+                           match="^requested 4 draws from 3 candidates$"):
             sample_geometric_ranks(3, 4, 0.5, rng)
 
     def test_first_draw_distribution_roughly_geometric(self):

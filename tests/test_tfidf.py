@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gandr.errors import EmptyCorpus
+from gandr.errors import GandrError
 from gandr.tfidf import TfidfVectorizer, tokenize_text
 
 from conftest import fit_channel
@@ -101,13 +101,14 @@ def test_zero_vector_cosine_is_zero():
 
 
 def test_fit_empty_corpus_raises():
-    with pytest.raises(EmptyCorpus):
+    with pytest.raises(GandrError, match="^cannot fit a vectorizer on zero "
+                                         "documents$"):
         TfidfVectorizer().fit_transform([])
 
 
 @pytest.mark.parametrize("docs", [iter([]), (d for d in [])])
 def test_fit_empty_iterator_raises(docs):
-    with pytest.raises(EmptyCorpus) as caught:
+    with pytest.raises(GandrError) as caught:
         TfidfVectorizer().fit_transform(docs)
     assert str(caught.value) == "cannot fit a vectorizer on zero documents"
 
