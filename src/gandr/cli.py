@@ -35,7 +35,11 @@ from collections import namedtuple
 import numpy as np
 
 from . import __version__
-from .augment import check_separator_safe
+from .augment import (
+    EXEMPLAR_SEP,
+    build_augmented_input,
+    check_separator_safe,
+)
 from .data_io import (
     LoadResult,
     apply_split,
@@ -336,6 +340,7 @@ def cmd_eval(args, settings: _Settings) -> int:
     validate_recall_k(args.k)
     records = read_records(args.records)
     store = load_store(args.store)
+    _check_records_match_store(records, store, args.records)
     report = evaluate(records, store, k=args.k,
                       multiset=not args.set_match, casefold=args.casefold)
     if args.json:
@@ -350,6 +355,36 @@ def cmd_eval(args, settings: _Settings) -> int:
         print(f"domain\t{domain}\t{stats.n}\t{stats.exact_match:.6f}\t"
               f"{stats.template_recall:.6f}")
     return 0
+
+
+def _check_records_match_store(records: list[PredictionRecord],
+                               store: ExemplarStore, path: str) -> None:
+    """A ConfigError unless every prompt in ``records`` rebuilds from
+    ``store``. Hit ids read against another store name other exemplars,
+    so pairing the two files would score them silently wrong."""
+    for record in records:
+        for aug in (record.pass1_augmented, record.pass2_augmented):
+            if aug is None:
+                continue
+            exemplars = []
+            for exemplar_id in aug.exemplar_ids:
+                if exemplar_id not in store:
+                    raise ConfigError(
+                        f"{path}: sample {record.sample_id} was prompted "
+                        f"with exemplar {exemplar_id}, which the store does "
+                        f"not hold; pass the --store the records came from")
+                exemplars.append(store.get(exemplar_id))
+            rebuilt = build_augmented_input(aug.query, exemplars).text
+            if rebuilt != aug.text:
+                pairs = zip(aug.exemplar_ids, rebuilt.split(EXEMPLAR_SEP)[1:],
+                            aug.text.split(EXEMPLAR_SEP)[1:])
+                differ = next((i for i, mine, theirs in pairs
+                               if mine != theirs), None)
+                raise ConfigError(
+                    f"{path}: the prompt of sample {record.sample_id} does "
+                    f"not rebuild from the store"
+                    + ("" if differ is None else f" at exemplar {differ}")
+                    + "; pass the --store the records came from")
 
 
 def cmd_sweep(args, settings: _Settings) -> int:

@@ -10,19 +10,22 @@ per input, in order. The family:
   reruns without a model.
 * RecordingGenerator: wraps another endpoint and appends its traffic to a
   JSONL log that ReplayGenerator can consume.
-* RemoteGenerator: HTTP POST to a model server.
+* RemoteGenerator: HTTP POST to a model server, through ``http.client``,
+  which it imports at its first request: the module loads ``ssl``, and
+  no other endpoint needs either.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import math
+import select
 import time
 from abc import ABC, abstractmethod
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
-
-import requests
+from urllib.parse import quote, urlsplit
 
 from .augment import EXEMPLAR_SEP
 from .data_io import decode_json, numbered_lines
@@ -33,6 +36,7 @@ from .errors import (
     GenerationTimeout,
     RemoteError,
 )
+from .pipeline import generate_checked
 from .retrieval import Exemplar, validate_k
 
 
@@ -126,14 +130,19 @@ class ReplayGenerator(Generator):
 
 
 class RecordingGenerator(Generator):
-    """Delegates to another endpoint and logs the traffic as replay JSONL."""
+    """Delegates to another endpoint and logs the traffic as replay JSONL.
+
+    An answer that is not one output per input is a GenerationError, as in
+    the pipeline, and logs nothing, so a replay of the log fails where the
+    recorded run failed.
+    """
 
     def __init__(self, inner: Generator, path: str | Path):
         self.inner = inner
         self.path = Path(path)
 
     def generate(self, inputs: Sequence[str]) -> list[str]:
-        outputs = self.inner.generate(inputs)
+        outputs = generate_checked(self.inner, inputs)
         with open(self.path, "a", encoding="utf-8",
                   errors="backslashreplace") as fh:
             for text, output in zip(inputs, outputs):
@@ -159,6 +168,65 @@ def validate_request_limits(timeout: float, max_batch: int | None) -> None:
         validate_k(max_batch, "max_batch")
 
 
+def _time_left(deadline: float) -> float:
+    """Seconds until ``deadline``, a ``time.monotonic()`` value; a
+    TimeoutError once it has passed."""
+    left = deadline - time.monotonic()
+    if left <= 0:
+        raise TimeoutError("the request's deadline passed")
+    return left
+
+
+class _DeadlineReads(io.RawIOBase):
+    """A connected socket's reads, each allowed only the time left before
+    ``deadline``. A socket timeout alone restarts at every read, so a
+    server that trickles its answer would never run out of it.
+    ``http.client.HTTPResponse`` takes this in place of the socket and
+    reads through its ``makefile``."""
+
+    def __init__(self, sock, deadline: float):
+        super().__init__()
+        self._sock = sock
+        self._raw = sock.makefile("rb", buffering=0)
+        self._deadline = deadline
+
+    def makefile(self, mode: str) -> io.BufferedReader:
+        return io.BufferedReader(self)
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        self._sock.settimeout(_time_left(self._deadline))
+        return self._raw.readinto(buffer)
+
+    def close(self) -> None:
+        self._raw.close()
+        super().close()
+
+
+def _closed_by_server(sock) -> bool:
+    """Whether an idle kept-alive socket reads as ready: its server closed
+    it, or sent what no request asked for, and either way it is spent."""
+    return bool(select.select([sock], [], [], 0)[0])
+
+
+def _split_http_url(url: str) -> tuple[str, str, int | None, str]:
+    """``url``'s scheme, host, port and request target; a ConfigError
+    unless it is an http(s) URL with an ASCII host and a valid port."""
+    try:
+        parts = urlsplit(url)
+        scheme, host, port = parts.scheme, parts.hostname, parts.port
+    except ValueError:  # an unclosed IPv6 bracket, a port out of range
+        scheme = host = None
+    if scheme not in ("http", "https") or not host or not host.isascii():
+        raise ConfigError(f"endpoint must be an http(s) URL with an ASCII "
+                          f"host and a valid port, got {url!r}")
+    target = (parts.path or "/") + ("?" + parts.query if parts.query else "")
+    # percent-encode what a request line cannot hold; keep the escapes
+    return scheme, host, port, quote(target, safe="!#$%&'()*+,/:;=?@[]~")
+
+
 class RemoteGenerator(Generator):
     """HTTP endpoint speaking ``{"inputs": [...]} -> {"outputs": [...]}``.
 
@@ -167,10 +235,17 @@ class RemoteGenerator(Generator):
     ``retries`` extra attempts with exponential backoff; 4xx responses
     fail immediately. Exhaustion raises GenerationTimeout when the last
     failure was a timeout, GenerationError otherwise (RemoteError when
-    no retries were configured). ``timeout`` must be a positive finite
-    number of seconds, ``max_batch`` a positive int or None (no limit),
-    ``retries`` a non-negative int and ``backoff`` a non-negative finite
-    number of seconds; anything else is a ConfigError.
+    no retries were configured). ``timeout`` bounds a whole request: the
+    connect, the send and every read of the answer share it. It must be
+    a positive finite number of seconds, ``max_batch`` a positive int or
+    None (no limit), ``retries`` a non-negative int, ``backoff`` a
+    non-negative finite number of seconds, and ``url`` an http(s) URL
+    with an ASCII host and a valid port; anything else is a ConfigError.
+
+    Each generator keeps one connection alive between requests and opens
+    a fresh one after a failed exchange or once its server closed it. It
+    reads no proxy variables, follows no redirect and verifies TLS
+    against the system's trust store.
     """
 
     def __init__(self, url: str, timeout: float = 30.0,
@@ -184,31 +259,61 @@ class RemoteGenerator(Generator):
         if not (_finite_number(backoff) and backoff >= 0):
             raise ConfigError(f"backoff must be a non-negative finite number "
                               f"of seconds, got {backoff!r}")
+        self._scheme, self._host, self._port, self._target = \
+            _split_http_url(url)
         self.url = url
         self.timeout = timeout
         self.max_batch = max_batch
         self.retries = retries
         self.backoff = backoff
-        self._session = requests.Session()
+        self._connection = None
+
+    def _exchange(self, chunk: Sequence[str],
+                  deadline: float) -> tuple[int, bytes]:
+        """POST ``chunk`` on the kept connection and read the whole answer,
+        each step waiting only until ``deadline``."""
+        import http.client
+
+        connection = self._connection
+        if connection is None:
+            kind = http.client.HTTPSConnection if self._scheme == "https" \
+                else http.client.HTTPConnection
+            connection = self._connection = kind(self._host, self._port)
+        elif connection.sock is not None \
+                and _closed_by_server(connection.sock):
+            connection.close()
+        if connection.sock is None:
+            connection.timeout = _time_left(deadline)
+            connection.connect()
+        connection.sock.settimeout(_time_left(deadline))
+        connection.response_class = \
+            lambda sock, *args, **kwargs: http.client.HTTPResponse(
+                _DeadlineReads(sock, deadline), *args, **kwargs)
+        # ASCII-escaped JSON, so a lone surrogate in a prompt survives
+        connection.request("POST", self._target,
+                           json.dumps({"inputs": list(chunk)}).encode(),
+                           {"Content-Type": "application/json"})
+        response = connection.getresponse()
+        return response.status, response.read()
 
     def _post_once(self, chunk: Sequence[str]) -> list[str]:
+        import http.client
+
+        deadline = time.monotonic() + self.timeout
         try:
-            response = self._session.post(
-                self.url, json={"inputs": list(chunk)}, timeout=self.timeout)
-        except requests.Timeout as exc:
-            raise GenerationTimeout(
-                f"{self.url} did not answer within {self.timeout}s") from exc
-        except requests.ConnectionError as exc:
+            status, body = self._exchange(chunk, deadline)
+        except (OSError, http.client.HTTPException) as exc:
+            if self._connection is not None:
+                self._connection.close()
+            if isinstance(exc, TimeoutError):
+                raise GenerationTimeout(f"{self.url} did not answer within "
+                                        f"{self.timeout}s") from exc
             raise RemoteError(f"{self.url} is unreachable: {exc}") from exc
-        if response.status_code != 200:
-            raise RemoteError(
-                f"{self.url} answered {response.status_code}",
-                status=response.status_code)
+        if status != 200:
+            raise RemoteError(f"{self.url} answered {status}", status=status)
         try:
-            outputs = response.json()["outputs"]
-        except (ValueError, KeyError, RecursionError) as exc:
-            # a body nested past the decoder's recursion limit is malformed
-            # too, not a crash
+            outputs = decode_json(body.decode("utf-8"))["outputs"]
+        except (ValueError, KeyError, TypeError) as exc:
             raise RemoteError(f"{self.url} sent a malformed body: {exc}") from exc
         if not isinstance(outputs, list) or len(outputs) != len(chunk) \
                 or not all(isinstance(o, str) for o in outputs):

@@ -215,9 +215,10 @@ class TrainingPair:
     exemplar_ids: tuple[int, ...]
 
 
-def _generate(generator, prompts: list[str]) -> list[str]:
+def generate_checked(generator, prompts: Sequence[str]) -> list[str]:
     """``generator``'s outputs for ``prompts``; a GenerationError unless
-    there is one per prompt."""
+    there is one per prompt. The one count rule of the pipeline and of
+    ``RecordingGenerator``."""
     outputs = list(generator.generate(prompts))
     if len(outputs) != len(prompts):
         raise GenerationError(f"generator returned {len(outputs)} outputs "
@@ -231,14 +232,14 @@ def _bulk_generate(generator, prompts: Sequence[str],
     if not prompts:
         return []
     try:
-        return _generate(generator, list(prompts))
+        return generate_checked(generator, list(prompts))
     except GenerationError:
         if policy is FailurePolicy.ABORT:
             raise
     outputs: list[str | None] = []
     for prompt in prompts:
         try:
-            outputs.extend(_generate(generator, [prompt]))
+            outputs.extend(generate_checked(generator, [prompt]))
         except GenerationError:
             outputs.append(None)
     return outputs

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from gandr import Exemplar, ExemplarStore
+from gandr import Exemplar, ExemplarStore, Generator
 from gandr.tfidf import TfidfVectorizer
 
 
@@ -77,6 +77,16 @@ def tiny_store() -> ExemplarStore:
     ]:
         store.add(exemplar)
     return store
+
+
+class Miscounting(Generator):
+    """Answers ``extra`` more (or, below 0, fewer) outputs than prompts."""
+
+    def __init__(self, extra):
+        self.extra = extra
+
+    def generate(self, inputs):
+        return ["[IN:OK fine ]"] * (len(inputs) + self.extra)
 
 
 WORDS = [f"word{i}" for i in range(40)]

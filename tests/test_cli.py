@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gandr
 from conftest import TRACE_EXEMPLARS, TRACE_GOLD, TRACE_PRELIMINARY, TRACE_QUERY
 from gandr import cli, data_io, evaluation, retrieval, top_parse
 from gandr.cli import main
@@ -487,6 +492,39 @@ class TestEval:
         assert code == 1
         assert "line 2: exemplar_id must be a 64-bit integer, got '0'" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("rows", ["reversed", "first four"])
+    def test_records_of_another_store_exit_2(self, tmp_path, dataset,
+                                             records, capsys, rows):
+        lines = dataset.read_text(encoding="utf-8").splitlines()
+        lines = lines[::-1] if rows == "reversed" else lines[:4]
+        other_data = tmp_path / "other.tsv"
+        other_data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        other = tmp_path / "other.store"
+        assert main(["index", "--data", str(other_data),
+                     "--out", str(other)]) == 0
+        capsys.readouterr()
+        assert main(["eval", "--store", str(other), "--records",
+                     str(records)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        first = read_records(records)[0]
+        if rows == "reversed":
+            # every exemplar id holds another row, from the first prompt on
+            assert err == (
+                f"error: {records}: the prompt of sample {first.sample_id} "
+                f"does not rebuild from the store at exemplar "
+                f"{first.pass1_augmented.exemplar_ids[0]}; pass the --store "
+                f"the records came from\n")
+        else:
+            record, exemplar_id = next(
+                (record, i) for record in read_records(records)
+                for aug in (record.pass1_augmented, record.pass2_augmented)
+                for i in aug.exemplar_ids if i >= 4)
+            assert err == (
+                f"error: {records}: sample {record.sample_id} was prompted "
+                f"with exemplar {exemplar_id}, which the store does not "
+                f"hold; pass the --store the records came from\n")
 
     def test_missing_records_exits_2(self, store, tmp_path):
         assert main(["eval", "--store", str(store), "--records",
@@ -1262,3 +1300,17 @@ def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def test_import_loads_no_http_client():
+    """``import gandr.cli`` loads no HTTP or TLS module: only an http(s)
+    endpoint's first request needs one."""
+    source = str(Path(gandr.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [source, os.environ.get("PYTHONPATH")])))
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import sys, gandr.cli; print(sorted(m for m "
+         "in ('requests', 'urllib3', 'http.client', 'ssl') "
+         "if m in sys.modules))"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert loaded == "[]\n"

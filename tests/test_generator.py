@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import any_text
+from conftest import Miscounting, any_text
 from gandr.errors import (
     ConfigError,
     CorruptFile,
@@ -122,6 +122,16 @@ def test_recording_round_trips_into_replay(tmp_path):
     assert replay.generate(["p1", "p2", "p3"]) == ["out", "out", "out"]
 
 
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_recording_logs_no_miscounted_answer(tmp_path, extra):
+    log = tmp_path / "log.jsonl"
+    recorder = RecordingGenerator(Miscounting(extra), log)
+    with pytest.raises(GenerationError, match=f"^generator returned "
+                       f"{2 + extra} outputs for 2 prompts$"):
+        recorder.generate(["p1", "p2"])
+    assert not log.exists()
+
+
 @settings(max_examples=100, deadline=None)
 @given(traffic=st.dictionaries(any_text, any_text, max_size=4))
 @example(traffic={"weather \ud800 in paris": "[IN:X \udfff ]",
@@ -136,11 +146,21 @@ def test_recording_round_trips_arbitrary_text(traffic):
 
 
 class StubHandler(BaseHTTPRequestHandler):
+    """Answers by the server's script; HTTP/1.0, so it closes the
+    connection after every response."""
+
+    def setup(self):
+        super().setup()
+        with self.server.lock:
+            self.server.connections += 1
+
     def do_POST(self):
         length = int(self.headers.get("Content-Length", 0))
-        body = json.loads(self.rfile.read(length)) if length else {}
+        raw = self.rfile.read(length)
+        body = json.loads(raw) if length else {}
         server = self.server
         with server.lock:
+            server.raw_bodies.append(raw)
             server.requests.append(body)
             behavior = (server.script.pop(0) if server.script else "ok")
         if behavior == "ok":
@@ -177,9 +197,40 @@ class StubHandler(BaseHTTPRequestHandler):
             self.send_header("Content-Length", str(len(raw)))
             self.end_headers()
             self.wfile.write(raw)
+        elif behavior == "list":
+            raw = json.dumps(["parsed:a"]).encode()
+            self.send_response(200)
+            self.send_header("Content-Length", str(len(raw)))
+            self.end_headers()
+            self.wfile.write(raw)
+        elif behavior == "trickle":
+            # a whole answer, one byte every 0.2 s
+            raw = json.dumps({"outputs": ["parsed:a"]}).encode()
+            self.send_response(200)
+            self.send_header("Content-Length", str(len(raw)))
+            self.end_headers()
+            self.wfile.flush()
+            for byte in raw:
+                time.sleep(0.2)
+                self.wfile.write(bytes([byte]))
+                self.wfile.flush()
+        elif behavior == "hang up":
+            # answers as if keeping the connection alive, then closes it
+            raw = json.dumps({"outputs": ["parsed:a"]}).encode()
+            self.send_response(200)
+            self.send_header("Content-Length", str(len(raw)))
+            self.end_headers()
+            self.wfile.write(raw)
+            self.close_connection = True
 
     def log_message(self, *args):
         pass
+
+
+class KeepAliveHandler(StubHandler):
+    """The stub over HTTP/1.1: the connection stays open between requests."""
+
+    protocol_version = "HTTP/1.1"
 
 
 class QuietServer(ThreadingHTTPServer):
@@ -187,16 +238,35 @@ class QuietServer(ThreadingHTTPServer):
         # broken pipes from timed-out clients are expected here
         pass
 
+    def shutdown_request(self, request):
+        super().shutdown_request(request)
+        self.closed.release()
 
-@pytest.fixture
-def stub_server():
-    server = QuietServer(("127.0.0.1", 0), StubHandler)
+
+def serve(handler):
+    server = QuietServer(("127.0.0.1", 0), handler)
     server.script = []
     server.requests = []
+    server.raw_bodies = []
+    server.connections = 0
+    server.closed = threading.Semaphore(0)
     server.lock = threading.Lock()
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     server.url = f"http://127.0.0.1:{server.server_address[1]}/generate"
+    return server
+
+
+@pytest.fixture
+def stub_server():
+    server = serve(StubHandler)
+    yield server
+    server.shutdown()
+
+
+@pytest.fixture
+def keepalive_server():
+    server = serve(KeepAliveHandler)
     yield server
     server.shutdown()
 
@@ -308,3 +378,64 @@ class TestRemote:
                               retries=0)
         with pytest.raises(RemoteError):
             gen.generate(["a"])
+
+    def test_unicode_prompts_round_trip_as_ascii_json(self, stub_server):
+        prompts = ["caf\u00e9 \u2028 \U0001f600", "weather \ud800 in paris",
+                   "[IN:X \udfff ]"]
+        gen = RemoteGenerator(stub_server.url, timeout=5.0)
+        assert gen.generate(prompts) == [f"parsed:{p}" for p in prompts]
+        assert stub_server.raw_bodies == \
+            [json.dumps({"inputs": prompts}).encode()]
+
+    def test_trickled_answer_times_out_at_the_deadline(self, stub_server):
+        stub_server.script[:] = ["trickle"]
+        gen = RemoteGenerator(stub_server.url, timeout=0.5, retries=0)
+        start = time.monotonic()
+        with pytest.raises(GenerationTimeout, match="did not answer within "
+                                                    "0.5s$"):
+            gen.generate(["a"])
+        assert time.monotonic() - start < 1.5
+
+    def test_a_connection_closed_after_every_answer_is_reopened(
+            self, stub_server):
+        gen = RemoteGenerator(stub_server.url, timeout=5.0, retries=0)
+        for text in "abc":
+            assert gen.generate([text]) == [f"parsed:{text}"]
+        assert stub_server.connections == 3
+
+    def test_one_connection_serves_every_request(self, keepalive_server):
+        gen = RemoteGenerator(keepalive_server.url, timeout=5.0, retries=0)
+        for text in "abc":
+            assert gen.generate([text]) == [f"parsed:{text}"]
+        assert keepalive_server.connections == 1
+
+    def test_a_connection_the_server_closed_is_reopened(self,
+                                                        keepalive_server):
+        keepalive_server.script[:] = ["hang up"]
+        gen = RemoteGenerator(keepalive_server.url, timeout=5.0, retries=0)
+        assert gen.generate(["a"]) == ["parsed:a"]
+        assert keepalive_server.closed.acquire(timeout=5)
+        assert gen.generate(["b"]) == ["parsed:b"]
+        assert len(keepalive_server.requests) == 2
+        assert keepalive_server.connections == 2
+
+    def test_a_failed_exchange_reopens_the_connection(self, keepalive_server):
+        keepalive_server.script[:] = ["sleep"]
+        gen = RemoteGenerator(keepalive_server.url, timeout=0.3, retries=0)
+        with pytest.raises(GenerationTimeout):
+            gen.generate(["a"])
+        assert gen.generate(["b"]) == ["parsed:b"]
+        assert keepalive_server.connections == 2
+
+    def test_body_that_is_not_an_object_is_malformed(self, stub_server):
+        stub_server.script[:] = ["list"]
+        gen = RemoteGenerator(stub_server.url, timeout=5.0, retries=0)
+        with pytest.raises(RemoteError, match="malformed body"):
+            gen.generate(["a"])
+
+    @pytest.mark.parametrize("url", [
+        "ftp://127.0.0.1/generate", "http:///generate", "http://[::1/x",
+        "http://127.0.0.1:99999/generate", "http://b\u00fccher.example/x"])
+    def test_url_without_a_host_or_port_is_a_config_error(self, url):
+        with pytest.raises(ConfigError, match="endpoint must be an http"):
+            RemoteGenerator(url, timeout=5.0)

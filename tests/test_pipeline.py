@@ -3,7 +3,13 @@ import re
 import pytest
 
 from gandr.errors import ConfigError, GandrError, GenerationError
-from gandr.generator import Generator, OracleLookupGenerator, StaticGenerator
+from gandr.generator import (
+    Generator,
+    OracleLookupGenerator,
+    RecordingGenerator,
+    ReplayGenerator,
+    StaticGenerator,
+)
 from gandr.pipeline import (
     STATUS_OK,
     STATUS_PASS1_FAILED,
@@ -21,7 +27,12 @@ from gandr.top_parse import parse_labels, template
 
 import numpy as np
 
-from conftest import TRACE_GOLD, TRACE_PRELIMINARY, TRACE_QUERY
+from conftest import (
+    TRACE_GOLD,
+    TRACE_PRELIMINARY,
+    TRACE_QUERY,
+    Miscounting,
+)
 
 
 class CapturingGenerator(Generator):
@@ -45,16 +56,6 @@ class FailOnMarker(Generator):
             if self.marker in text.split(" || ", 1)[0]:
                 raise GenerationError(f"refusing prompt with {self.marker!r}")
         return ["[IN:OK fine ]" for _ in inputs]
-
-
-class Miscounting(Generator):
-    """Answers ``extra`` more (or, below 0, fewer) outputs than prompts."""
-
-    def __init__(self, extra):
-        self.extra = extra
-
-    def generate(self, inputs):
-        return ["[IN:OK fine ]"] * (len(inputs) + self.extra)
 
 
 def samples_for(store):
@@ -194,6 +195,20 @@ class TestFailurePolicy:
                                PipelineConfig(k=2))
         assert [r.status for r in records] == [STATUS_PASS1_FAILED] * 4
         assert final.batches == []
+
+    def test_a_recording_of_a_miscounting_generator_replays_as_it_ran(
+            self, tiny_store, tmp_path):
+        samples = samples_for(tiny_store)
+        log = tmp_path / "preliminary.jsonl"
+        log.touch()
+        recorded = run_pipeline(tiny_store, samples,
+                                RecordingGenerator(Miscounting(-1), log),
+                                StaticGenerator("x"), PipelineConfig(k=2))
+        replayed = run_pipeline(tiny_store, samples,
+                                ReplayGenerator.from_path(log),
+                                StaticGenerator("x"), PipelineConfig(k=2))
+        assert [r.status for r in replayed] == \
+            [r.status for r in recorded] == [STATUS_PASS1_FAILED] * 4
 
 
 class TestConfigValidation:

@@ -1,10 +1,12 @@
 """README's examples run, or at least parse, as written against the
 installed package."""
 
+import ast
 import importlib
 import json
 import re
 import shlex
+import sys
 from pathlib import Path
 
 import gandr
@@ -90,6 +92,32 @@ def test_every_error_class_is_told_apart():
     untold = [name for name in classes if name not in caught
               and not re.search(rf"`{name}`", readme)]
     assert untold == []
+
+
+def test_runtime_dependencies_are_numpy_alone():
+    """Every module the package imports, at its top or inside a function,
+    is of the standard library or is numpy, and ``pyproject.toml`` and the
+    README name that same set, so a dependency cannot creep back
+    unnoticed."""
+    package = Path(gandr.__file__).parent
+    imported = set()
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0]
+                                for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"gandr"}
+    assert third_party == {"numpy"}
+    pyproject = (README.parent / "pyproject.toml").read_text(encoding="utf-8")
+    [listed] = re.findall(r"(?ms)^dependencies = \[(.*?)\]", pyproject)
+    assert {re.split(r"[<>=!~;\[ ]", requirement)[0]
+            for requirement in re.findall(r'"([^"]+)"', listed)} \
+        == third_party
+    [sentence] = re.findall(r"Runtime dependencies: ([^.]*)\.",
+                            README.read_text(encoding="utf-8"))
+    assert set(re.split(r",\s*|\s+and\s+", sentence)) == third_party
 
 
 def test_every_dotted_name_resolves():
