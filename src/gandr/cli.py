@@ -3,12 +3,12 @@
 Subcommands: index, retrieve, run, eval, sweep, emit-train, trace.
 
 ``SETTINGS`` declares the nine settings a JSON config file passed with
---config may hold. Each resolves flag > environment > config file >
-default and is checked by its rule when a command reads it. Every command
-reads and checks its settings, and builds its endpoints, before it reads
-the store; ``run`` and ``sweep`` echo the settings they read. A flag that
-its command, mode, emit-train stage or sweep axis does not read exits 2;
-README lists these flags.
+--config may hold; any other key exits 2. Each resolves flag >
+environment > config file > default and is checked by its rule when a
+command reads it. Every command reads and checks its settings, and
+builds its endpoints, before it reads the store; ``run`` and ``sweep``
+echo the settings they read. A flag that its command, mode, emit-train
+stage or sweep axis does not read exits 2; README lists these flags.
 
 Generation endpoints are named by spec strings:
 
@@ -128,6 +128,10 @@ def _load_config_file(path: str | None) -> dict:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(config, dict):
         raise ConfigError(f"{path} must hold a JSON object")
+    for key in config:
+        if key not in SETTINGS:
+            raise ConfigError(f"{path} has unknown key {key!r}; the keys "
+                              f"are {', '.join(SETTINGS)}")
     return config
 
 

@@ -56,7 +56,9 @@ class LoadResult:
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:
-    """Write via a sibling temp file and rename, so readers never see partial output."""
+    """Write via a sibling temp file and rename, so readers never see
+    partial output. The file gets the mode ``open`` gives a new one,
+    ``0o666`` less the umask, not the temp file's ``0o600``."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent or ".", prefix=path.name + ".",
                                suffix=".tmp")
@@ -64,6 +66,10 @@ def atomic_write_text(path: str | Path, text: str) -> None:
         with os.fdopen(fd, "w", encoding="utf-8",
                        errors="backslashreplace") as fh:
             fh.write(text)
+        # the umask is read by setting it, and restored at once
+        umask = os.umask(0o022)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -29,8 +29,9 @@ where that bound does not narrow the store, the mixed scores are narrowed
 by the maxima of strided groups of them. A head at most 12 deep (the
 default k is 4) is then taken by ``argmin`` rounds, one pass over the
 candidates per rank, and a deeper one by a partition; neither sorts the
-whole store. ``retrieve_topk`` is its one-alpha case, and both pipeline
-passes select through it. ``retrieve_sampled`` draws ranks with
+whole store. An excluded exemplar is dropped from a head taken one rank
+deeper per exclusion. ``retrieve_topk`` is its one-alpha case, and both
+pipeline passes select through it. ``retrieve_sampled`` draws ranks with
 geometrically decaying probabilities (used to diversify training data,
 not at inference) and reads them from the top-k head as deep as its
 deepest draw.
@@ -394,67 +395,41 @@ def _template_reach(store: ExemplarStore, in_sims: np.ndarray,
 _ROUNDS_MAX_DEPTH = 12
 
 
-def _positions(ascending: np.ndarray, wanted: np.ndarray) -> np.ndarray:
-    """Positions in ``ascending`` of the ``wanted`` values it holds.
-
-    A binary search finds each one; a value past the largest lands on the
-    last position and fails the match.
-    """
-    at = np.minimum(np.searchsorted(ascending, wanted), ascending.shape[0] - 1)
-    return at[ascending[at] == wanted]
-
-
-def _candidate_order(ids: np.ndarray, relevance: np.ndarray,
-                     exclude_ids: Collection[int], depth: int) -> np.ndarray:
-    """Indices of the ``depth`` best candidates, best first, ties by
-    ascending id. ``ids`` must ascend, and ``depth`` must not exceed the
-    candidates left after exclusions. ``relevance`` is only read.
-
-    The candidates are the whole store or, above alpha 0 on a large
-    store, the members of the templates ``_template_reach`` keeps, in id
-    order. Those hold every relevance at least the need-th best, so
-    ordering them gives what ordering the whole store would.
+def _candidate_order(relevance: np.ndarray, depth: int) -> np.ndarray:
+    """Positions of the ``depth`` best candidates, best first, ties by
+    position. ``relevance`` is only read. The candidates are the whole
+    store or the members ``_template_reach`` keeps, both in id order, so
+    ties by position are ties by id.
 
     From _PREFILTER_MIN_STORE candidates up, an exact grid prefilter
-    (``_reaching``) first keeps, in id order, every candidate scoring at
-    least a threshold that ``need`` scores reach, ``need`` being depth
-    plus the excluded ids the store holds. Exclusions drop at most need -
-    depth of those, so the depth-th best score left is at least the
-    threshold: the head and every candidate tying its last member are
-    kept, and ordering the kept ones gives what ordering all would.
-    Excluded ids are found among them by binary search. Below that size
-    an interleaved timeit of ``retrieve_topk`` on one pinned CPU of a
-    2-vCPU x86-64 host measured the prefilter slower than a full pass
-    (+11-13% per query at 2k, even at 16k, 8-13% faster at 20k), so
-    every candidate is ordered, as also happens when the prefilter would
-    keep more than a quarter of them (an all-zero query at 100k orders
-    in 528 µs so, in 1117 µs through the prefilter).
+    (``_reaching``) first keeps, in position order, the head and every
+    candidate tying its last member. Below that size an interleaved
+    timeit of ``retrieve_topk`` on one pinned CPU of a 2-vCPU x86-64 host
+    measured the prefilter slower than a full pass (+11-13% per query at
+    2k, even at 16k, 8-13% faster at 20k), so every candidate is ordered,
+    as also happens when the prefilter would keep more than a quarter of
+    them (an all-zero query at 100k orders in 528 µs so, in 1117 µs
+    through the prefilter).
 
-    The head is read from keys, the negated relevances with the excluded
-    positions at +inf. A head at most _ROUNDS_MAX_DEPTH deep is taken by
-    ``argmin`` rounds, a deeper one by a partition (``_head_by_rounds``,
-    ``_head_by_partition``); both break ties by position, which is id
-    order, and neither sorts a query that scores every exemplar alike.
-    Most relevances of a small store are 0.0, and on that many ties
-    ``np.partition`` is slow. On the inputs of perfbench units and stream
-    queries (one pinned CPU of a 2-vCPU x86-64 host) rounds took a 2k
-    selection from 17 to 6.5 µs at depth 4. Each round is a pass over the
-    candidates, so the partition wins deeper down: rounds beat or tied it
-    up to depth 12 on every input measured (2k, 30k and 100k candidates),
-    and lost from depth 16 or 20 on all but all-zero arrays.
+    The head is read from keys, the negated relevances. A head at most
+    _ROUNDS_MAX_DEPTH deep is taken by ``argmin`` rounds, a deeper one by
+    a partition (``_head_by_rounds``, ``_head_by_partition``); both break
+    ties by position, and neither sorts a query that scores every
+    exemplar alike. Most relevances of a small store are 0.0, and on that
+    many ties ``np.partition`` is slow. On the inputs of perfbench units
+    and stream queries (one pinned CPU of a 2-vCPU x86-64 host) rounds
+    took a 2k selection from 17 to 6.5 µs at depth 4. Each round is a
+    pass over the candidates, so the partition wins deeper down: rounds
+    beat or tied it up to depth 12 on every input measured (2k, 30k and
+    100k candidates), and lost from depth 16 or 20 on all but all-zero
+    arrays.
     """
-    held = np.empty(0, dtype=np.int64)
-    if len(exclude_ids):
-        held = _positions(ids, np.fromiter(exclude_ids, dtype=np.int64))
-    candidates = _reaching(relevance, depth + held.shape[0])
+    candidates = _reaching(relevance, depth)
     if candidates is not None:
-        relevance, ids = relevance[candidates], ids[candidates]
-        held = _positions(candidates, held)
+        relevance = relevance[candidates]
     keys = np.negative(relevance)
-    if held.shape[0]:
-        keys[held] = np.inf
     order = _head_by_rounds(keys, depth) if depth <= _ROUNDS_MAX_DEPTH \
-        else _head_by_partition(keys, ids, depth)
+        else _head_by_partition(keys, depth)
     return order if candidates is None else candidates[order]
 
 
@@ -469,34 +444,35 @@ def _head_by_rounds(keys: np.ndarray, depth: int) -> np.ndarray:
     return order
 
 
-def _head_by_partition(keys: np.ndarray, ids: np.ndarray,
-                       depth: int) -> np.ndarray:
+def _head_by_partition(keys: np.ndarray, depth: int) -> np.ndarray:
     """Positions of the ``depth`` smallest keys, smallest first, ties by
-    ascending id: only the keys strictly below the depth-th are sorted, and
-    the ties at it follow in position order, which is id order."""
+    position: only the keys strictly below the depth-th are sorted, by a
+    stable sort, and the ties at it follow in position order."""
     boundary = np.partition(keys, depth - 1)[depth - 1]
     better = np.flatnonzero(keys < boundary)
-    head = better[np.lexsort((ids[better], keys[better]))]
+    head = better[np.argsort(keys[better], kind="stable")]
     ties = np.flatnonzero(keys == boundary)[:depth - head.shape[0]]
     return np.concatenate((head, ties))
 
 
 def _check_k(k: int, store: ExemplarStore,
-             exclude_ids: Collection[int]) -> int:
+             exclude_ids: Collection[int]) -> frozenset[int]:
     """Build the store, then validate k, every excluded id (by the id
     rule, so ``True`` never stands for exemplar 1), and k against the
-    exemplars left after exclusions; returns how many are left."""
+    exemplars left after exclusions; returns the excluded ids the store
+    holds."""
     store.ensure_built()
     validate_k(k)
     for exemplar_id in exclude_ids:
         if not is_int64(exemplar_id):
             raise ConfigError(f"excluded id must be a 64-bit integer, "
                               f"got {exemplar_id!r}")
-    available = len(store) - sum(i in store for i in set(exclude_ids))
+    held = frozenset(i for i in exclude_ids if i in store)
+    available = len(store) - len(held)
     if k > available:
         raise GandrError(
             f"requested {k} exemplars but only {available} are available")
-    return available
+    return held
 
 
 def retrieve_topk(store: ExemplarStore, query: str, k: int,
@@ -520,10 +496,14 @@ def retrieve_topk_alphas(store: ExemplarStore, query: str, k: int,
     once and mixed per alpha. Where ``_template_reach`` bounds the head
     to a few templates, only their members are mixed and ordered, with
     the same operations, so every relevance keeps its bits.
+
+    Selection runs on positions; ids enter at the end. Each excluded id
+    the store holds deepens the ordered head by one rank, and is then
+    dropped from it, which leaves the rest in order.
     """
     alphas = [validate_mix(alpha, preliminary) for alpha in alphas]
-    # the best k, plus as many as the exclusions may drop
-    need = k + len(store) - _check_k(k, store, exclude_ids)
+    held = _check_k(k, store, exclude_ids)
+    need = k + len(held)
     in_sims, out_sims = store.similarities(query, preliminary)
     ids, template_of = store._ids, store._template_of
     hits = []
@@ -531,8 +511,12 @@ def retrieve_topk_alphas(store: ExemplarStore, query: str, k: int,
         members = _template_reach(store, in_sims, out_sims, alpha, need)
         kept = slice(None) if members is None else members
         relevance = _mix(in_sims[kept], out_sims, template_of[kept], alpha)
-        order = _candidate_order(ids[kept], relevance, exclude_ids, k)
+        order = _candidate_order(relevance, need)
         head = order if members is None else members[order]
+        if held:
+            ranks = [r for r, i in enumerate(ids[head].tolist())
+                     if i not in held][:k]
+            order, head = order[ranks], head[ranks]
         # gathered and converted as arrays, which costs less than reading
         # the hits' fields one numpy scalar at a time
         outputs = repeat(0.0) if out_sims is None \
@@ -595,7 +579,8 @@ def retrieve_sampled(store: ExemplarStore, query: str, k: int, p: float,
     the full ordering. Results are in draw order, not rank order.
     """
     validate_mix(alpha, preliminary)
-    picks = sample_geometric_ranks(_check_k(k, store, exclude_ids), k, p, rng)
+    available = len(store) - len(_check_k(k, store, exclude_ids))
+    picks = sample_geometric_ranks(available, k, p, rng)
     hits = retrieve_topk(store, query, max(picks) + 1, alpha, preliminary,
                          exclude_ids)
     return [hits[rank] for rank in picks]

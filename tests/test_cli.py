@@ -1059,6 +1059,31 @@ class TestConfigResolution:
         assert (sidecar["k"], sidecar["alpha"], sidecar["budget"],
                 sidecar["timeout"]) == (3, 1.0, 50, 5.0)
 
+    def test_unknown_config_key_exits_2(self, tmp_path, store, dataset,
+                                        capsys, monkeypatch):
+        """A misspelled key is refused before any endpoint or store is
+        touched, not read as the default."""
+        touched = []
+        monkeypatch.setattr(cli, "_build_endpoint",
+                            lambda *a: touched.append("endpoint"))
+        monkeypatch.setattr(cli, "load_store",
+                            lambda *a, **kw: touched.append("store"))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"aplha": 0.3, "jobs": 2}))
+        out = tmp_path / "r.jsonl"
+        code = main(["--config", str(config), "run", "--store", str(store),
+                     "--data", str(dataset),
+                     "--final-endpoint", f"oracle:{dataset}", "--k", "2",
+                     "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {config} has unknown key 'aplha'; the keys are alpha, "
+            "k, budget, mode, failure_policy, timeout, preliminary_endpoint, "
+            "final_endpoint, p\n")
+        assert touched == []
+        assert not out.exists()
+        assert not (tmp_path / "r.jsonl.config.json").exists()
+
     def test_bad_config_file_exits_2(self, tmp_path, store, dataset, capsys):
         config = tmp_path / "config.json"
         config.write_text("[1, 2]")

@@ -792,3 +792,17 @@ class TestAtomicWrite:
     def test_no_stray_temp_files(self, tmp_path):
         atomic_write_text(tmp_path / "f.txt", "x")
         assert os.listdir(tmp_path) == ["f.txt"]
+
+    def test_a_written_store_gets_the_mode_of_a_new_file(self, tmp_path):
+        store = ExemplarStore()
+        store.add(Exemplar(1, "cold out today", GOOD_PARSE))
+        modes = []
+        for umask in (0o022, 0o077):
+            path = tmp_path / f"{umask:o}.store"
+            previous = os.umask(umask)
+            try:
+                save_store(store, path)
+            finally:
+                os.umask(previous)
+            modes.append(os.stat(path).st_mode & 0o777)
+        assert modes == [0o644, 0o600]

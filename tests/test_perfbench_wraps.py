@@ -55,3 +55,33 @@ def test_tracer_records_the_sweep_spans(monkeypatch):
     names = [span.name for span in tracer.spans]
     assert names.count("evaluation.run_sweep") == 1
     assert names.count("evaluation.evaluate") == 2
+
+
+# names perfbench still wraps that gandr no longer has; ROADMAP item 1a,
+# which edits perfbench/spans.py, empties this list
+STALE_WRAPS = {"pipeline.retrieve_topk", "ExemplarStore.score_all",
+               "evaluation.parse_top"}
+
+
+def test_every_wrap_target_exists(monkeypatch):
+    """Every name the tracer is asked to wrap exists in gandr, by the
+    lookup ``Tracer.wrap`` makes, save the stale ones. A rename of
+    ``_candidate_order`` or of any other wrapped name then fails here,
+    where the tracer would skip it and a per-layer metric would read 0."""
+    spans, _ = _spans_and_store(monkeypatch)
+    asked = []
+    monkeypatch.setattr(spans.Tracer, "wrap",
+                        lambda self, owner, attr, *args, **kwargs:
+                        asked.append((owner, attr)))
+    tracer = spans.Tracer()
+    spans.setup_wraps(tracer, gandr)
+    spans.work_wraps(tracer, gandr, {"final": gandr.StaticGenerator("x")})
+    missing = set()
+    for owner, attr in asked:
+        found = owner.__dict__.get(attr) if isinstance(owner, type) \
+            else getattr(owner, attr, None)
+        if found is None:
+            owner_name = getattr(owner, "__name__", type(owner).__name__)
+            missing.add(f"{owner_name.removeprefix('gandr.')}.{attr}")
+    assert len(asked) > 20
+    assert missing == STALE_WRAPS

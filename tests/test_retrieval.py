@@ -715,14 +715,17 @@ class TestHeadSelection:
         ("grid", "tag7 red", None, 0.0),
         ("bound", "tag7 red blue", _RARE_PRELIMINARY, 0.5),
     ])
-    @pytest.mark.parametrize("extra, path", [
-        (-9, "_head_by_rounds"), (0, "_head_by_rounds"),
-        (1, "_head_by_partition")])
+    @pytest.mark.parametrize("extra, held, path", [
+        (-9, 2, "_head_by_rounds"), (0, 0, "_head_by_rounds"),
+        (0, 2, "_head_by_rounds"), (1, 0, "_head_by_partition"),
+        (1, 2, "_head_by_partition")])
     def test_each_path_is_taken(self, big_corpus, prefilter_spy, monkeypatch,
                                 narrowing, query, preliminary, alpha, extra,
-                                path):
+                                held, path):
         """Rounds take a head at most _ROUNDS_MAX_DEPTH deep, the partition
-        a deeper one, after either prefilter or none."""
+        a deeper one, after either prefilter or none. The head taken is k
+        deep plus one rank per excluded id the store holds, so two such
+        ids take a k of _ROUNDS_MAX_DEPTH - 1 past the rounds."""
         taken = []
         for name in ("_head_by_rounds", "_head_by_partition"):
             def spy(*args, _head=getattr(retrieval, name), _name=name):
@@ -731,11 +734,13 @@ class TestHeadSelection:
 
             monkeypatch.setattr(retrieval, name, spy)
         store = big_corpus[1]
-        k = retrieval._ROUNDS_MAX_DEPTH + extra
+        k = retrieval._ROUNDS_MAX_DEPTH + extra - held
         full = TestPrefilteredSelection.full_order(store, query, preliminary,
                                                    alpha)
-        # the k-th id and one just past it
-        exclude = {full[k - 1][0], full[k][0]}
+        # the k-th id and one just past it, or none, and an id the store
+        # lacks, which deepens no head
+        exclude = {full[k - 1][0], full[k][0]} if held else set()
+        exclude.add(0)
         hits = retrieve_topk(store, query, k, alpha, preliminary, exclude)
         kept = [r for r in full if r[0] not in exclude]
         assert [(h.exemplar_id, h.relevance, h.input_sim, h.output_sim,
@@ -848,11 +853,13 @@ class TestTemplateBound:
     small, so ``_PREFILTER_MIN_STORE`` is lowered for the bound to apply."""
 
     @staticmethod
-    def dense(store, query, preliminary, alpha, exclude, depth):
+    def dense(store, query, preliminary, alpha, exclude):
+        """Every exemplar the exclusions leave, best first."""
         in_sims, out_sims = store.similarities(query, preliminary)
         ids, template_of = store._ids, store._template_of
         relevance = retrieval._mix(in_sims, out_sims, template_of, alpha)
-        head = retrieval._candidate_order(ids, relevance, exclude, depth)
+        order = retrieval._candidate_order(relevance, len(store))
+        head = [i for i in order if ids[i] not in exclude]
         return [(int(ids[i]), float(relevance[i]).hex(),
                  float(in_sims[i]).hex(),
                  float(out_sims[template_of[i]]).hex(), rank)
@@ -863,8 +870,8 @@ class TestTemplateBound:
         store = build_store(exemplars)
         store.build()
         available = len(store) - sum(i in store for i in exclude)
-        full = [self.dense(store, query, preliminary, alpha, exclude,
-                           available) for alpha in alphas]
+        full = [self.dense(store, query, preliminary, alpha, exclude)
+                for alpha in alphas]
         paths = []
         reach = retrieval._template_reach
 
