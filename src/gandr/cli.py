@@ -62,6 +62,7 @@ from .evaluation import (
     format_sweep_tsv,
     run_sweep,
     validate_recall_k,
+    validate_records,
     validate_sample_fraction,
     validate_sweep_lists,
 )
@@ -343,6 +344,7 @@ def cmd_run(args, settings: _Settings) -> int:
 def cmd_eval(args, settings: _Settings) -> int:
     validate_recall_k(args.k)
     records = read_records(args.records)
+    validate_records(records)
     store = load_store(args.store)
     _check_records_match_store(records, store, args.records)
     report = evaluate(records, store, k=args.k,
@@ -452,6 +454,9 @@ def cmd_emit_train(args, settings: _Settings) -> int:
                 "at stage 1")
     else:
         alpha = settings("alpha")
+        if alpha == 0.0:
+            raise ConfigError("alpha 0 ignores stage 2's preliminaries; "
+                              "use --stage 1")
         if args.preliminary_from:
             _unused(args, ("preliminary_endpoint",), "with --preliminary-from")
             records = read_records(args.preliminary_from)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .data_io import Fraction, apply_split, validate_fraction
 from .errors import ConfigError, GandrError
@@ -43,7 +43,11 @@ def exact_match(prediction: str | None, gold: str, casefold: bool = False) -> bo
     return a == b
 
 
+@functools.lru_cache(maxsize=1 << 16)
 def _gold_template(gold: str) -> tuple[str, ...]:
+    """The template of a gold parse, parsed once per distinct gold. A gold
+    that does not parse raises MalformedParse, and lru_cache keeps no
+    exception."""
     return template(parse_labels(gold))
 
 
@@ -90,6 +94,12 @@ def validate_recall_k(k: int | None) -> None:
         raise ConfigError(f"recall k must be at least 1, got {k}")
 
 
+def validate_records(records: Sequence[PredictionRecord]) -> None:
+    """The rule for records to score: at least one."""
+    if not records:
+        raise ConfigError("nothing to evaluate: no records")
+
+
 def validate_sample_fraction(fraction: float | None) -> None:
     """The rule for a sweep's sample fraction: None (all) or a fraction."""
     if fraction is not None:
@@ -104,18 +114,14 @@ def validate_sweep_lists(values: Sequence, seeds: Sequence) -> None:
 
 def evaluate(records: Sequence[PredictionRecord], store: ExemplarStore,
              k: int | None = None, multiset: bool = True,
-             casefold: bool = False, *,
-             _gold_template: Callable[[str], tuple[str, ...]] = _gold_template
-             ) -> EvalReport:
+             casefold: bool = False) -> EvalReport:
     """Aggregate exact match and template recall, overall and per domain.
 
-    Each record's gold is parsed once. ``_gold_template`` is internal:
-    ``run_sweep`` passes a memoized parse, so that a gold shared by
-    several rows of a sweep is parsed once for all of them.
+    Golds are parsed through one cache that every call shares, so a gold
+    that many records or sweep rows hold is parsed once.
     """
     validate_recall_k(k)
-    if not records:
-        raise ConfigError("nothing to evaluate: no records")
+    validate_records(records)
     em_flags: list[bool] = []
     recall_flags: list[bool] = []
     domains: dict[str, list[int]] = {}
@@ -205,12 +211,11 @@ def run_sweep(store: ExemplarStore, samples: Sequence[Sample],
                                 final_generator, replace(base_config, k=k))
                 for k in dict.fromkeys(ks)}
         runs = [by_k[k] for k in ks]
-    gold_template = functools.cache(_gold_template)
     rows: list[SweepRow] = []
     for value, records in zip(values, runs):
         for seed, subset in zip(seeds, subsets):
             report = evaluate([records[at[i]] for i in subset], store,
-                              k=recall_k, _gold_template=gold_template)
+                              k=recall_k)
             rows.append(SweepRow(value=value, seed=int(seed),
                                  exact_match=report.exact_match,
                                  template_recall=report.template_recall))

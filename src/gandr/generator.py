@@ -153,8 +153,13 @@ class RecordingGenerator(Generator):
 
 
 def _finite_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool) \
-        and math.isfinite(value)
+    """A number, not a bool, that a float holds finitely."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond any float
+        return False
 
 
 def validate_request_limits(timeout: float, max_batch: int | None) -> None:

@@ -161,7 +161,11 @@ def collector_paused():
 def validate_alpha(alpha: float) -> float:
     if not isinstance(alpha, (int, float)) or isinstance(alpha, bool):
         raise ConfigError(f"alpha must be a number, got {alpha!r}")
-    alpha = float(alpha)
+    try:
+        alpha = float(alpha)
+    except OverflowError:
+        # an int too large for a float: the infinity of its sign
+        alpha = math.inf if alpha > 0 else -math.inf
     if math.isnan(alpha) or not 0.0 <= alpha <= 1.0:
         raise ConfigError(f"alpha must lie in [0, 1], got {alpha}")
     return alpha

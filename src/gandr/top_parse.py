@@ -11,7 +11,8 @@ its labels without building a tree. Parses of one kind share a bracket
 skeleton, so the labels of each accepted skeleton are cached and a row's
 words are not scanned again. :func:`parse_top` runs the same scan without
 the cache, then builds a tree of :class:`ParseNode` whose text spans are
-plain strings.
+plain strings. A tree is read through one flat walk and built through
+one builder, as :class:`ParseNode` says.
 :func:`template` is the one definition of a template; template recall and
 the store's output channel both key on it.
 """
@@ -22,6 +23,7 @@ import functools
 import re
 import sys
 from dataclasses import dataclass
+from itertools import zip_longest
 
 from .errors import MalformedParse
 
@@ -41,9 +43,12 @@ _FALLBACK_RE = re.compile(
 class ParseNode:
     """One intent or slot node. ``children`` holds its child nodes and its
     text spans in order; a text span is a ``str`` of consecutive words
-    joined by one space. Equality is structural. It, the hash, the repr
-    and pickling walk the tree with a stack rather than recursion, so any
-    tree parse_top builds compares, hashes, prints and pickles."""
+    joined by one space. Equality is structural.
+
+    Equality, the repr, pickling and :func:`serialize`, and so the hash,
+    read one flat walk, :func:`_walk`; parse_top and unpickling build
+    through one builder, :func:`_build`. Neither recurses, so a tree of
+    any depth compares, hashes, prints and pickles."""
 
     label: str
     children: tuple["ParseNode | str", ...] = ()
@@ -51,71 +56,62 @@ class ParseNode:
     def __eq__(self, other):
         if not isinstance(other, ParseNode):
             return NotImplemented
-        pairs = [(self, other)]
-        while pairs:
-            a, b = pairs.pop()
-            if a.label != b.label or len(a.children) != len(b.children):
-                return False
-            for x, y in zip(a.children, b.children):
-                if isinstance(x, str) or isinstance(y, str):
-                    if x != y:
-                        return False
-                else:
-                    pairs.append((x, y))
-        return True
+        # an open (a 1-tuple), a text span and a close (None) never collide
+        return all(a == b for a, b in zip_longest(_walk(self), _walk(other)))
 
     def __hash__(self):
         return hash(serialize(self))
 
     def __repr__(self):
-        # the dataclass form; a str on the stack is output as it stands
+        # the dataclass form, with the children written so far per open node
         parts: list[str] = []
-        stack: list[ParseNode | str] = [self]
-        while stack:
-            item = stack.pop()
-            if isinstance(item, str):
-                parts.append(item)
+        written: list[int] = []
+        for item in _walk(self):
+            if item is None:
+                parts.append(",))" if written.pop() == 1 else "))")
                 continue
-            parts.append(f"ParseNode(label={item.label!r}, children=(")
-            children = item.children
-            stack.append(",))" if len(children) == 1 else "))")
-            for i in range(len(children) - 1, -1, -1):
-                child = children[i]
-                stack.append(child if isinstance(child, ParseNode)
-                             else repr(child))
-                if i:
-                    stack.append(", ")
+            if written:
+                if written[-1]:
+                    parts.append(", ")
+                written[-1] += 1
+            if isinstance(item, str):
+                parts.append(repr(item))
+            else:
+                parts.append(f"ParseNode(label={item[0]!r}, children=(")
+                written.append(0)
         return "".join(parts)
 
     def __reduce__(self):
-        # one flat entry per node in preorder, since the pickler recurses
-        # into nested objects: its label, its other children, and where
-        # its node children sit among them. serialize and parse_top would
-        # not do, as a hand-built node need not survive that round trip
-        entries = []
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            positions = tuple(i for i, c in enumerate(node.children)
-                              if isinstance(c, ParseNode))
-            entries.append((node.label, tuple(
-                c for c in node.children if not isinstance(c, ParseNode)),
-                positions))
-            stack.extend(node.children[i] for i in reversed(positions))
-        return _unflatten, (entries,)
+        # flat, since the pickler recurses into nested objects
+        return _build, (tuple(_walk(self)),)
 
 
-def _unflatten(entries) -> ParseNode:
-    """The tree ``ParseNode.__reduce__`` flattened."""
-    built: list[ParseNode] = []
-    # in reverse preorder every node comes after its descendants, and its
-    # node children sit on top of ``built`` first child first
-    for label, others, positions in reversed(entries):
-        children = list(others)
-        for i in positions:
-            children.insert(i, built.pop())
-        built.append(ParseNode(label, tuple(children)))
-    return built.pop()
+def _walk(node: ParseNode):
+    """The tree in document order: ``(label,)`` where a node opens, each
+    text child as it stands, and None where a node closes."""
+    stack: list[ParseNode | str | None] = [node]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, ParseNode):
+            yield (item.label,)
+            stack.append(None)
+            stack.extend(reversed(item.children))
+        else:
+            yield item
+
+
+def _build(walk) -> ParseNode:
+    """The tree whose :func:`_walk` is ``walk``."""
+    stack: list[tuple[str, list]] = [("", [])]
+    for item in walk:
+        if item is None:
+            label, children = stack.pop()
+            stack[-1][1].append(ParseNode(label, tuple(children)))
+        elif isinstance(item, str):
+            stack[-1][1].append(item)
+        else:
+            stack.append((item[0], []))
+    return stack[0][1][0]
 
 
 def template(labels) -> tuple[str, ...]:
@@ -208,42 +204,31 @@ def parse_top(text: str) -> ParseNode:
     """Parse a bracketed intent/slot string into its root ParseNode.
 
     The string is validated by the scan behind :func:`parse_labels`,
-    which raises the same MalformedParse; the tree is then built over the
-    same tokens.
+    which raises the same MalformedParse; :func:`_build` then builds the
+    tree from the walk that the same tokens spell.
     """
     _scan_labels(text)
-    tokens = iter(_TOKEN_RE.findall(text))
-    stack: list[tuple[str, list]] = [("", [])]
+    return _build(_token_walk(text))
+
+
+def _token_walk(text: str):
+    """The :func:`_walk` of the tree that the well-formed ``text`` holds."""
     words: list[str] = []
+    tokens = iter(_TOKEN_RE.findall(text))
     for tok in tokens:
         if tok not in ("[", "]"):
             words.append(tok)
             continue
         if words:
-            stack[-1][1].append(" ".join(words))
+            yield " ".join(words)
             words.clear()
-        if tok == "[":
-            stack.append((next(tokens).upper(), []))
-        else:
-            label, children = stack.pop()
-            stack[-1][1].append(ParseNode(label, tuple(children)))
-    return stack[0][1][0]
+        yield (next(tokens).upper(),) if tok == "[" else None
 
 
 def serialize(node: ParseNode) -> str:
     """Render a tree back to canonical single-spaced bracketed form."""
-    parts: list[str] = []
-    # a stack rather than recursion, so any tree parse_top builds renders
-    stack: list[ParseNode | str] = [node]
-    while stack:
-        item = stack.pop()
-        if isinstance(item, str):
-            parts.append(item)
-        else:
-            parts.append("[" + item.label)
-            stack.append("]")
-            stack.extend(reversed(item.children))
-    return " ".join(parts)
+    return " ".join("]" if item is None else item if isinstance(item, str)
+                    else "[" + item[0] for item in _walk(node))
 
 
 def structure_tokens(text: str) -> list[str]:

@@ -809,6 +809,32 @@ class TestEmitTrain:
         assert code == 2
         assert "preliminaries" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("source", [
+        ["--preliminary-from", "missing.jsonl"],
+        ["--preliminary-endpoint", "replay:missing.jsonl"],
+    ], ids=["records", "endpoint"])
+    @pytest.mark.parametrize("given", ["flag", "config"])
+    def test_stage2_at_alpha_0_exits_2_before_reading_anything(
+            self, tmp_path, store, capsys, monkeypatch, source, given):
+        """Alpha 0 ignores every preliminary, so stage 2 at alpha 0 would
+        ask for preliminaries only to emit stage 1's pairs."""
+        touched = []
+        for name in ("_build_endpoint", "read_records", "load_store"):
+            monkeypatch.setattr(cli, name, lambda *a, name=name, **kw:
+                                touched.append(name))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"alpha": 0}))
+        top, flag = (([], ["--alpha", "0"]) if given == "flag"
+                     else (["--config", str(config)], []))
+        out = tmp_path / "t.jsonl"
+        capsys.readouterr()
+        assert main([*top, "emit-train", "--store", str(store), "--stage",
+                     "2", *flag, *source, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: alpha 0 ignores stage 2's preliminaries; use --stage 1\n")
+        assert touched == []
+        assert not out.exists()
+
     def test_stage2_null_preliminary_endpoint_exits_2(self, tmp_path, store,
                                                       capsys):
         config = tmp_path / "config.json"
@@ -1204,6 +1230,8 @@ BAD_SETTINGS = [
         (["--records", "RECORDS", "--k", "0"],
          "recall k must be at least 1, got 0", ("eval",)),
         (["--records", "MISSING"], "file not found: MISSING", ("eval",)),
+        (["--records", "RECORDS"], "nothing to evaluate: no records",
+         ("eval",)),
         (["--recall-k", "0"], "recall k must be at least 1, got 0",
          ("sweep",)),
         (["--sample-fraction", "0"], "sample fraction must lie in (0, 1], "

@@ -14,7 +14,7 @@ from conftest import (
 from gandr import evaluation, retrieval
 from gandr.augment import AugmentedInput
 from gandr.data_io import Fraction, apply_split
-from gandr.errors import ConfigError, GandrError, GenerationError
+from gandr.errors import ConfigError, GandrError, GenerationError, MalformedParse
 from gandr.evaluation import (
     SweepAxis,
     SweepRow,
@@ -177,6 +177,13 @@ class TestEvaluate:
         with pytest.raises(ConfigError):
             evaluate([], trace_store)
 
+    def test_unparsable_gold_raises_every_time(self, trace_store):
+        """The gold cache keeps no verdict on a gold that does not parse."""
+        record = fake_record("[IN:CREATE_CALL", [0], final="x")
+        for _ in range(2):
+            with pytest.raises(MalformedParse, match="unbalanced"):
+                evaluate([record], trace_store)
+
     def test_missing_gold_rejected(self, trace_store):
         with pytest.raises(GandrError,
                            match="^sample 0 has no gold parse$") as info:
@@ -237,12 +244,13 @@ class TestEvaluate:
             return parse_labels(text)
 
         monkeypatch.setattr(evaluation, "parse_labels", counting_parse_labels)
+        evaluation._gold_template.cache_clear()
         for k in (1, 2, 4):
             for multiset in (True, False):
-                calls.clear()
                 report = evaluate(records, trace_store, k=k, multiset=multiset)
                 assert report.template_recall == reference_recall(k, multiset)
-                assert calls == [record.gold for record in records]
+        # each gold is parsed once, by the first call
+        assert sorted(calls) == sorted({record.gold for record in records})
 
 
 class TestSweep:
@@ -462,6 +470,7 @@ class TestSweepEqualsPerRunLoop:
             return parse_labels(text)
 
         monkeypatch.setattr(evaluation, "parse_labels", counting_parse_labels)
+        evaluation._gold_template.cache_clear()
         args = (store, samples, PromptHash(parses, gold),
                 PromptHash(parses, gold), PipelineConfig(k=4), axis,
                 self.AXES[axis], self.SEEDS)
@@ -582,7 +591,8 @@ class TestRunPipelineAlphas:
         assert all(r.pass2_retrievals is None for r in want)
         assert preliminary.batches == [] and len(final.batches) == 1
 
-    @pytest.mark.parametrize("alpha", [1.5, -0.1, float("nan")])
+    @pytest.mark.parametrize("alpha", [1.5, -0.1, float("nan"),
+                                       pytest.param(10**400, id="1e400")])
     def test_bad_alpha_raises_before_any_generation(self, world, alpha):
         store, samples, parses, gold, scored = world
         preliminary, final = PromptHash(parses, gold), PromptHash(parses, gold)

@@ -273,7 +273,8 @@ def keepalive_server():
 
 class TestRemote:
     @pytest.mark.parametrize("timeout", [
-        -1, 0, 0.0, -0.5, float("nan"), float("inf"), True, "5", None])
+        -1, 0, 0.0, -0.5, float("nan"), float("inf"), True, "5", None,
+        pytest.param(10**400, id="1e400")])
     def test_bad_timeout_is_a_config_error(self, stub_server, timeout):
         with pytest.raises(ConfigError, match="timeout"):
             RemoteGenerator(stub_server.url, timeout=timeout)
@@ -292,7 +293,8 @@ class TestRemote:
         assert stub_server.requests == []
 
     @pytest.mark.parametrize("backoff", [
-        -1, -0.5, float("nan"), float("inf"), True, "0.1", None])
+        -1, -0.5, float("nan"), float("inf"), True, "0.1", None,
+        pytest.param(10**400, id="1e400")])
     def test_bad_backoff_is_a_config_error(self, stub_server, backoff):
         with pytest.raises(ConfigError, match="backoff"):
             RemoteGenerator(stub_server.url, timeout=5.0, backoff=backoff)

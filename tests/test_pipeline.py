@@ -215,6 +215,8 @@ class TestConfigValidation:
     def test_bad_alpha(self):
         with pytest.raises(ConfigError):
             PipelineConfig(alpha=1.5)
+        with pytest.raises(ConfigError, match="alpha must lie in"):
+            PipelineConfig(alpha=10**400)
 
     def test_bad_k(self):
         with pytest.raises(ConfigError):

@@ -262,7 +262,9 @@ class TestStore:
 
 
 class TestValidation:
-    @pytest.mark.parametrize("bad", [-0.1, 1.0001, float("nan"), "x", None])
+    @pytest.mark.parametrize("bad", [-0.1, 1.0001, float("nan"), "x", None,
+                                     pytest.param(10**400, id="1e400"),
+                                     pytest.param(-10**400, id="-1e400")])
     def test_alpha_range(self, bad):
         with pytest.raises(ConfigError):
             validate_alpha(bad)

@@ -404,3 +404,70 @@ def test_deep_trees_repr_and_pickle():
         "ParseNode(label='IN:A', children=('', ParseNode(label='y', "
         "children=()), 'two  words', ParseNode(label='z', children=())))")
     assert repr(hand_built[0]) == "ParseNode(label='x', children=())"
+
+
+# labels the grammar refuses next to ones it accepts, so that only the
+# walk, not the grammar, tells a node from a text span
+_HAND_LABELS = st.sampled_from(["", "[", "]", "IN:A", "SL:B"])
+
+
+def _hand_trees(depth):
+    """Hand-built trees at most ``depth`` nodes deep, whose text children
+    are any strings, empty and adjacent ones included."""
+    child = st.text()
+    if depth > 1:
+        child = st.one_of(child, _hand_trees(depth - 1))
+    return st.builds(ParseNode, _HAND_LABELS,
+                     st.lists(child, max_size=3).map(tuple))
+
+
+def _reference_eq(a, b):
+    if isinstance(a, str) or isinstance(b, str):
+        return type(a) is type(b) and a == b
+    return (a.label == b.label and len(a.children) == len(b.children)
+            and all(map(_reference_eq, a.children, b.children)))
+
+
+def _reference_repr(node):
+    if isinstance(node, str):
+        return repr(node)
+    children = ", ".join(map(_reference_repr, node.children))
+    comma = "," if len(node.children) == 1 else ""
+    return f"ParseNode(label={node.label!r}, children=({children}{comma}))"
+
+
+def _reference_serialize(node):
+    return " ".join(["[" + node.label, *(
+        c if isinstance(c, str) else _reference_serialize(c)
+        for c in node.children), "]"])
+
+
+def _one_edit_away(node):
+    """Trees one edit at the root away from ``node``, most of them unequal
+    to it."""
+    yield ParseNode(node.label + "x", node.children)
+    yield ParseNode(node.label, node.children + ("",))
+    if node.children:
+        *head, last = node.children
+        yield ParseNode(node.label, tuple(head))
+        # a text span where a node of that label was, or the reverse
+        swapped = ParseNode(last) if isinstance(last, str) else last.label
+        yield ParseNode(node.label, (*head, swapped))
+        # one text span that serializes as the children do
+        yield ParseNode(node.label, (_reference_serialize(node)[
+            len(node.label) + 2:-2],))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_hand_trees(4), _hand_trees(4))
+def test_hand_built_trees_agree_with_recursive_references(tree, other):
+    """Pickling, equality, the repr and serialize agree on hand-built
+    trees with what a recursive reference gives."""
+    again = pickle.loads(pickle.dumps(tree))
+    assert again == tree and hash(again) == hash(tree)
+    assert _reference_eq(again, tree)
+    assert repr(tree) == _reference_repr(tree)
+    assert serialize(tree) == _reference_serialize(tree)
+    for candidate in (other, *_one_edit_away(tree)):
+        want = _reference_eq(tree, candidate)
+        assert (tree == candidate) == (candidate == tree) == want
