@@ -19,7 +19,8 @@ Generation endpoints are named by spec strings:
 
 Exit codes: 0 on success, 1 for runtime failures (generation errors,
 corrupt files, too-small stores), 2 for usage problems (bad flags, bad
-config, missing input files).
+config, an input file that is missing or a directory, an output path
+that is a directory or lies in none).
 """
 
 from __future__ import annotations
@@ -658,13 +659,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_outputs(args) -> None:
+    """Each ``--out`` and ``--record-*`` path given must name a file in an
+    existing directory, checked before any work is paid for."""
+    flags = ("out", "record_preliminary", "record_final")
+    for path in filter(None, (getattr(args, flag, None) for flag in flags)):
+        if os.path.isdir(path):
+            raise ConfigError(f"cannot write {path}: it is a directory")
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise ConfigError(f"cannot write {path}: no such directory")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_outputs(args)
         return args.func(args, _Settings(args, _load_config_file(args.config)))
-    except FileNotFoundError as exc:
-        print(f"error: file not found: {exc.filename or exc}", file=sys.stderr)
+    except (FileNotFoundError, IsADirectoryError) as exc:
+        problem = ("file not found" if isinstance(exc, FileNotFoundError)
+                   else "is a directory")
+        print(f"error: {problem}: {exc.filename or exc}", file=sys.stderr)
         return 2
     except GandrError as exc:
         print(f"error: {exc}", file=sys.stderr)

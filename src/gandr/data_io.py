@@ -1,4 +1,4 @@
-"""Dataset loading, store persistence, record files, and splits.
+"""Dataset loading, store persistence, record and replay-log files, and splits.
 
 Datasets arrive as TSV (``utterance<TAB>parse[<TAB>domain]``) or JSONL
 (``{"utterance": ..., "parse": ..., "domain": ...}``). Loading is total
@@ -6,13 +6,15 @@ by default: rows that cannot become exemplars are collected as issues
 with their line numbers instead of aborting the load; ``strict=True``
 raises on the first bad row.
 
-All writers go through a temp-file-plus-rename so a crash never leaves a
-half-written artifact, and all serialization uses fixed key order so a
-save/load/save cycle is byte-identical.
+Stores, records, replay logs and training pairs are JSON lines, all read
+by one reader and written by one writer. The writer goes through a temp
+file renamed over the target, so a crash never leaves a half-written
+artifact, and fixed key order makes a save/load/save cycle byte-identical.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import numbers
@@ -31,6 +33,7 @@ from .errors import (
     MalformedParse,
     MalformedRow,
     VersionMismatch,
+    shown,
 )
 from .pipeline import PredictionRecord, Sample, TrainingPair
 from .retrieval import Exemplar, ExemplarStore, collector_paused
@@ -55,17 +58,28 @@ class LoadResult:
     issues: list[LoadIssue]
 
 
+# stores use compact separators, every other file json's default ones
+_encode = json.JSONEncoder(ensure_ascii=False).encode
+_dump = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
+
+
 def atomic_write_text(path: str | Path, text: str) -> None:
-    """Write via a sibling temp file and rename, so readers never see
-    partial output. The file gets the mode ``open`` gives a new one,
-    ``0o666`` less the umask, not the temp file's ``0o600``."""
+    """Replace ``path`` with ``text``, as ``_atomic_write`` does."""
+    _atomic_write(path, [text])
+
+
+def _atomic_write(path: str | Path, chunks: Iterable[str]) -> None:
+    """Write each of ``chunks`` as it comes to a sibling temp file, then
+    rename it over ``path``, so readers never see partial output. The file
+    gets the mode ``open`` gives a new one, ``0o666`` less the umask, not
+    the temp file's ``0o600``."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent or ".", prefix=path.name + ".",
                                suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8",
                        errors="backslashreplace") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         # the umask is read by setting it, and restored at once
         umask = os.umask(0o022)
         os.umask(umask)
@@ -77,17 +91,19 @@ def atomic_write_text(path: str | Path, text: str) -> None:
         raise
 
 
+def _json_lines(values: Iterable, encode=_encode) -> Iterator[str]:
+    """Each of ``values`` as one JSON line, encoded as it is asked for."""
+    return (encode(value) + "\n" for value in values)
+
+
 def numbered_lines(path: str | Path) -> Iterator[tuple[int, bytes]]:
     """The lines of a file, numbered from 1 and still encoded, split where
     text mode splits them: at \\n, \\r\\n or \\r. Readers decode each line
     on its own, so a byte that is not UTF-8 can be reported with its line.
     """
-    lineno = 0
     with open(path, "rb") as fh:
-        for chunk in fh:
-            for raw in chunk.splitlines(keepends=True):
-                lineno += 1
-                yield lineno, raw
+        yield from enumerate((raw for chunk in fh
+                              for raw in chunk.splitlines(keepends=True)), 1)
 
 
 def decode_json(text: str):
@@ -103,47 +119,52 @@ def decode_json(text: str):
         raise ValueError(f"nested too deeply: {exc}") from exc
 
 
-def _decoded_row(raw: bytes, lineno: int) -> str:
-    try:
-        return raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise MalformedRow(f"not UTF-8: {exc}", lineno) from exc
-
-
-def _exemplar(exemplar_id: int, utterance, parse, domain,
-              line: int) -> Exemplar:
-    """The row as an exemplar; the type's error gains the line number. An
-    empty domain is no domain; any other value goes to the type's check."""
-    try:
-        return Exemplar(exemplar_id, utterance, parse,
-                        None if domain == "" else domain)
-    except MalformedParse as exc:
-        raise MalformedRow(f"bad parse: {exc}", line) from exc
-    except MalformedRow as exc:
-        raise type(exc)(str(exc), line) from exc
+def _read_json_lines(path: str | Path, convert, lines=None) -> Iterator:
+    """``convert`` of each non-blank line's JSON value. A line that is not
+    UTF-8 or JSON, or that ``convert`` rejects with a KeyError, TypeError
+    or ValueError, is a CorruptFile naming its line. ``lines`` are the
+    ``numbered_lines`` left to read, if the caller read the first ones."""
+    for lineno, raw in numbered_lines(path) if lines is None else lines:
+        try:
+            line = raw.decode("utf-8").strip()
+            if not line:
+                continue
+            value = convert(decode_json(line))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CorruptFile(f"{path}: line {lineno}: {exc}") from exc
+        yield value
 
 
 def _load(path: str | Path, parse_line, skip_first: bool,
           strict: bool) -> LoadResult:
-    """Assign sequential ids to good rows; bad rows become issues."""
+    """Assign sequential ids to the rows ``parse_line`` makes of good
+    lines; a row error, with its line number, becomes an issue. An empty
+    domain is no domain; any other value goes to the type's check."""
     exemplars: list[Exemplar] = []
     issues: list[LoadIssue] = []
-    next_id = 0
     for lineno, raw in numbered_lines(path):
         if skip_first and lineno == 1:
             continue
         try:
-            parsed = parse_line(lineno, _decoded_row(raw, lineno))
-            if parsed is None:
-                continue
-            exemplar = _exemplar(next_id, *parsed, lineno)
+            try:
+                row = parse_line(raw.decode("utf-8"))
+                if row is None:
+                    continue
+                utterance, parse, domain = row
+                exemplar = Exemplar(len(exemplars), utterance, parse,
+                                    None if domain == "" else domain)
+            except UnicodeDecodeError as exc:
+                raise MalformedRow(f"not UTF-8: {exc}", lineno) from exc
+            except MalformedParse as exc:
+                raise MalformedRow(f"bad parse: {exc}", lineno) from exc
+            except MalformedRow as exc:
+                raise type(exc)(str(exc), lineno) from exc
         except MalformedRow as exc:
             if strict:
                 raise
             issues.append(LoadIssue(line=lineno, message=str(exc)))
             continue
         exemplars.append(exemplar)
-        next_id += 1
     return LoadResult(exemplars=exemplars, issues=issues)
 
 
@@ -151,7 +172,7 @@ def read_tsv(path: str | Path, has_header: bool = False,
              strict: bool = False) -> LoadResult:
     """Load utterance/parse[/domain] rows from a tab-separated file."""
 
-    def parse_line(lineno: int, raw: str):
+    def parse_line(raw: str):
         line = raw.rstrip("\n").rstrip("\r")
         if not line.strip():
             return None
@@ -161,7 +182,7 @@ def read_tsv(path: str | Path, has_header: bool = False,
         if len(cols) == 3:
             return cols[0], cols[1], cols[2]
         raise MalformedRow(
-            f"expected 2 or 3 tab-separated columns, got {len(cols)}", lineno)
+            f"expected 2 or 3 tab-separated columns, got {len(cols)}")
 
     return _load(path, parse_line, skip_first=has_header, strict=strict)
 
@@ -169,18 +190,17 @@ def read_tsv(path: str | Path, has_header: bool = False,
 def read_jsonl(path: str | Path, strict: bool = False) -> LoadResult:
     """Load {"utterance", "parse", "domain"?} objects, one per line."""
 
-    def parse_line(lineno: int, raw: str):
+    def parse_line(raw: str):
         line = raw.strip()
         if not line:
             return None
         try:
             obj = decode_json(line)
         except ValueError as exc:
-            raise MalformedRow(f"not JSON: {exc}", lineno) from exc
+            raise MalformedRow(f"not JSON: {exc}") from exc
         if not isinstance(obj, dict) or "utterance" not in obj \
                 or "parse" not in obj:
-            raise MalformedRow(
-                "object needs 'utterance' and 'parse' keys", lineno)
+            raise MalformedRow("object needs 'utterance' and 'parse' keys")
         return obj["utterance"], obj["parse"], obj.get("domain")
 
     return _load(path, parse_line, skip_first=False, strict=strict)
@@ -235,7 +255,8 @@ def validate_fraction(fraction: float, name: str) -> float:
     if not isinstance(fraction, numbers.Real) or isinstance(fraction, bool):
         raise ConfigError(f"{name} must be a number, got {fraction!r}")
     if not 0.0 < fraction <= 1.0:
-        raise ConfigError(f"{name} must lie in (0, 1], got {fraction}")
+        raise ConfigError(
+            f"{name} must lie in (0, 1], got {shown(fraction, str)}")
     return fraction
 
 
@@ -249,9 +270,11 @@ def apply_split(items: Sequence, spec: SplitSpec, seed: int = 0) -> list:
         if not isinstance(n, numbers.Integral) or isinstance(n, bool):
             raise ConfigError(f"split count must be an integer, got {n!r}")
         if n < 1:
-            raise ConfigError(f"split count must be positive, got {n}")
+            raise ConfigError(
+                f"split count must be positive, got {shown(n)}")
         if n > n_total:
-            raise GandrError(f"split asks for {n} of {n_total} exemplars")
+            raise GandrError(
+                f"split asks for {shown(n)} of {n_total} exemplars")
     elif isinstance(spec, Fraction):
         validate_fraction(spec.fraction, "split fraction")
         n = math.floor(spec.fraction * n_total)
@@ -285,24 +308,13 @@ def parse_split_spec(text: str) -> SplitSpec:
                       "use full, count:N, or fraction:F")
 
 
-def _dump(obj: dict) -> str:
-    return json.dumps(obj, ensure_ascii=False, separators=(",", ":"))
-
-
 def save_store(store: ExemplarStore, path: str | Path) -> None:
     """Persist exemplars as a versioned header line plus one JSON row each."""
-    header = _dump({
-        "format": STORE_FORMAT,
-        "version": STORE_VERSION,
-        "count": len(store),
-        "config": STORE_CONFIG,
-    })
-    rows = [
-        _dump({"exemplar_id": e.exemplar_id, "utterance": e.utterance,
-               "parse": e.parse, "domain": e.domain})
-        for e in store.exemplars
-    ]
-    atomic_write_text(path, "\n".join([header] + rows) + "\n")
+    header = {"format": STORE_FORMAT, "version": STORE_VERSION,
+              "count": len(store), "config": STORE_CONFIG}
+    rows = ({"exemplar_id": e.exemplar_id, "utterance": e.utterance,
+             "parse": e.parse, "domain": e.domain} for e in store.exemplars)
+    _atomic_write(path, _json_lines(itertools.chain([header], rows), _dump))
 
 
 @collector_paused()
@@ -344,20 +356,13 @@ def load_store(path: str | Path) -> ExemplarStore:
                 f"{path}: TF-IDF setting {key} is {_dump(config[key])}, "
                 f"but gandr scores only with {key} {_dump(value)}")
     store = ExemplarStore()
+
+    def add(row) -> None:
+        store.add(Exemplar(row["exemplar_id"], row["utterance"],
+                           row["parse"], row.get("domain")))
+
     count = 0
-    for lineno, raw in lines:
-        try:
-            line = raw.decode("utf-8")
-            if not line.strip():
-                continue
-            row = decode_json(line)
-            exemplar = Exemplar(
-                exemplar_id=row["exemplar_id"],
-                utterance=row["utterance"], parse=row["parse"],
-                domain=row.get("domain"))
-            store.add(exemplar)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CorruptFile(f"{path}: line {lineno}: {exc}") from exc
+    for _ in _read_json_lines(path, add, lines):
         count += 1
     promised = header.get("count")
     # json gives int only for integers, and a bool is not a count
@@ -367,29 +372,47 @@ def load_store(path: str | Path) -> ExemplarStore:
     return store
 
 
-def write_records(records: Sequence[PredictionRecord], path: str | Path) -> None:
-    lines = [json.dumps(r.to_dict(), ensure_ascii=False) for r in records]
-    atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
+def write_records(records: Iterable[PredictionRecord], path: str | Path) -> None:
+    _atomic_write(path, _json_lines(r.to_dict() for r in records))
 
 
 def read_records(path: str | Path) -> list[PredictionRecord]:
-    records: list[PredictionRecord] = []
-    for lineno, raw in numbered_lines(path):
-        try:
-            line = raw.decode("utf-8").strip()
-            if not line:
-                continue
-            records.append(PredictionRecord.from_dict(decode_json(line)))
-        except (ValueError, KeyError, TypeError) as exc:
-            raise CorruptFile(f"{path}: line {lineno}: {exc}") from exc
-    return records
+    return list(_read_json_lines(path, PredictionRecord.from_dict))
+
+
+def _replay_entry(text: str, output: str) -> dict:
+    """The replay-log line of one prompt and its answer."""
+    return {"input": text, "output": output}
+
+
+def append_replay_log(path: str | Path, inputs: Sequence[str],
+                      outputs: Sequence[str]) -> None:
+    """Append each prompt and its answer to the replay log at ``path``."""
+    with open(path, "a", encoding="utf-8", errors="backslashreplace") as fh:
+        fh.writelines(_json_lines(map(_replay_entry, inputs, outputs)))
+
+
+def read_replay_log(path: str | Path) -> dict[str, str]:
+    """A replay log's answers by prompt. An entry's input and output must
+    be strings; a prompt logged twice must have one answer."""
+    answers: dict[str, str] = {}
+
+    def add(entry) -> None:
+        text, output = entry["input"], entry["output"]
+        if not (isinstance(text, str) and isinstance(output, str)):
+            raise TypeError("input and output must be strings")
+        if answers.setdefault(text, output) != output:
+            raise ValueError(
+                f"repeats an input with a different output: {text!r}")
+
+    for _ in _read_json_lines(path, add):
+        pass
+    return answers
 
 
 def write_training_pairs(pairs: Sequence[TrainingPair],
                          path: str | Path) -> None:
-    """Emit fine-tuning pairs as replay-compatible {"input","output"} lines."""
-    lines = [
-        json.dumps({"input": p.text, "output": p.target}, ensure_ascii=False)
-        for p in pairs
-    ]
-    atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
+    """Emit fine-tuning pairs as replay-log lines, which a replay endpoint
+    can serve."""
+    _atomic_write(path, _json_lines(_replay_entry(p.text, p.target)
+                                    for p in pairs))

@@ -6,6 +6,20 @@ handles apart from the others (an empty store, a k larger than the store,
 a missing gold parse) is a plain GandrError; its message says which.
 """
 
+import math
+
+
+def shown(value, text=repr) -> str:
+    """``text(value)`` for an error message. An int too long for the
+    interpreter to convert to text (``sys.get_int_max_str_digits``) is
+    shown by its magnitude instead, as ``about 1.00e+5000``."""
+    try:
+        return text(value)
+    except ValueError:
+        power = math.log10(abs(value))
+        sign = "-" if value < 0 else ""
+        return f"about {sign}{10 ** (power % 1):.2f}e+{int(power)}"
+
 
 class GandrError(Exception):
     """Base class for all errors raised by this package."""

@@ -16,7 +16,7 @@ from enum import Enum
 from typing import Mapping, Sequence
 
 from .data_io import Fraction, apply_split, validate_fraction
-from .errors import ConfigError, GandrError
+from .errors import ConfigError, GandrError, shown
 from .pipeline import (
     PipelineConfig,
     PredictionRecord,
@@ -91,7 +91,7 @@ def validate_recall_k(k: int | None) -> None:
     if not isinstance(k, int) or isinstance(k, bool):
         raise ConfigError(f"recall k must be an integer, got {k!r}")
     if k < 1:
-        raise ConfigError(f"recall k must be at least 1, got {k}")
+        raise ConfigError(f"recall k must be at least 1, got {shown(k)}")
 
 
 def validate_records(records: Sequence[PredictionRecord]) -> None:

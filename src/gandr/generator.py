@@ -28,13 +28,13 @@ from typing import Iterable, Mapping, Sequence
 from urllib.parse import quote, urlsplit
 
 from .augment import EXEMPLAR_SEP
-from .data_io import decode_json, numbered_lines
+from .data_io import append_replay_log, decode_json, read_replay_log
 from .errors import (
     ConfigError,
-    CorruptFile,
     GenerationError,
     GenerationTimeout,
     RemoteError,
+    shown,
 )
 from .pipeline import generate_checked
 from .retrieval import Exemplar, validate_k
@@ -96,26 +96,7 @@ class ReplayGenerator(Generator):
 
     @classmethod
     def from_path(cls, path: str | Path) -> "ReplayGenerator":
-        mapping: dict[str, str] = {}
-        for lineno, raw in numbered_lines(path):
-            try:
-                line = raw.decode("utf-8").strip()
-                if not line:
-                    continue
-                entry = decode_json(line)
-                text, output = entry["input"], entry["output"]
-                if not (isinstance(text, str) and isinstance(output, str)):
-                    raise TypeError("input and output must be strings")
-            except (ValueError, TypeError, KeyError) as exc:
-                raise CorruptFile(
-                    f"{path}: line {lineno} is not a replay entry: {exc}"
-                ) from exc
-            if text in mapping and mapping[text] != output:
-                raise CorruptFile(
-                    f"{path}: line {lineno} repeats an input with a "
-                    f"different output: {text!r}")
-            mapping[text] = output
-        return cls(mapping)
+        return cls(read_replay_log(path))
 
     def __len__(self) -> int:
         return len(self._mapping)
@@ -143,12 +124,7 @@ class RecordingGenerator(Generator):
 
     def generate(self, inputs: Sequence[str]) -> list[str]:
         outputs = generate_checked(self.inner, inputs)
-        with open(self.path, "a", encoding="utf-8",
-                  errors="backslashreplace") as fh:
-            for text, output in zip(inputs, outputs):
-                fh.write(json.dumps({"input": text, "output": output},
-                                    ensure_ascii=False) + "\n")
-            fh.flush()
+        append_replay_log(self.path, inputs, outputs)
         return outputs
 
 
@@ -168,7 +144,7 @@ def validate_request_limits(timeout: float, max_batch: int | None) -> None:
     anything else is a ConfigError."""
     if not (_finite_number(timeout) and timeout > 0):
         raise ConfigError(f"timeout must be a positive finite number "
-                          f"of seconds, got {timeout!r}")
+                          f"of seconds, got {shown(timeout)}")
     if max_batch is not None:
         validate_k(max_batch, "max_batch")
 
@@ -260,10 +236,10 @@ class RemoteGenerator(Generator):
         if isinstance(retries, bool) or not isinstance(retries, int) \
                 or retries < 0:
             raise ConfigError(f"retries must be a non-negative integer, "
-                              f"got {retries!r}")
+                              f"got {shown(retries)}")
         if not (_finite_number(backoff) and backoff >= 0):
             raise ConfigError(f"backoff must be a non-negative finite number "
-                              f"of seconds, got {backoff!r}")
+                              f"of seconds, got {shown(backoff)}")
         self._scheme, self._host, self._port, self._target = \
             _split_http_url(url)
         self.url = url

@@ -50,7 +50,7 @@ from typing import Collection, Sequence
 import numpy as np
 
 from .augment import _prompt_pair, check_separator_safe
-from .errors import ConfigError, GandrError, MalformedRow
+from .errors import ConfigError, GandrError, MalformedRow, shown
 from .tfidf import TfidfVectorizer, tokenize_text
 from .top_parse import parse_labels, structure_tokens, template
 
@@ -174,7 +174,7 @@ def validate_alpha(alpha: float) -> float:
 def validate_k(k: int, name: str = "k") -> int:
     """The rule for k and for a prompt budget: an int, not a bool, >= 1."""
     if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise ConfigError(f"{name} must be a positive integer, got {k!r}")
+        raise ConfigError(f"{name} must be a positive integer, got {shown(k)}")
     return k
 
 
@@ -474,8 +474,8 @@ def _check_k(k: int, store: ExemplarStore,
     held = frozenset(i for i in exclude_ids if i in store)
     available = len(store) - len(held)
     if k > available:
-        raise GandrError(
-            f"requested {k} exemplars but only {available} are available")
+        raise GandrError(f"requested {shown(k)} exemplars but only "
+                         f"{available} are available")
     return held
 
 
@@ -537,7 +537,8 @@ def validate_p(p: float) -> float:
     if not isinstance(p, (int, float)) or isinstance(p, bool):
         raise ConfigError(f"sampling decay p must be a number, got {p!r}")
     if not 0.0 < p:
-        raise ConfigError(f"sampling decay p must be positive, got {p}")
+        raise ConfigError(
+            f"sampling decay p must be positive, got {shown(p, str)}")
     return p
 
 
@@ -554,7 +555,7 @@ def sample_geometric_ranks(n: int, k: int, p: float,
     """
     validate_p(p)
     if k > n:
-        raise GandrError(f"requested {k} draws from {n} candidates")
+        raise GandrError(f"requested {shown(k)} draws from {n} candidates")
     picks: list[int] = []
     for m in range(n, n - k, -1):
         if p >= 1.0:

@@ -313,7 +313,8 @@ class TestRun:
                      "--out", str(tmp_path / "r2.jsonl")])
         err = capsys.readouterr().err
         assert code == 1
-        assert f"line {len(entries)} is not a replay entry" in err
+        assert f"line {len(entries)}: input and output must be strings" \
+            in err
         assert "Traceback" not in err
         assert not (tmp_path / "r2.jsonl").exists()
 
@@ -1264,6 +1265,61 @@ def test_bad_setting_exits_2_without_reading_the_store(
     assert capsys.readouterr().err == \
         f"error: {message.replace('MISSING', str(missing))}\n"
     assert loads == []
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("index", "--out"), ("run", "--out"), ("run", "--record-preliminary"),
+    ("run", "--record-final"), ("sweep", "--out"), ("emit-train", "--out"),
+    ("trace", "--record-final")])
+@pytest.mark.parametrize("where", ["missing", "directory"])
+def test_unwritable_output_exits_2_before_any_work(
+        tmp_path, store, dataset, capsys, monkeypatch, endpoint_calls,
+        command, flag, where):
+    """An output path in no existing directory, or naming a directory,
+    exits 2 naming it before any input is read or endpoint asked."""
+    reads = []
+    for name, read in (("load_store", load_store),
+                       ("load_dataset", data_io.load_dataset)):
+        monkeypatch.setattr(cli, name, lambda path, *a, read=read, **kw:
+                            reads.append(path) or read(path, *a, **kw))
+    bad = tmp_path / "missing" / "out" if where == "missing" else tmp_path
+    out = bad if flag == "--out" else tmp_path / "out"
+    argv = (["index", "--data", str(dataset), "--out", str(out)]
+            if command == "index"
+            else store_command(command, store, dataset, out))
+    if flag != "--out":
+        argv += [flag, str(bad)]
+    if command == "sweep":
+        argv += K_AXIS
+    capsys.readouterr()
+    assert main(argv) == 2
+    problem = ("no such directory" if where == "missing"
+               else "it is a directory")
+    assert capsys.readouterr().err == f"error: cannot write {bad}: {problem}\n"
+    assert reads == []
+    assert endpoint_calls == []
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["retrieve", "--store", "DIR", "--query", TRACE_QUERY],
+    ["index", "--data", "DIR", "--out", "OUT"],
+    ["--config", "DIR", "retrieve", "--store", "STORE", "--query", "q"],
+    ["run", "--store", "STORE", "--data", "DATA", "--final-endpoint",
+     "replay:DIR", "--out", "OUT"],
+], ids=["store", "data", "config", "replay-log"])
+def test_a_directory_given_as_an_input_file_exits_2(tmp_path, store, dataset,
+                                                     capsys, argv):
+    directory = tmp_path / "adir.tsv"
+    directory.mkdir()
+    paths = {"DIR": str(directory), "STORE": str(store),
+             "DATA": str(dataset), "OUT": str(tmp_path / "out")}
+    capsys.readouterr()
+    argv = [paths.get(arg, arg.replace("DIR", str(directory)))
+            for arg in argv]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: is a directory: {directory}\n"
+    assert not (tmp_path / "out").exists()
 
 
 GOLD_ENDPOINT = f"static:{TRACE_GOLD}"

@@ -496,6 +496,34 @@ class TestRecordsFiles:
             write_records(records, path)
             assert read_records(path) == records
 
+    # one record as every earlier gandr writes it: json's default
+    # separators, non-ASCII text as it stands and a lone surrogate as its
+    # JSON escape
+    SAVED = ('{"sample_id": 7, "query": "météo \\ud800", "gold": null, '
+             '"pass1_retrievals": [{"exemplar_id": 3, "relevance": 0.5, '
+             '"input_sim": 0.25, "output_sim": 1.0, "rank": 0}], '
+             '"pass1_augmented": {"text": "météo \\ud800 || x", '
+             '"query": "météo \\ud800", "exemplar_ids": [3], '
+             '"truncated": false}, "preliminary": "[IN:X \\udfff ]", '
+             '"pass2_retrievals": null, "pass2_augmented": null, '
+             '"final": null, "status": "pass2_failed", "domain_tag": "天気"}\n')
+
+    def test_written_bytes(self, tmp_path):
+        hit = ScoredExemplar(exemplar_id=3, relevance=0.5, input_sim=0.25,
+                             output_sim=1.0, rank=0)
+        record = PredictionRecord(
+            sample_id=7, query="météo \ud800", gold=None,
+            pass1_retrievals=(hit,),
+            pass1_augmented=AugmentedInput("météo \ud800 || x",
+                                           "météo \ud800", (3,), False),
+            preliminary="[IN:X \udfff ]", pass2_retrievals=None,
+            pass2_augmented=None, final=None, status="pass2_failed",
+            domain_tag="天気")
+        path = tmp_path / "r.jsonl"
+        write_records([record], path)
+        assert path.read_bytes() == self.SAVED.encode()
+        assert read_records(path) == [record]
+
     def test_corrupt_records(self, tmp_path):
         with pytest.raises(CorruptFile):
             read_records(write(tmp_path / "r.jsonl", "{nope\n"))
@@ -699,8 +727,7 @@ class TestDeeplyNestedJson:
         path = write(tmp_path / "log.jsonl",
                      '{"input": "a", "output": "1"}\n'
                      '{"input": "b", "output": "2", "x": ' + self.DEEP + "}\n")
-        with pytest.raises(CorruptFile,
-                           match="line 2 is not a replay entry: nested too"):
+        with pytest.raises(CorruptFile, match="line 2: nested too deeply"):
             ReplayGenerator.from_path(path)
 
 
@@ -765,6 +792,16 @@ def test_write_training_pairs_is_replay_compatible(tmp_path):
 
     replay = ReplayGenerator.from_path(path)
     assert replay.generate(["q || a & b"])[0] == GOOD_PARSE
+
+
+def test_training_pair_bytes(tmp_path):
+    """Pinned as earlier gandr writes a pair: json's default separators,
+    non-ASCII text as it stands, a lone surrogate as its JSON escape."""
+    path = tmp_path / "train.jsonl"
+    write_training_pairs([TrainingPair(0, "météo \ud800 || x",
+                                       "[IN:X é \udfff ]", (3,))], path)
+    assert path.read_bytes() == ('{"input": "météo \\ud800 || x", '
+                                 '"output": "[IN:X é \\udfff ]"}\n').encode()
 
 
 @settings(max_examples=100, deadline=None)

@@ -74,7 +74,7 @@ class TestReplay:
         log = tmp_path / "log.jsonl"
         self.write_log(log, [{"input": "a", "output": "1"},
                              {"input": "a", "output": "2"}])
-        with pytest.raises(CorruptFile, match="line 2 repeats an input with "
+        with pytest.raises(CorruptFile, match="line 2: repeats an input with "
                                               "a different output: 'a'$"):
             ReplayGenerator.from_path(log)
 
@@ -103,7 +103,8 @@ class TestReplay:
     def test_non_string_fields_are_corrupt(self, tmp_path, entry):
         log = tmp_path / "log.jsonl"
         self.write_log(log, [{"input": "b", "output": "2"}, entry])
-        with pytest.raises(CorruptFile, match="line 2 .*must be strings"):
+        with pytest.raises(CorruptFile,
+                           match="line 2: input and output must be strings$"):
             ReplayGenerator.from_path(log)
 
     def test_blank_lines_skipped(self, tmp_path):
@@ -120,6 +121,20 @@ def test_recording_round_trips_into_replay(tmp_path):
     recorder.generate(["p3"])
     replay = ReplayGenerator.from_path(log)
     assert replay.generate(["p1", "p2", "p3"]) == ["out", "out", "out"]
+
+
+def test_recording_log_bytes(tmp_path):
+    """Pinned as earlier gandr logs traffic: one line per prompt, appended
+    call after call, in json's default separators, non-ASCII text as it
+    stands and a lone surrogate as its JSON escape."""
+    log = tmp_path / "log.jsonl"
+    recorder = RecordingGenerator(StaticGenerator("[IN:X é \udfff ]"), log)
+    recorder.generate(["météo \ud800", "b"])
+    recorder.generate(["c"])
+    assert log.read_bytes() == (
+        '{"input": "météo \\ud800", "output": "[IN:X é \\udfff ]"}\n'
+        '{"input": "b", "output": "[IN:X é \\udfff ]"}\n'
+        '{"input": "c", "output": "[IN:X é \\udfff ]"}\n').encode()
 
 
 @pytest.mark.parametrize("extra", [-1, 1])

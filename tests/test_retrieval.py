@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from gandr import retrieval
 from gandr.augment import build_augmented_input
-from gandr.data_io import load_store, save_store
+from gandr.data_io import FixedCount, apply_split, load_store, save_store
 from gandr.errors import (
     ConfigError,
     GandrError,
@@ -20,6 +20,9 @@ from gandr.errors import (
     MalformedRow,
     SeparatorCollision,
 )
+from gandr.evaluation import validate_recall_k, validate_sample_fraction
+from gandr.generator import RemoteGenerator
+from gandr.pipeline import PipelineConfig
 from gandr.retrieval import (
     Exemplar,
     ExemplarStore,
@@ -29,6 +32,7 @@ from gandr.retrieval import (
     retrieve_topk_alphas,
     sample_geometric_ranks,
     validate_alpha,
+    validate_p,
 )
 from gandr.top_parse import structure_tokens, template
 
@@ -268,6 +272,52 @@ class TestValidation:
     def test_alpha_range(self, bad):
         with pytest.raises(ConfigError):
             validate_alpha(bad)
+
+    HUGE = 10**5000
+
+    @pytest.mark.parametrize("rule, value, error", [
+        ("k", -HUGE, ConfigError),
+        ("budget", -HUGE, ConfigError),
+        ("retrieved k", HUGE, GandrError),
+        ("p", -HUGE, ConfigError),
+        ("draws", HUGE, GandrError),
+        ("recall k", -HUGE, ConfigError),
+        ("sample fraction", HUGE, ConfigError),
+        ("sample fraction", -HUGE, ConfigError),
+        ("split count", -HUGE, ConfigError),
+        ("split count", HUGE, GandrError),
+        ("timeout", HUGE, ConfigError),
+        ("timeout", -HUGE, ConfigError),
+        ("backoff", HUGE, ConfigError),
+        ("backoff", -HUGE, ConfigError),
+        ("retries", -HUGE, ConfigError),
+    ], ids=lambda v: ("-1e5000" if v < 0 else "1e5000")
+        if isinstance(v, int) else None)
+    def test_an_int_too_long_to_print_is_shown_by_its_size(
+            self, tiny_store, rule, value, error):
+        """Each rule rejects an int past the interpreter's limit on digits
+        converted to text with its own error, never with the ValueError
+        that printing all the digits raises."""
+        url = "http://127.0.0.1:9/"
+        rules = {
+            "k": lambda v: PipelineConfig(k=v),
+            "budget": lambda v: PipelineConfig(budget=v),
+            "retrieved k": lambda v: retrieve_topk(tiny_store, "play", v),
+            "p": validate_p,
+            "draws": lambda v: sample_geometric_ranks(
+                5, v, 0.5, np.random.default_rng(0)),
+            "recall k": validate_recall_k,
+            "sample fraction": validate_sample_fraction,
+            "split count": lambda v: apply_split([1, 2, 3], FixedCount(v)),
+            "timeout": lambda v: RemoteGenerator(url, timeout=v),
+            "backoff": lambda v: RemoteGenerator(url, backoff=v),
+            "retries": lambda v: RemoteGenerator(url, retries=v),
+        }
+        with pytest.raises(error) as info:
+            rules[rule](value)
+        assert type(info.value) is error
+        sign = "-" if value < 0 else ""
+        assert f" about {sign}1.00e+5000" in str(info.value)
 
     def test_alpha_bounds_accepted(self):
         assert validate_alpha(0) == 0.0
